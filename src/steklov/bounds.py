@@ -17,18 +17,11 @@ bounds are reported as +inf (vacuous).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph import (
-    EmptyBoundaryError,
-    GraphError,
-    WeightedBoundaryGraph,
-    hop_distance_matrix,
-    json_number,
-    require_connected,
-)
+from .graph import GraphError, WeightedBoundaryGraph, json_number
 from .spectral import steklov_spectrum
 
 INF = float("inf")
@@ -51,43 +44,44 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "w0": json_number(self.w0),
-            "m0": json_number(self.m0),
-            "VB": json_number(self.VB),
-            "dB": self.dB,
-            "bound_unit": json_number(self.bound_unit),
-            "bound_unit_applicable": self.bound_unit_applicable,
-            "bound_general": json_number(self.bound_general),
-            "bound_extended": json_number(self.bound_extended),
-            "sigma2": json_number(self.sigma2),
-            "gap_extended": json_number(self.gap_extended),
+            f.name: json_number(v) if isinstance(v, float) else v
+            for f in fields(self)
+            for v in [getattr(self, f.name)]
         }
+
+
+def bound_formulas(
+    w0: float, m0: float, VB: float, dB: int, nb: int
+) -> tuple[float, float, float]:
+    """(unit, general, extended) bounds from the boundary quantities and |B|.
+
+    Every bound is +inf (vacuous) when ``nb < 2``.
+    """
+    if nb < 2:
+        return INF, INF, INF
+    return (
+        nb / ((nb - 1) ** 2 * dB),
+        w0 / (dB * VB),
+        w0 * VB / ((VB - m0) ** 2 * dB),
+    )
 
 
 def _raw_quantities(g: WeightedBoundaryGraph) -> tuple[float, float, float, int]:
     """Quantities without the |B| >= 2 precondition (dB = 0 when |B| <= 1)."""
-    if len(g.boundary) == 0:
-        raise EmptyBoundaryError("graph has an empty boundary")
+    d_B = g.analysis.boundary_diameter
     w0 = min((w for _, _, w in g.edges), default=INF)
-    bidx = np.asarray(g.boundary, dtype=np.intp)
-    bm = g.measures[bidx]
-    m0 = float(bm.min())
-    VB = float(bm.sum())
-    if len(bidx) < 2:
-        return w0, m0, VB, 0
-    dist = hop_distance_matrix(g)
-    dB = int(dist[np.ix_(bidx, bidx)].max())
-    return w0, m0, VB, dB
+    bm = g.measures[np.asarray(g.boundary, dtype=np.intp)]
+    return w0, float(bm.min(initial=INF)), float(bm.sum()), d_B
 
 
 def boundary_quantities(
     g: WeightedBoundaryGraph,
 ) -> tuple[float, float, float, int]:
     """(w0, m0, V_B, d_B) for a connected graph with at least 2 boundary vertices."""
-    require_connected(g)
+    quantities = _raw_quantities(g)
     if len(g.boundary) < 2:
         raise GraphError("boundary quantities need at least 2 boundary vertices")
-    return _raw_quantities(g)
+    return quantities
 
 
 def has_boundary_edge(g: WeightedBoundaryGraph) -> bool:
@@ -96,22 +90,18 @@ def has_boundary_edge(g: WeightedBoundaryGraph) -> bool:
     return any(u in b and v in b for u, v, _ in g.edges)
 
 
+def _unit_applicable(g: WeightedBoundaryGraph) -> bool:
+    return len(g.boundary) >= 2 and g.is_unit_weighted() and not has_boundary_edge(g)
+
+
 def bound_extended(g: WeightedBoundaryGraph) -> float:
     """Extended lower bound  w0 V_B / ((V_B - m0)^2 d_B);  +inf when |B| < 2."""
-    require_connected(g)
-    if len(g.boundary) < 2:
-        return INF
-    w0, m0, VB, dB = _raw_quantities(g)
-    return w0 * VB / ((VB - m0) ** 2 * dB)
+    return bound_formulas(*_raw_quantities(g), len(g.boundary))[2]
 
 
 def bound_general(g: WeightedBoundaryGraph) -> float:
     """General lower bound  w0 / (d_B V_B);  +inf when |B| < 2."""
-    require_connected(g)
-    if len(g.boundary) < 2:
-        return INF
-    w0, _, VB, dB = _raw_quantities(g)
-    return w0 / (dB * VB)
+    return bound_formulas(*_raw_quantities(g), len(g.boundary))[1]
 
 
 def bound_unit_weight(g: WeightedBoundaryGraph) -> tuple[float, bool]:
@@ -121,14 +111,8 @@ def bound_unit_weight(g: WeightedBoundaryGraph) -> tuple[float, bool]:
     bound's hypotheses: unit measures and weights, and no edge joining two
     boundary vertices.
     """
-    require_connected(g)
-    nb = len(g.boundary)
-    if nb < 2:
-        return INF, False
-    _, _, _, dB = _raw_quantities(g)
-    value = nb / ((nb - 1) ** 2 * dB)
-    applicable = g.is_unit_weighted() and not has_boundary_edge(g)
-    return value, applicable
+    value = bound_formulas(*_raw_quantities(g), len(g.boundary))[0]
+    return value, _unit_applicable(g)
 
 
 def bound_report(g: WeightedBoundaryGraph) -> BoundReport:
@@ -137,30 +121,12 @@ def bound_report(g: WeightedBoundaryGraph) -> BoundReport:
     ``gap_extended`` is ``sigma2 - bound_extended`` in float arithmetic, so a
     report for |B| < 2 (both values +inf) carries gap NaN.
     """
-    require_connected(g)
     w0, m0, VB, dB = _raw_quantities(g)
-    nb = len(g.boundary)
-    spectrum = steklov_spectrum(g)
-    sigma2 = spectrum.sigma(2)
-    if nb < 2:
-        b_unit, applicable = INF, False
-        b_general = INF
-        b_extended = INF
-    else:
-        b_unit = nb / ((nb - 1) ** 2 * dB)
-        applicable = g.is_unit_weighted() and not has_boundary_edge(g)
-        b_general = w0 / (dB * VB)
-        b_extended = w0 * VB / ((VB - m0) ** 2 * dB)
-    gap = sigma2 - b_extended
+    sigma2 = steklov_spectrum(g).sigma(2)
+    b_unit, b_general, b_extended = bound_formulas(w0, m0, VB, dB, len(g.boundary))
     return BoundReport(
-        w0=w0,
-        m0=m0,
-        VB=VB,
-        dB=dB,
-        bound_unit=b_unit,
-        bound_unit_applicable=applicable,
-        bound_general=b_general,
-        bound_extended=b_extended,
-        sigma2=sigma2,
-        gap_extended=float(gap),
+        w0=w0, m0=m0, VB=VB, dB=dB,
+        bound_unit=b_unit, bound_unit_applicable=_unit_applicable(g),
+        bound_general=b_general, bound_extended=b_extended,
+        sigma2=sigma2, gap_extended=float(sigma2 - b_extended),
     )

@@ -18,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import boundary_quantities
+from .bounds import bound_formulas, bound_report
 from .graph import (
     GraphError,
     WeightedBoundaryGraph,
+    component_labels,
     graph_from_arrays,
     graph_to_json_dict,
     json_number,
@@ -116,24 +117,6 @@ class ViolationRecord:
 # --- random graphs ------------------------------------------------------------
 
 
-def _edges_connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    parts = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            parts -= 1
-    return parts == 1
-
-
 def random_graph(
     n: int,
     edge_prob: float,
@@ -160,7 +143,7 @@ def random_graph(
     for _ in range(max_retries):
         keep = rng.random(len(pairs)) < edge_prob
         edges = [p for p, k in zip(pairs, keep) if k]
-        if _edges_connected(n, edges):
+        if len(set(component_labels(n, edges))) == 1:
             break
     else:
         raise GraphError(
@@ -387,11 +370,13 @@ def check_instance(
     if nb < 2:
         return failures
 
-    w0, m0, VB, dB = boundary_quantities(g)
-    dB_eff = dB + 1 if MUTATION_BOUND_DB in mutations else dB
-    bound_ext = w0 * VB / ((VB - m0) ** 2 * dB_eff)
-    bound_gen = w0 / (dB * VB)
-    sigma2 = spectrum.sigma(2)
+    report = bound_report(g)
+    bound_ext, bound_gen = report.bound_extended, report.bound_general
+    if MUTATION_BOUND_DB in mutations:
+        _, _, bound_ext = bound_formulas(
+            report.w0, report.m0, report.VB, report.dB + 1, nb
+        )
+    sigma2 = report.sigma2
     sigma2_scale = max(1.0, sigma2)
 
     if sigma2 < bound_ext - bound_slack * sigma2_scale:
@@ -403,11 +388,10 @@ def check_instance(
             ("dominance", {"bound_extended": bound_ext, "bound_general": bound_gen})
         )
     if g.is_unit_weighted():
-        unit_value = nb / ((nb - 1) ** 2 * dB)
-        if abs(bound_ext - unit_value) > UNIT_SPECIALIZATION_TOL:
+        if abs(bound_ext - report.bound_unit) > UNIT_SPECIALIZATION_TOL:
             failures.append(
                 ("unit_specialization",
-                 {"bound_extended": bound_ext, "unit_formula": unit_value})
+                 {"bound_extended": bound_ext, "unit_formula": report.bound_unit})
             )
 
     equality = abs(sigma2 - bound_ext) <= equality_tol * sigma2_scale
@@ -715,25 +699,33 @@ def _verify_exhaustive_batch(
 # --- top-level verification ------------------------------------------------------
 
 
-def _verify_random(
-    spec: CorpusSpec, mutations: frozenset, max_violations: int | None
-) -> list[ViolationRecord]:
-    rng_graph = np.random.default_rng([spec.seed, 0])
-    rng_green = np.random.default_rng([spec.seed, 1])
-    records: list[ViolationRecord] = []
-    for index in range(spec.samples):
-        n = int(rng_graph.integers(2, spec.n_max + 1))
-        edge_prob = float(rng_graph.uniform(0.2, 0.9))
-        boundary_size = int(rng_graph.integers(2, n + 1))
-        g = random_graph(
+def _random_graphs(spec: CorpusSpec) -> Iterator[WeightedBoundaryGraph]:
+    rng = np.random.default_rng([spec.seed, 0])
+    for _ in range(spec.samples):
+        n = int(rng.integers(2, spec.n_max + 1))
+        edge_prob = float(rng.uniform(0.2, 0.9))
+        boundary_size = int(rng.integers(2, n + 1))
+        yield random_graph(
             n,
             edge_prob,
             spec.weight_range,
             spec.measure_range,
             boundary_size,
-            rng_graph,
+            rng,
             unit=spec.unit_only,
         )
+
+
+def _check_stream(
+    graphs: Iterable[WeightedBoundaryGraph],
+    spec: CorpusSpec,
+    mutations: frozenset,
+    max_violations: int | None,
+) -> list[ViolationRecord]:
+    """check_instance on every graph, Green-check vectors drawn from one stream."""
+    rng_green = np.random.default_rng([spec.seed, 1])
+    records: list[ViolationRecord] = []
+    for index, g in enumerate(graphs):
         failures = check_instance(g, rng=rng_green, mutations=mutations)
         if failures:
             doc = graph_to_json_dict(g)
@@ -749,27 +741,14 @@ def _verify_random(
 def _verify_exhaustive_reference(
     spec: CorpusSpec, mutations: frozenset, max_violations: int | None
 ) -> list[ViolationRecord]:
-    rng_weights = np.random.default_rng([spec.seed, 0])
-    rng_green = np.random.default_rng([spec.seed, 1])
-    records: list[ViolationRecord] = []
     stream = enumerate_small(
         spec.n_max,
         unit_only=spec.unit_only,
-        rng=rng_weights,
+        rng=np.random.default_rng([spec.seed, 0]),
         weight_range=spec.weight_range,
         measure_range=spec.measure_range,
     )
-    for index, g in enumerate(stream):
-        failures = check_instance(g, rng=rng_green, mutations=mutations)
-        if failures:
-            doc = graph_to_json_dict(g)
-            records.extend(
-                ViolationRecord(index=index, check=check, graph=doc, details=details)
-                for check, details in failures
-            )
-            if max_violations is not None and len(records) >= max_violations:
-                break
-    return records
+    return _check_stream(stream, spec, mutations, max_violations)
 
 
 def verify_corpus(
@@ -789,7 +768,7 @@ def verify_corpus(
     if unknown:
         raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
     if spec.mode == "random":
-        return _verify_random(spec, mutations, max_violations)
+        return _check_stream(_random_graphs(spec), spec, mutations, max_violations)
     if spec.unit_only:
         return _verify_exhaustive_batch(spec, mutations, max_violations)
     return _verify_exhaustive_reference(spec, mutations, max_violations)

@@ -12,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -75,6 +75,27 @@ class WeightedBoundaryGraph:
         return tuple(tuple(sorted(a)) for a in nbrs)
 
     @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge tails u, heads v (u < v) and weights as arrays, in edge order."""
+        table = np.array(self.edges, dtype=float).reshape(-1, 3)
+        return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbour lists in compressed sparse row form: (indptr, indices)."""
+        u, v, _ = self.edge_arrays
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.argsort(rows, kind="stable")
+        return np.searchsorted(rows[order], np.arange(self.n + 1)), cols[order]
+
+    @cached_property
+    def analysis(self):
+        """This graph's :class:`~steklov.spectral.GraphAnalysis`, built once."""
+        from .spectral import GraphAnalysis  # spectral imports this module
+
+        return GraphAnalysis(self)
+
+    @cached_property
     def label_to_id(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -82,13 +103,6 @@ class WeightedBoundaryGraph:
     def edge_rank(self) -> dict[tuple[int, int], int]:
         """Position of each canonical edge (u, v), u < v, in the edge tuple."""
         return {(u, v): k for k, (u, v, _) in enumerate(self.edges)}
-
-    def edge_weight(self, x: int, y: int) -> float:
-        """Weight of edge {x, y}, or 0.0 for non-adjacent pairs."""
-        for v, w in self.adjacency[x]:
-            if v == y:
-                return w
-        return 0.0
 
     def is_unit_weighted(self) -> bool:
         """True iff every vertex measure and every edge weight equals 1."""
@@ -213,6 +227,19 @@ _VERTEX_KEYS = {"id", "m", "boundary"}
 _EDGE_KEYS = {"u", "v", "w"}
 
 
+def _checked_row(row, keys: set[str], where: str) -> dict:
+    """``row`` itself, once it is an object with exactly the fields ``keys``."""
+    if not isinstance(row, dict):
+        raise GraphError(f"{where}: must be an object")
+    extra = set(row) - keys
+    if extra:
+        raise GraphError(f"{where}: unknown field {sorted(extra)[0]!r}")
+    missing = keys - set(row)
+    if missing:
+        raise GraphError(f"{where}: missing field {sorted(missing)[0]!r}")
+    return row
+
+
 def parse_graph(text: str) -> WeightedBoundaryGraph:
     """Parse the JSON graph document format.
 
@@ -236,33 +263,17 @@ def parse_graph(text: str) -> WeightedBoundaryGraph:
 
     vertices = []
     for i, row in enumerate(doc["vertices"]):
-        where = f"vertices[{i}]"
-        if not isinstance(row, dict):
-            raise GraphError(f"{where}: must be an object")
-        extra = set(row) - _VERTEX_KEYS
-        if extra:
-            raise GraphError(f"{where}: unknown field {sorted(extra)[0]!r}")
-        missing = _VERTEX_KEYS - set(row)
-        if missing:
-            raise GraphError(f"{where}: missing field {sorted(missing)[0]!r}")
+        row = _checked_row(row, _VERTEX_KEYS, f"vertices[{i}]")
         if not isinstance(row["boundary"], bool):
-            raise GraphError(f"{where}: boundary must be true or false")
+            raise GraphError(f"vertices[{i}]: boundary must be true or false")
         vertices.append((row["id"], row["m"], row["boundary"]))
 
     edges = []
     for j, row in enumerate(doc["edges"]):
-        where = f"edges[{j}]"
-        if not isinstance(row, dict):
-            raise GraphError(f"{where}: must be an object")
-        extra = set(row) - _EDGE_KEYS
-        if extra:
-            raise GraphError(f"{where}: unknown field {sorted(extra)[0]!r}")
-        missing = _EDGE_KEYS - set(row)
-        if missing:
-            raise GraphError(f"{where}: missing field {sorted(missing)[0]!r}")
+        row = _checked_row(row, _EDGE_KEYS, f"edges[{j}]")
         for key in ("u", "v"):
             if not isinstance(row[key], str):
-                raise GraphError(f"{where}: {key} must be a string")
+                raise GraphError(f"edges[{j}]: {key} must be a string")
         edges.append((row["u"], row["v"], row["w"]))
 
     return make_graph(vertices, edges)
@@ -315,20 +326,26 @@ def graph_to_json_dict(g: WeightedBoundaryGraph) -> dict:
 
 def is_connected(g: WeightedBoundaryGraph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
-    if g.n == 0:
-        return False
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v, _ in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == g.n
+    return g.n > 0 and min(bfs_distances(g, 0)) >= 0
+
+
+def component_labels(n: int, edges: Iterable[Sequence]) -> list[int]:
+    """A representative vertex of each vertex's connected component.
+
+    Union-find over the ``(u, v, ...)`` rows of ``edges`` on vertices 0..n-1;
+    two vertices share a component iff their labels are equal.
+    """
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b, *_ in edges:
+        root[find(a)] = find(b)
+    return [find(a) for a in range(n)]
 
 
 def require_connected(g: WeightedBoundaryGraph) -> None:
@@ -336,29 +353,61 @@ def require_connected(g: WeightedBoundaryGraph) -> None:
         raise DisconnectedGraphError("graph is not connected")
 
 
+def _reach_levels(g: WeightedBoundaryGraph, sources) -> Iterator[np.ndarray]:
+    """Packed multi-source BFS in the style of MS-BFS (Then et al., PVLDB 2014).
+
+    Yields an ``(n, ceil(len(sources) / 64))`` uint64 array after 0, 1, 2, ...
+    hops: bit ``k % 64`` of word ``k // 64`` in row v is set once v lies
+    within that many hops of ``sources[k]``.  Stops when nothing changes.  One
+    ``bitwise_or.reduceat`` over the CSR rows advances every source at once.
+    """
+    indptr, indices = g.csr
+    if g.n > 1 and not np.diff(indptr).all():
+        # reduceat would read a neighbour's bits into an empty CSR row
+        raise DisconnectedGraphError("graph is not connected")
+    k = np.arange(len(sources), dtype=np.uint64)
+    visited = np.zeros((g.n, -(-len(sources) // 64)), dtype=np.uint64)
+    visited[np.asarray(sources, dtype=np.intp), k // 64] = np.uint64(1) << k % 64
+    frontier = visited
+    yield visited
+    while len(indices):
+        reached = np.take(frontier, indices, axis=0)
+        frontier = np.bitwise_or.reduceat(reached, indptr[:-1]) & ~visited
+        if not frontier.any():
+            return
+        visited = visited | frontier
+        yield visited
+
+
+def boundary_diameter(g: WeightedBoundaryGraph) -> int:
+    """Largest hop distance between two boundary vertices (0 when |B| < 2).
+
+    Runs the packed BFS from the boundary only and stops at the first hop
+    count at which every boundary vertex has been reached from every
+    boundary source: O(|E| d_B ceil(|B| / 64)) word operations.
+    """
+    bidx = np.asarray(g.boundary, dtype=np.intp)
+    for hops, visited in enumerate(_reach_levels(g, bidx)):
+        rows = visited[bidx]
+        if (rows == rows[:1]).all():  # rows hold their own bits: equal means full
+            return hops
+    raise DisconnectedGraphError("graph is not connected")
+
+
 def hop_distance_matrix(g: WeightedBoundaryGraph) -> np.ndarray:
     """All-pairs unweighted hop distances as an (n, n) integer matrix.
 
-    Edge weights are ignored: distance counts edges on a shortest path.
+    Edge weights are ignored.  The packed BFS runs from every vertex, and a
+    distance is the number of hop counts at which the pair is still apart.
     Raises :class:`DisconnectedGraphError` on disconnected input.
     """
-    n = g.n
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v, _ in g.edges:
-        adj[u, v] = adj[v, u] = True
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    dist[adj] = 1
-    reach = adj | np.eye(n, dtype=bool)
-    k = 1
-    while (dist < 0).any():
-        new_reach = reach | (reach.astype(np.float64) @ adj.astype(np.float64) > 0)
-        newly = new_reach & ~reach
-        if not newly.any():
-            raise DisconnectedGraphError("graph is not connected")
-        k += 1
-        dist[newly] = k
-        reach = new_reach
+    dist = np.zeros((g.n, g.n), dtype=np.int64)
+    for visited in _reach_levels(g, range(g.n)):
+        bits = visited.astype("<u8", copy=False).view(np.uint8)
+        apart = np.unpackbits(bits, axis=1, count=g.n, bitorder="little") == 0
+        dist += apart
+    if apart.any():
+        raise DisconnectedGraphError("graph is not connected")
     dist.setflags(write=False)
     return dist
 
@@ -397,27 +446,29 @@ def all_geodesics(
     if x == y:
         return [(x,)]
 
-    out: list[tuple[int, ...]] = []
-    # DFS restricted to the geodesic DAG: no dead ends, so the work done is
-    # proportional to the number of paths emitted.
-    path = [x]
+    def steps(u: int) -> Iterator[int]:
+        return (v for v, _ in g.adjacency[u]
+                if dist_x[v] == dist_x[u] + 1 and dist_x[v] + dist_y[v] == d)
 
-    def extend(u: int) -> None:
-        if u == y:
+    # Depth-first over the geodesic DAG, which has no dead ends, so the work
+    # is proportional to the paths emitted; the stack replaces recursion.
+    out: list[tuple[int, ...]] = []
+    path = [x]
+    stack = [steps(x)]
+    while stack:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            path.pop()
+        elif v == y:
             if len(out) >= max_paths:
                 raise GeodesicLimitError(
                     f"more than {max_paths} geodesics between {x} and {y}"
                 )
-            out.append(tuple(path))
-            return
-        du = dist_x[u]
-        for v, _ in g.adjacency[u]:
-            if dist_x[v] == du + 1 and dist_x[v] + dist_y[v] == d:
-                path.append(v)
-                extend(v)
-                path.pop()
-
-    extend(x)
+            out.append((*path, y))
+        else:
+            path.append(v)
+            stack.append(steps(v))
     return out
 
 

@@ -11,19 +11,17 @@ Conversely every graph of that shape attains equality, which is what
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import bound_report
 from .graph import (
-    GeodesicLimitError,
     GraphError,
     WeightedBoundaryGraph,
-    all_geodesics,
+    component_labels,
     graph_from_arrays,
-    require_connected,
 )
 
 DEFAULT_EQUALITY_TOL = 1e-8
@@ -95,24 +93,11 @@ def is_comb_over(
             raise GraphError(f"invalid path: {a} and {b} are not adjacent")
         removed.add(key)
 
-    comp = [-1] * g.n
-    current = 0
-    for start in range(g.n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = current
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.adjacency[u]:
-                if comp[v] < 0 and (min(u, v), max(u, v)) not in removed:
-                    comp[v] = current
-                    queue.append(v)
-        current += 1
-
-    components = tuple(
-        frozenset(x for x in range(g.n) if comp[x] == comp[v]) for v in path
-    )
+    comp = component_labels(g.n, [e for e in g.edges if e[:2] not in removed])
+    members: dict[int, set[int]] = {}
+    for x in range(g.n):
+        members.setdefault(comp[x], set()).add(x)
+    components = tuple(frozenset(members[comp[v]]) for v in path)
     is_comb = len({comp[v] for v in path}) == len(path)
     return CombDecomposition(
         path_vertices=path, components=components, is_comb=is_comb
@@ -127,6 +112,38 @@ def _values_equal(a: float, b: float, rel_tol: float) -> bool:
     return abs(a - b) <= rel_tol * max(abs(a), abs(b))
 
 
+def _unique_geodesic(g: WeightedBoundaryGraph, x: int, y: int) -> PathWitness | None:
+    """The shortest x-y path if it is the only one, else None.
+
+    Geodesic counts capped at 2 are summed layer by layer during a BFS from
+    x; when y's count is 1, walking back through the one counted
+    predecessor of each vertex rebuilds the path.
+    """
+    dist = [-1] * g.n
+    count = [0] * g.n
+    dist[x], count[x] = 0, 1
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for v, _ in g.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+            if dist[v] == dist[u] + 1:
+                count[v] = min(2, count[v] + count[u])
+    if count[y] != 1:
+        return None
+    path, weights = [y], []
+    while path[-1] != x:
+        v = path[-1]
+        u, w = next(
+            (u, w) for u, w in g.adjacency[v] if dist[u] == dist[v] - 1 and count[u]
+        )
+        path.append(u)
+        weights.append(w)
+    return PathWitness(vertices=tuple(path[::-1]), edge_weights=tuple(weights[::-1]))
+
+
 def check_rigidity(
     g: WeightedBoundaryGraph,
     tol: float = DEFAULT_EQUALITY_TOL,
@@ -139,10 +156,9 @@ def check_rigidity(
     comparisons (path weights against w0, boundary measures against m0) from
     bitwise equality to a relative tolerance.
     """
-    require_connected(g)
+    report = bound_report(g)
     if len(g.boundary) < 2:
         raise GraphError("rigidity needs at least 2 boundary vertices")
-    report = bound_report(g)
     sigma2, bound = report.sigma2, report.bound_extended
     equality = abs(sigma2 - bound) <= tol * max(1.0, sigma2)
 
@@ -151,28 +167,16 @@ def check_rigidity(
         for b in g.boundary
     )
 
-    witness = None
     comb = None
     cond_path = False
     cond_comb = False
-    if len(g.boundary) == 2:
-        x, y = g.boundary
-        try:
-            geodesics = all_geodesics(g, x, y, max_paths=2)
-            unique = len(geodesics) == 1
-        except GeodesicLimitError:
-            unique = False
-        if unique:
-            path = geodesics[0]
-            weights = tuple(
-                g.edge_weight(a, b) for a, b in zip(path, path[1:])
-            )
-            witness = PathWitness(vertices=path, edge_weights=weights)
-            cond_path = all(
-                _values_equal(w, report.w0, weight_tol) for w in weights
-            )
-            comb = is_comb_over(g, path)
-            cond_comb = comb.is_comb
+    witness = _unique_geodesic(g, *g.boundary) if len(g.boundary) == 2 else None
+    if witness is not None:
+        cond_path = all(
+            _values_equal(w, report.w0, weight_tol) for w in witness.edge_weights
+        )
+        comb = is_comb_over(g, witness.vertices)
+        cond_comb = comb.is_comb
 
     certified = cond_boundary and cond_path and cond_comb
     return RigidityReport(
@@ -190,17 +194,7 @@ def check_rigidity(
 
 def report_json(g: WeightedBoundaryGraph, report: RigidityReport) -> dict:
     """RigidityReport as a JSON-compatible dict with label-based witnesses."""
-    doc: dict = {
-        "equality": report.equality,
-        "cond_boundary": report.cond_boundary,
-        "cond_path": report.cond_path,
-        "cond_comb": report.cond_comb,
-        "certified_equality": report.certified_equality,
-        "sigma2": report.sigma2,
-        "bound_extended": report.bound_extended,
-        "witness": None,
-        "comb": None,
-    }
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
     if report.witness is not None:
         doc["witness"] = {
             "vertices": [g.labels[v] for v in report.witness.vertices],
@@ -235,20 +229,6 @@ class ToothSet:
     measures: tuple[float, ...]
     edges: tuple[tuple[int, int, float], ...] = ()
     attachments: tuple[tuple[int, int, float], ...] = ()
-
-
-def _tooth_components(k: int, edges) -> list[int]:
-    comp = list(range(k))
-
-    def find(a: int) -> int:
-        while comp[a] != a:
-            comp[a] = comp[comp[a]]
-            a = comp[a]
-        return a
-
-    for a, b, _ in edges:
-        comp[find(a)] = find(b)
-    return [find(a) for a in range(k)]
 
 
 def comb_graph(
@@ -293,7 +273,8 @@ def comb_graph(
                 raise GraphError(
                     f"tooth edge weight {w!r} below path weight {path_weight!r}"
                 )
-        attach_index: dict[int, set[int]] = {}
+        comp = component_labels(k, teeth.edges)
+        comp_targets: dict[int, set[int]] = {}
         for t, p, w in teeth.attachments:
             if not 0 <= t < k:
                 raise GraphError(f"attachment tooth vertex {t} out of range")
@@ -303,11 +284,7 @@ def comb_graph(
                 raise GraphError(
                     f"tooth edge weight {w!r} below path weight {path_weight!r}"
                 )
-            attach_index.setdefault(t, set()).add(p)
-        comp = _tooth_components(k, teeth.edges)
-        comp_targets: dict[int, set[int]] = {}
-        for t, targets in attach_index.items():
-            comp_targets.setdefault(comp[t], set()).update(targets)
+            comp_targets.setdefault(comp[t], set()).add(p)
         for c in set(comp):
             targets = comp_targets.get(c, set())
             if len(targets) == 0:

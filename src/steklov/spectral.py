@@ -9,7 +9,9 @@ solved through the diagonal mass reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -18,6 +20,7 @@ from .graph import (
     EmptyBoundaryError,
     GraphError,
     WeightedBoundaryGraph,
+    boundary_diameter,
     boundary_vector,
     require_connected,
     vertex_vector,
@@ -41,13 +44,10 @@ def laplacian(g: WeightedBoundaryGraph) -> tuple[np.ndarray, np.ndarray]:
     so row sums vanish.  The Laplacian operator itself is ``-diag(m)^-1 L``
     (non-positive spectrum convention: it averages neighbors minus center).
     """
-    n = g.n
-    L = np.zeros((n, n))
-    for u, v, w in g.edges:
-        L[u, v] -= w
-        L[v, u] -= w
-        L[u, u] += w
-        L[v, v] += w
+    u, v, w = g.edge_arrays
+    L = np.zeros((g.n, g.n))
+    L[u, v] = L[v, u] = -w
+    L[np.diag_indices(g.n)] = -L.sum(axis=1)
     return L, np.asarray(g.measures, dtype=float).copy()
 
 
@@ -73,8 +73,7 @@ class EdgeDifferential:
 def differential(g: WeightedBoundaryGraph, u) -> EdgeDifferential:
     """Differential du with du(x, y) = u(y) - u(x) on edges."""
     uv = vertex_vector(g, u)
-    heads = np.fromiter((e[1] for e in g.edges), dtype=np.intp, count=len(g.edges))
-    tails = np.fromiter((e[0] for e in g.edges), dtype=np.intp, count=len(g.edges))
+    tails, heads, _ = g.edge_arrays
     values = uv[heads] - uv[tails]
     values.setflags(write=False)
     return EdgeDifferential(graph=g, values=values)
@@ -86,8 +85,7 @@ def dirichlet_energy(
     """Edge inner product  sum over edges of a(x,y) b(x,y) w_xy."""
     if len(a.values) != len(g.edges) or len(b.values) != len(g.edges):
         raise GraphError("edge differential does not match the graph")
-    weights = np.fromiter((e[2] for e in g.edges), dtype=float, count=len(g.edges))
-    return float(np.dot(a.values * weights, b.values))
+    return float(np.dot(a.values * g.edge_arrays[2], b.values))
 
 
 def normal_derivative(g: WeightedBoundaryGraph, u) -> np.ndarray:
@@ -112,18 +110,14 @@ def harmonic_extension(g: WeightedBoundaryGraph, f) -> np.ndarray:
     factorization; the block is positive definite whenever the graph is
     connected and the boundary nonempty.
     """
-    require_connected(g)
+    analysis = g.analysis
     fvec = boundary_vector(g, f)
     u = np.zeros(g.n)
-    bidx = np.asarray(g.boundary, dtype=np.intp)
+    bidx, iidx = analysis.bidx, analysis.iidx
     u[bidx] = fvec
-    iidx = np.asarray(g.interior, dtype=np.intp)
-    if len(iidx) == 0:
-        return u
-    L, _ = laplacian(g)
-    L_oo = L[np.ix_(iidx, iidx)]
-    L_ob = L[np.ix_(iidx, bidx)]
-    u[iidx] = cho_solve(cho_factor(L_oo), -L_ob @ fvec)
+    if analysis.interior_factor is not None:
+        L_ob = analysis.laplacian_matrix[np.ix_(iidx, bidx)]
+        u[iidx] = cho_solve(analysis.interior_factor, -L_ob @ fvec)
     return u
 
 
@@ -140,18 +134,6 @@ class SteklovSystem:
     schur: np.ndarray
     boundary_mass: np.ndarray
     boundary_order: tuple[int, ...]
-
-    @property
-    def steklov_matrix(self) -> np.ndarray:
-        """Matrix of the Steklov operator (not symmetric in general)."""
-        return self.schur / self.boundary_mass[:, None]
-
-    def to_json_dict(self, g: WeightedBoundaryGraph) -> dict:
-        return {
-            "boundary": [g.labels[b] for b in self.boundary_order],
-            "boundary_mass": [float(m) for m in self.boundary_mass],
-            "schur_row_major": [float(x) for x in self.schur.ravel()],
-        }
 
 
 def _validated_system(
@@ -180,20 +162,7 @@ def steklov_system(g: WeightedBoundaryGraph) -> SteklovSystem:
     ``S = L_BB - L_BO L_OO^-1 L_OB``; with an empty interior S is just
     ``L_BB``.  Requires a connected graph and a nonempty boundary.
     """
-    require_connected(g)
-    if len(g.boundary) == 0:
-        raise EmptyBoundaryError("graph has an empty boundary")
-    L, m = laplacian(g)
-    bidx = np.asarray(g.boundary, dtype=np.intp)
-    iidx = np.asarray(g.interior, dtype=np.intp)
-    L_bb = L[np.ix_(bidx, bidx)]
-    if len(iidx) == 0:
-        raw = L_bb
-    else:
-        L_ob = L[np.ix_(iidx, bidx)]
-        L_oo = L[np.ix_(iidx, iidx)]
-        raw = L_bb - L_ob.T @ cho_solve(cho_factor(L_oo), L_ob)
-    return _validated_system(raw, m[bidx], tuple(g.boundary))
+    return g.analysis.system
 
 
 @dataclass(frozen=True)
@@ -233,27 +202,84 @@ def steklov_spectrum(
     back to original coordinates, where they are orthonormal in the
     m-weighted boundary inner product.
     """
-    system = steklov_system(g)
-    inv_sqrt = 1.0 / np.sqrt(system.boundary_mass)
-    reduced = system.schur * inv_sqrt[:, None] * inv_sqrt[None, :]
-    reduced = 0.5 * (reduced + reduced.T)
-    if with_vectors:
-        vals, vecs = np.linalg.eigh(reduced)
-        vectors = vecs * inv_sqrt[:, None]
-    else:
-        vals = np.linalg.eigvalsh(reduced)
-        vectors = None
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    if vals[0] < -PSD_TOL * scale:
-        raise NumericsError(f"Steklov matrix not PSD: lowest eigenvalue {vals[0]:.3e}")
-    vals.setflags(write=False)
-    if vectors is not None:
-        vectors.setflags(write=False)
-    return Spectrum(
-        eigenvalues=vals,
-        boundary_order=system.boundary_order,
-        eigenvectors=vectors,
-    )
+    analysis = g.analysis
+    return analysis.eigenpairs if with_vectors else analysis.eigenvalues
+
+
+class GraphAnalysis:
+    """Per-graph numerical state, each piece built on first use and then kept.
+
+    Every per-graph operation reads ``g.analysis``, so the Laplacian, the
+    interior Cholesky factor, the Steklov system, the spectrum and d_B are
+    computed once per graph.  It checks connectivity on construction and
+    holds its graph weakly, so both are freed by reference counting.
+    """
+
+    def __init__(self, g: WeightedBoundaryGraph):
+        require_connected(g)
+        self.graph = weakref.proxy(g)
+        self.bidx = np.asarray(g.boundary, dtype=np.intp)
+        self.iidx = np.asarray(g.interior, dtype=np.intp)
+
+    @cached_property
+    def laplacian_matrix(self) -> np.ndarray:
+        L, _ = laplacian(self.graph)
+        L.setflags(write=False)
+        return L
+
+    @cached_property
+    def interior_factor(self) -> tuple[np.ndarray, bool] | None:
+        """Cholesky factor of the interior block L_OO; None without interior."""
+        if len(self.iidx) == 0:
+            return None
+        try:
+            return cho_factor(self.laplacian_matrix[np.ix_(self.iidx, self.iidx)])
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"interior block factorization failed: {exc}") from exc
+
+    @cached_property
+    def system(self) -> SteklovSystem:
+        if len(self.bidx) == 0:
+            raise EmptyBoundaryError("graph has an empty boundary")
+        L, b, o = self.laplacian_matrix, self.bidx, self.iidx
+        raw = L[np.ix_(b, b)]
+        if self.interior_factor is not None:
+            L_ob = L[np.ix_(o, b)]
+            raw = raw - L_ob.T @ cho_solve(self.interior_factor, L_ob)
+        return _validated_system(raw, self.graph.measures[b], self.graph.boundary)
+
+    @cached_property
+    def eigenpairs(self) -> Spectrum:
+        return self._eigensolve(with_vectors=True)
+
+    @cached_property
+    def eigenvalues(self) -> Spectrum:
+        """Eigenvalues alone, taken from :attr:`eigenpairs` when those exist."""
+        if "eigenpairs" in self.__dict__:
+            return replace(self.eigenpairs, eigenvectors=None)
+        return self._eigensolve(with_vectors=False)
+
+    @cached_property
+    def boundary_diameter(self) -> int:
+        return boundary_diameter(self.graph)
+
+    def _eigensolve(self, with_vectors: bool) -> Spectrum:
+        system = self.system
+        inv_sqrt = 1.0 / np.sqrt(system.boundary_mass)
+        reduced = system.schur * inv_sqrt[:, None] * inv_sqrt[None, :]
+        reduced = 0.5 * (reduced + reduced.T)
+        if with_vectors:
+            vals, vecs = np.linalg.eigh(reduced)
+            vectors = vecs * inv_sqrt[:, None]
+            vectors.setflags(write=False)
+        else:
+            vals = np.linalg.eigvalsh(reduced)
+            vectors = None
+        scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+        if vals[0] < -PSD_TOL * scale:
+            raise NumericsError(f"Steklov matrix not PSD: lowest eigenvalue {vals[0]:.3e}")
+        vals.setflags(write=False)
+        return Spectrum(vals, system.boundary_order, vectors)
 
 
 def rayleigh_quotient(g: WeightedBoundaryGraph, f) -> float:
@@ -262,7 +288,6 @@ def rayleigh_quotient(g: WeightedBoundaryGraph, f) -> float:
     ``<du_f, du_f> / <f, f>_B``; minimizing over boundary functions that are
     m-orthogonal to constants yields sigma_2.
     """
-    require_connected(g)
     fvec = boundary_vector(g, f)
     if not np.any(fvec):
         raise GraphError("zero boundary function")

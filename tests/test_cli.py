@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from steklov import graph_to_json, parse_graph
+from steklov import comb_graph, graph_to_json, parse_graph
 from steklov.cli import main
 from conftest import unit_path
 
@@ -262,3 +262,33 @@ class TestErrors:
         code, out, err = run(capsys, "bounds", str(p))
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["spectrum", "bounds", "rigidity"])
+    def test_factorization_failure_exits_2(self, capsys, monkeypatch, path3_file,
+                                           command):
+        import numpy as np
+        import steklov.spectral
+
+        def failing_cho_factor(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(steklov.spectral, "cho_factor", failing_cho_factor)
+        code, out, err = run(capsys, command, path3_file)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("steklov: ") and "factorization failed" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+class TestLongGeodesic:
+    def test_rigidity_on_1500_edge_comb(self, capsys, tmp_path):
+        g = comb_graph(path_len=1500, path_weight=1.0, endpoint_mass=1.0)
+        p = tmp_path / "comb1500.json"
+        p.write_text(graph_to_json(g))
+        code, out, err = run(capsys, "rigidity", str(p))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["certified_equality"] is True
+        assert doc["equality"] is True
+        assert len(doc["witness"]["vertices"]) == 1501

@@ -193,6 +193,35 @@ class TestCheckInstance:
         assert [name for name, _ in failures] == ["equality_iff_certified"]
 
 
+    @pytest.mark.parametrize("kind", ["random", "comb"])
+    def test_one_laplacian_and_one_factorization(self, monkeypatch, kind):
+        import steklov.spectral as spectral
+        from conftest import rng_graph
+        from steklov import random_comb
+
+        calls = {"laplacian": 0, "cho_factor": 0}
+
+        def counted(name):
+            original = getattr(spectral, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(spectral, name, wrapper)
+
+        counted("laplacian")
+        counted("cho_factor")
+        rng = np.random.default_rng(11)
+        if kind == "comb":
+            g = random_comb(6, 1.5, 2.0, seed=rng)
+        else:
+            g = rng_graph(rng, 12, boundary_size=3)
+        assert len(g.interior) > 0
+        assert check_instance(g, rng=rng) == []
+        assert calls == {"laplacian": 1, "cho_factor": 1}
+
+
 class TestVerifyCorpus:
     def test_exhaustive_unit_clean(self):
         spec = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)

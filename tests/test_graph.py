@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import (
     DisconnectedGraphError,
@@ -10,6 +11,7 @@ from steklov import (
     GraphError,
     all_geodesics,
     bfs_distances,
+    bound_report,
     boundary_vector,
     graph_from_arrays,
     graph_to_json,
@@ -18,7 +20,8 @@ from steklov import (
     make_graph,
     parse_graph,
 )
-from steklov.rigidity import comb_graph
+from steklov.graph import boundary_diameter
+from steklov.rigidity import _unique_geodesic, comb_graph
 
 from strategies import connected_graphs
 
@@ -302,3 +305,103 @@ class TestCoercion:
     def test_make_graph_requires_string_labels(self):
         with pytest.raises(GraphError, match="must be a string"):
             make_graph([(1, 1.0, True), (2, 1.0, True)], [(1, 2, 1.0)])
+
+
+@st.composite
+def boundary_heavy_graphs(draw):
+    """|B| on both sides of a 64-bit word boundary, on random graphs, long
+    paths and long combs (spine with short pendant teeth)."""
+    nb = draw(st.sampled_from([63, 64, 65, 130]))
+    shape = draw(st.sampled_from(["random", "path", "comb"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "path":
+        n = nb + draw(st.integers(0, 300))
+        edges = {(i, i + 1) for i in range(n - 1)}
+    elif shape == "comb":
+        spine = draw(st.integers(2, 200))
+        n = max(nb, spine + draw(st.integers(0, 200)))
+        edges = {(i, i + 1) for i in range(spine - 1)}
+        edges |= {(int(rng.integers(0, v)), v) for v in range(spine, n)}
+    else:
+        n = nb + draw(st.integers(0, 100))
+        edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+        extra = rng.integers(0, n, size=(draw(st.integers(0, 2 * n)), 2))
+        edges |= {(int(min(a, b)), int(max(a, b))) for a, b in extra if a != b}
+    boundary = rng.choice(n, size=nb, replace=False)
+    return graph_from_arrays(
+        [1.0] * n, [int(b) for b in boundary], [(u, v, 1.0) for u, v in sorted(edges)]
+    )
+
+
+class TestBoundaryDiameter:
+    """The packed boundary BFS against the pure-Python single-source BFS."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(boundary_heavy_graphs())
+    def test_matches_plain_bfs(self, g):
+        rows = [bfs_distances(g, b) for b in g.boundary]
+        expected = max(row[c] for row in rows for c in g.boundary)
+        assert boundary_diameter(g) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(boundary_heavy_graphs())
+    def test_hop_matrix_rows_match_plain_bfs(self, g):
+        d = hop_distance_matrix(g)
+        for src in g.boundary[:5]:
+            assert list(d[src]) == bfs_distances(g, src)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=8))
+    def test_small_graphs(self, g):
+        bidx = np.asarray(g.boundary, dtype=np.intp)
+        expected = int(hop_distance_matrix(g)[np.ix_(bidx, bidx)].max(initial=0))
+        assert boundary_diameter(g) == expected
+
+    def test_long_comb(self):
+        g = comb_graph(path_len=1500, path_weight=1.0, endpoint_mass=1.0)
+        assert boundary_diameter(g) == 1500
+
+    def test_single_vertex(self):
+        g = graph_from_arrays([1.0], [0], [])
+        assert boundary_diameter(g) == 0
+        assert hop_distance_matrix(g).tolist() == [[0]]
+
+    @pytest.mark.parametrize("isolated", [0, 2, 4])
+    def test_isolated_vertex_raises(self, isolated):
+        # An isolated vertex has an empty CSR row, which reduceat would fill
+        # with a neighbour's bits (or index past the end) if it were not caught.
+        others = [v for v in range(5) if v != isolated]
+        edges = [(a, b, 1.0) for a, b in zip(others, others[1:])]
+        g = graph_from_arrays([1.0] * 5, others[:2], edges)
+        with pytest.raises(DisconnectedGraphError):
+            boundary_diameter(g)
+        with pytest.raises(DisconnectedGraphError):
+            hop_distance_matrix(g)
+
+    def test_two_components_raise(self):
+        g = graph_from_arrays([1.0] * 4, [0, 2], [(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(DisconnectedGraphError):
+            boundary_diameter(g)
+        with pytest.raises(DisconnectedGraphError):
+            bound_report(g)
+
+
+class TestLongGeodesics:
+    def test_all_geodesics_on_1500_edge_comb(self):
+        g = comb_graph(path_len=1500, path_weight=1.0, endpoint_mass=1.0)
+        assert all_geodesics(g, 0, 1500) == [tuple(range(1501))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=8, min_boundary=2))
+    def test_unique_geodesic_matches_enumeration(self, g):
+        x, y = g.boundary[0], g.boundary[-1]
+        paths = all_geodesics(g, x, y)
+        witness = _unique_geodesic(g, x, y)
+        if len(paths) != 1:
+            assert witness is None
+        else:
+            assert witness.vertices == paths[0]
+            assert witness.edge_weights == tuple(
+                g.edges[g.edge_rank[(min(a, b), max(a, b))]][2]
+                for a, b in zip(paths[0], paths[0][1:])
+            )

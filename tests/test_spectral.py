@@ -212,10 +212,6 @@ class TestSteklovSystem:
             steklov_system(g)
 
     def test_json_serialization(self, path3):
-        doc = steklov_system(path3).to_json_dict(path3)
-        assert doc["boundary"] == ["v0", "v2"]
-        assert doc["boundary_mass"] == [1.0, 1.0]
-        assert doc["schur_row_major"] == pytest.approx([0.5, -0.5, -0.5, 0.5])
         sdoc = steklov_spectrum(path3).to_json_dict(path3)
         assert sdoc["boundary"] == ["v0", "v2"]
         assert sdoc["eigenvalues"] == pytest.approx([0.0, 1.0], abs=1e-12)
