@@ -21,7 +21,14 @@ from .graph import (
     graph_to_json,
     parse_graph,
 )
-from .rigidity import ToothSet, check_rigidity, comb_graph, random_comb, report_json
+from .rigidity import (
+    EQUALITY_TOL,
+    ToothSet,
+    check_rigidity,
+    comb_graph,
+    random_comb,
+    report_json,
+)
 from .spectral import NumericsError, harmonic_extension, steklov_spectrum
 
 
@@ -41,8 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rigidity", help="equality check and structural certificate")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative tolerance for numeric equality")
+    p.add_argument("--tol", type=float, default=EQUALITY_TOL,
+                   help="tolerance for numeric equality of sigma_2 with the "
+                        "extended bound, relative to the bound")
     p.add_argument("--weight-tol", type=float, default=0.0,
                    help="relative tolerance for stored weight/measure "
                         "comparisons (default: bitwise equality)")

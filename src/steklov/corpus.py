@@ -6,18 +6,23 @@ certificate, and that the spectral invariants hold (PSD, kernel, Green
 symmetry, bound dominance and the unit-weight specialization).  Violations
 come back as data, never as exceptions.
 
-The exhaustive unit-weight mode runs on a vectorized engine (stacked
-Laplacians, batched Schur complements and eigensolves) because the n <= 6
-corpus has about 1.5 million instances; random mode and the weighted
-exhaustive mode go through the per-graph reference path built from the
-public operations.  The two paths are cross-checked in the test suite.
+Each assertion is written once, as a row of the check table ``_CHECKS``: a
+predicate over named quantities that holds its tolerance, plus the
+quantities a violation reports.  Two routes compute those quantities and
+hand them to the same evaluator.  ``check_instance`` is a batch of one: it
+reads Python scalars off the public per-graph operations, and random mode
+and the weighted exhaustive mode go through it.  The unit-weight exhaustive
+mode is the stacked case: because the n <= 6 corpus has about 1.5 million
+instances, it builds stacked Laplacians, batched Schur complements and
+eigensolves, walk counts and comb tests, and hands the table arrays.  The
+test suite cross-checks the two routes record by record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,7 +36,7 @@ from .graph import (
     graph_to_json_dict,
     json_number,
 )
-from .rigidity import check_rigidity
+from .rigidity import bound_attained, check_rigidity
 from .spectral import (
     KERNEL_TOL,
     PSD_TOL,
@@ -44,11 +49,12 @@ from .spectral import (
     steklov_system,
 )
 
+# The bound tolerances are relative to the bound, so their verdicts do not
+# change when weights or measures are scaled.
 BOUND_SLACK = 1e-9
-EQUALITY_TOL = 1e-8
-GREEN_TOL = 1e-9
 DOMINANCE_SLACK = 1e-15
 UNIT_SPECIALIZATION_TOL = 1e-15
+GREEN_TOL = 1e-9
 EIGVEC_ALIGN_TOL = 1e-8
 
 # Deliberate corruptions for mutation-sentinel tests: each must make the
@@ -57,18 +63,39 @@ MUTATION_BOUND_DB = "bound_db_plus_one"
 MUTATION_COMB_SKIP = "comb_skip_disjointness"
 KNOWN_MUTATIONS = frozenset({MUTATION_BOUND_DB, MUTATION_COMB_SKIP})
 
-_CHECK_ORDER = (
-    "numerics_failure",
-    "psd",
-    "sigma1_zero",
-    "sigma1_constant_vector",
-    "kernel_constants",
-    "green_symmetry",
-    "bound_extended_holds",
-    "dominance",
-    "unit_specialization",
-    "equality_iff_certified",
+# The check table: (check, predicate over the named quantities, quantities a
+# violation reports).  A row runs only when every quantity it reports is
+# present: sigma_2, the bounds and the certificate are absent when |B| < 2,
+# unit_formula when the graph is not unit-weighted, and misalignment in the
+# batched engine, which computes no eigenvectors.  Each predicate works on
+# Python scalars and elementwise on arrays.
+_CHECKS = (
+    ("psd", lambda q: q["sigma1"] >= -PSD_TOL * q["eig_scale"], ("sigma1",)),
+    ("sigma1_zero", lambda q: abs(q["sigma1"]) <= SIGMA1_TOL * q["eig_scale"],
+     ("sigma1",)),
+    ("sigma1_constant_vector", lambda q: q["misalignment"] <= EIGVEC_ALIGN_TOL,
+     ("misalignment",)),
+    ("kernel_constants", lambda q: q["residual"] <= KERNEL_TOL * q["schur_scale"],
+     ("residual",)),
+    ("green_symmetry",
+     lambda q: abs(q["schur_form"] - q["energy"]) <= GREEN_TOL * np.maximum(
+         1.0, np.maximum(abs(q["schur_form"]), abs(q["energy"]))),
+     ("schur_form", "energy")),
+    ("bound_extended_holds",
+     lambda q: q["sigma2"] >= q["bound_extended"] * (1.0 - BOUND_SLACK),
+     ("sigma2", "bound_extended")),
+    ("dominance",
+     lambda q: q["bound_extended"] >= q["bound_general"] * (1.0 - DOMINANCE_SLACK),
+     ("bound_extended", "bound_general")),
+    ("unit_specialization",
+     lambda q: abs(q["bound_extended"] - q["unit_formula"])
+     <= UNIT_SPECIALIZATION_TOL * q["unit_formula"],
+     ("bound_extended", "unit_formula")),
+    ("equality_iff_certified", lambda q: q["equality"] == q["certified_equality"],
+     ("sigma2", "bound_extended", "equality", "certified_equality",
+      "cond_boundary", "cond_path", "cond_comb")),
 )
+_CHECK_ORDER = ("numerics_failure", *(check for check, _, _ in _CHECKS))
 _CHECK_RANK = {name: i for i, name in enumerate(_CHECK_ORDER)}
 
 
@@ -238,35 +265,12 @@ def _instance_graph(
     )
 
 
-def _canonical_key(n: int, edge_mask: int, boundary_mask: int) -> tuple[int, int]:
-    """Minimum (boundary_mask, edge_mask) over all vertex relabelings."""
-    pairs = _vertex_pairs(n)
-    edge_bits = _mask_bits(edge_mask)
-    best = None
-    for perm in permutations(range(n)):
-        bm = 0
-        for v in _mask_bits(boundary_mask):
-            bm |= 1 << perm[v]
-        em = 0
-        for k in edge_bits:
-            u, v = pairs[k]
-            pu, pv = perm[u], perm[v]
-            if pu > pv:
-                pu, pv = pv, pu
-            em |= 1 << pairs.index((pu, pv))
-        key = (bm, em)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def enumerate_small(
     n_max: int,
     unit_only: bool = True,
     rng=None,
     weight_range: tuple[float, float] = (0.5, 2.0),
     measure_range: tuple[float, float] = (0.5, 2.0),
-    dedup_iso: bool = False,
 ) -> Iterator[WeightedBoundaryGraph]:
     """Every connected labeled graph on 2..n_max vertices, crossed with every
     boundary subset of size >= 2.
@@ -274,23 +278,16 @@ def enumerate_small(
     Order is deterministic: n ascending, then edge bitmask, then boundary
     bitmask.  With ``unit_only`` all weights and measures are 1; otherwise
     they are drawn per instance from ``rng`` (seeded 0 when omitted) in the
-    given ranges.  ``dedup_iso`` skips instances isomorphic (by a relabeling
-    matching boundary to boundary) to an already-yielded one.
+    given ranges.
     """
     if not 2 <= n_max <= 7:
         raise GraphError("exhaustive enumeration requires 2 <= n_max <= 7")
     if not unit_only and rng is None:
         rng = np.random.default_rng(0)
-    seen: set[tuple[int, int, int]] = set()
     for n in range(2, n_max + 1):
         for edge_mask in _connected_edge_masks(n):
             n_edges = bin(edge_mask).count("1")
             for boundary_mask in _boundary_masks(n):
-                if dedup_iso:
-                    key = (n, *_canonical_key(n, edge_mask, boundary_mask))
-                    if key in seen:
-                        continue
-                    seen.add(key)
                 if unit_only:
                     yield _instance_graph(n, edge_mask, boundary_mask)
                 else:
@@ -309,205 +306,178 @@ def count_exhaustive_instances(n_max: int) -> int:
     return total
 
 
+# --- the check table's evaluator and its shared quantities ---------------------
+
+
+def _evaluate(q: dict) -> Iterator[tuple[str, tuple[str, ...], object]]:
+    """(check, reported quantities, verdict) for every table row whose inputs
+    are present.
+
+    The verdict is a bool for one instance's scalars and a bool array over
+    the cells of stacked arrays.
+    """
+    for check, holds, keys in _CHECKS:
+        if all(key in q for key in keys):
+            yield check, keys, holds(q)
+
+
+def _details(q: dict, keys: tuple[str, ...], at: tuple = ()) -> dict:
+    """The reported quantities of one instance (cell ``at`` of a stack)."""
+    return {key: np.asarray(q[key])[at].item() for key in keys}
+
+
+def _operator_quantities(eig: np.ndarray, schur: np.ndarray) -> dict:
+    """sigma_1, the kernel residual and their scales, over any leading axes."""
+    return {
+        "sigma1": eig[..., 0],
+        "eig_scale": np.abs(eig).max(axis=-1, initial=1.0),
+        "residual": np.abs(schur.sum(axis=-1)).max(axis=-1),
+        "schur_scale": np.abs(schur).max(axis=(-1, -2), initial=1.0),
+    }
+
+
+def _bound_quantities(sigma2, w0, m0, v_b, d_b, nb: int, mutations) -> dict:
+    """sigma_2, the three bounds and the numeric equality verdict.
+
+    The ``bound_db_plus_one`` sentinel shifts d_B in the extended bound only.
+    """
+    unit, general, extended = bound_formulas(w0, m0, v_b, d_b, nb)
+    if MUTATION_BOUND_DB in mutations:
+        extended = bound_formulas(w0, m0, v_b, d_b + 1, nb)[2]
+    return {
+        "sigma2": sigma2,
+        "bound_extended": extended,
+        "bound_general": general,
+        "unit_formula": unit,
+        "equality": bound_attained(sigma2, extended),
+    }
+
+
+def _certificate(cond_boundary, cond_path, cond_comb, mutations) -> dict:
+    """The certificate conditions; ``comb_skip_disjointness`` ignores the comb."""
+    certified = cond_boundary & cond_path
+    if MUTATION_COMB_SKIP not in mutations:
+        certified = certified & cond_comb
+    return {
+        "certified_equality": certified,
+        "cond_boundary": cond_boundary,
+        "cond_path": cond_path,
+        "cond_comb": cond_comb,
+    }
+
+
 # --- reference per-instance verification ---------------------------------------
 
 
 def check_instance(
     g: WeightedBoundaryGraph,
     rng=None,
-    bound_slack: float = BOUND_SLACK,
-    equality_tol: float = EQUALITY_TOL,
     mutations: frozenset = frozenset(),
 ) -> list[tuple[str, dict]]:
     """Run every corpus assertion on one graph; returns (check, details) failures.
 
-    Built entirely from the public per-graph operations; the batched
+    The quantities come from the public per-graph operations; the batched
     exhaustive engine must agree with this on every instance.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    failures: list[tuple[str, dict]] = []
     try:
         system = steklov_system(g)
         spectrum = steklov_spectrum(g, with_vectors=True)
     except NumericsError as exc:
         return [("numerics_failure", {"error": str(exc)})]
-
-    eig = spectrum.eigenvalues
-    nb = len(g.boundary)
-    scale_eig = max(1.0, float(np.abs(eig).max()))
-    if eig[0] < -PSD_TOL * scale_eig:
-        failures.append(("psd", {"sigma1": float(eig[0])}))
-    if abs(eig[0]) > SIGMA1_TOL * scale_eig:
-        failures.append(("sigma1_zero", {"sigma1": float(eig[0])}))
+    q = _operator_quantities(spectrum.eigenvalues, system.schur)
 
     # lowest eigenvector must be constant: residual after projecting onto 1
     # in the m-inner product (v1 is m-normalized already)
     v1 = spectrum.eigenvectors[:, 0]
     mass = system.boundary_mass
-    coef = float(np.dot(v1, mass)) / float(mass.sum())
-    resid = v1 - coef
-    misalignment = float(np.sqrt(np.dot(resid * resid, mass)))
-    if misalignment > EIGVEC_ALIGN_TOL:
-        failures.append(("sigma1_constant_vector", {"misalignment": misalignment}))
-
-    s_scale = max(1.0, float(np.abs(system.schur).max()))
-    kernel_residual = float(np.abs(system.schur.sum(axis=1)).max())
-    if kernel_residual > KERNEL_TOL * s_scale:
-        failures.append(("kernel_constants", {"residual": kernel_residual}))
+    resid = v1 - float(np.dot(v1, mass)) / float(mass.sum())
+    q["misalignment"] = float(np.sqrt(np.dot(resid * resid, mass)))
 
     # Green symmetry: <Lambda f, h>_B (Schur route) against <du_f, du_h>
     # (harmonic extension route)
+    nb = len(g.boundary)
     f = rng.standard_normal(nb)
     h = rng.standard_normal(nb)
-    lhs = float(h @ (system.schur @ f))
+    q["schur_form"] = float(h @ (system.schur @ f))
     du_f = differential(g, harmonic_extension(g, f))
     du_h = differential(g, harmonic_extension(g, h))
-    rhs = dirichlet_energy(g, du_f, du_h)
-    green_scale = max(1.0, abs(lhs), abs(rhs))
-    if abs(lhs - rhs) > GREEN_TOL * green_scale:
-        failures.append(("green_symmetry", {"schur_form": lhs, "energy": rhs}))
+    q["energy"] = dirichlet_energy(g, du_f, du_h)
 
-    if nb < 2:
-        return failures
-
-    report = bound_report(g)
-    bound_ext, bound_gen = report.bound_extended, report.bound_general
-    if MUTATION_BOUND_DB in mutations:
-        _, _, bound_ext = bound_formulas(
-            report.w0, report.m0, report.VB, report.dB + 1, nb
-        )
-    sigma2 = report.sigma2
-    sigma2_scale = max(1.0, sigma2)
-
-    if sigma2 < bound_ext - bound_slack * sigma2_scale:
-        failures.append(
-            ("bound_extended_holds", {"sigma2": sigma2, "bound_extended": bound_ext})
-        )
-    if bound_ext < bound_gen - DOMINANCE_SLACK:
-        failures.append(
-            ("dominance", {"bound_extended": bound_ext, "bound_general": bound_gen})
-        )
-    if g.is_unit_weighted():
-        if abs(bound_ext - report.bound_unit) > UNIT_SPECIALIZATION_TOL:
-            failures.append(
-                ("unit_specialization",
-                 {"bound_extended": bound_ext, "unit_formula": report.bound_unit})
-            )
-
-    equality = abs(sigma2 - bound_ext) <= equality_tol * sigma2_scale
-    rigidity = check_rigidity(g, tol=equality_tol)
-    if MUTATION_COMB_SKIP in mutations:
-        certified = rigidity.cond_boundary and rigidity.cond_path
-    else:
-        certified = rigidity.certified_equality
-    if equality != certified:
-        failures.append(
-            ("equality_iff_certified",
-             {
-                 "sigma2": sigma2,
-                 "bound_extended": bound_ext,
-                 "equality": equality,
-                 "certified_equality": certified,
-                 "cond_boundary": rigidity.cond_boundary,
-                 "cond_path": rigidity.cond_path,
-                 "cond_comb": rigidity.cond_comb,
-             })
-        )
-    return failures
+    if nb >= 2:
+        r = bound_report(g)
+        q.update(_bound_quantities(r.sigma2, r.w0, r.m0, r.VB, r.dB, nb, mutations))
+        if not g.is_unit_weighted():
+            del q["unit_formula"]
+        rigidity = check_rigidity(g)
+        q.update(_certificate(
+            rigidity.cond_boundary, rigidity.cond_path, rigidity.cond_comb, mutations
+        ))
+    return [(check, _details(q, keys)) for check, keys, ok in _evaluate(q) if not ok]
 
 
 # --- batched exhaustive engine ---------------------------------------------------
 
 
-def _batched_hop_distances(adj: np.ndarray) -> np.ndarray:
-    """Hop distances for a stack of adjacency matrices of connected graphs."""
-    stack, n, _ = adj.shape
+def _adjacency_stack(n: int, edge_masks: Sequence[int]) -> np.ndarray:
+    """Adjacency matrices (as floats) of graphs given by edge bitmasks."""
+    u, v = np.array(_vertex_pairs(n), dtype=np.intp).reshape(-1, 2).T
+    masks = np.asarray(edge_masks, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(len(u))) & 1).astype(np.float64)
+    adj = np.zeros((len(masks), n, n))
+    adj[:, u, v] = bits
+    adj[:, v, u] = bits
+    return adj
+
+
+def _geodesic_tables(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk counts and hop distances for a stack of connected adjacencies.
+
+    ``counts[:, k - 1]`` is A^k for k = 1..n-1.  No walk is shorter than a
+    geodesic and every length-d(x, y) walk from x to y is one, so d(x, y) is
+    the first k with A^k[x, y] > 0 and that entry counts the geodesics.
+    """
+    n = adj.shape[-1]
+    powers = [adj]
+    for _ in range(n - 2):
+        powers.append(powers[-1] @ adj)
+    counts = np.stack(powers, axis=1)
+    dist = np.argmax(counts > 0, axis=1) + 1
+    dist[:, np.arange(n), np.arange(n)] = 0
+    return counts, dist
+
+
+def _comb_verdicts(
+    edge: np.ndarray, dist: np.ndarray, graph: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Comb test of ``edge[graph[i]]`` over its unique x[i]-y[i] geodesic.
+
+    The geodesic's vertices are those with d(x, v) + d(v, y) = d(x, y), and
+    its edges are the adjacent pairs among them (a unique geodesic has no
+    chord).  The graph is a comb when no two of those vertices are joined in
+    the graph without those edges, whose reachability is the transitive
+    closure by repeated boolean squaring.
+    """
+    n = edge.shape[-1]
+    d_x = dist[graph, x]
+    on = d_x + dist[graph, :, y] == d_x[np.arange(len(graph)), y][:, None]
+    on_pairs = on[:, :, None] & on[:, None, :]
     eye = np.eye(n, dtype=bool)
-    reach = (adj > 0) | eye
-    dist = np.where(adj > 0, 1, 0).astype(np.int64)
-    k = 1
-    while True:
-        new = reach | ((reach.astype(np.float64) @ adj) > 0)
-        newly = new & ~reach
-        if not newly.any():
-            break
-        k += 1
-        dist[newly] = k
-        reach = new
-    return dist
-
-
-def _comb_over_unique_geodesic(
-    nbr: list[int], dist: np.ndarray, x: int, y: int
-) -> bool:
-    """Comb verdict for the unique geodesic x..y (caller guarantees uniqueness)."""
-    path = [x]
-    u = x
-    while u != y:
-        du = int(dist[u, y])
-        m = nbr[u]
-        nxt = -1
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if dist[v, y] == du - 1:
-                nxt = v
-                break
-        path.append(nxt)
-        u = nxt
-    trimmed = nbr[:]
-    for a, b in zip(path, path[1:]):
-        trimmed[a] &= ~(1 << b)
-        trimmed[b] &= ~(1 << a)
-    seen = 0
-    for v in path:
-        if (seen >> v) & 1:
-            return False
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                u = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= trimmed[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        if comp & seen:
-            return False
-        seen |= comp
-    return True
-
-
-def _neighbor_bitmasks(n: int, edge_mask: int) -> list[int]:
-    pairs = _vertex_pairs(n)
-    nbr = [0] * n
-    m = edge_mask
-    while m:
-        k = (m & -m).bit_length() - 1
-        m &= m - 1
-        u, v = pairs[k]
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    return nbr
+    reach = (edge[graph] & ~on_pairs) | eye
+    for _ in range((n - 2).bit_length()):
+        reach = reach @ reach
+    return ~(reach & on_pairs & ~eye).any(axis=(1, 2))
 
 
 def _verify_exhaustive_batch(
     spec: CorpusSpec, mutations: frozenset, max_violations: int | None
 ) -> list[ViolationRecord]:
     """Vectorized unit-weight exhaustive verification (n grouped in chunks)."""
-    mutate_db = MUTATION_BOUND_DB in mutations
-    mutate_comb = MUTATION_COMB_SKIP in mutations
     chunk_size = 4096
     records: list[ViolationRecord] = []
     index_base = 0
 
     for n in range(2, spec.n_max + 1):
-        pairs = _vertex_pairs(n)
-        n_pairs = len(pairs)
-        u_arr = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=n_pairs)
-        v_arr = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=n_pairs)
         masks = _connected_edge_masks(n)
         bmasks = _boundary_masks(n)
         subsets_per_graph = len(bmasks)
@@ -529,24 +499,11 @@ def _verify_exhaustive_batch(
         for start in range(0, len(masks), chunk_size):
             sub = masks[start : start + chunk_size]
             count = len(sub)
-            mask_arr = np.asarray(sub, dtype=np.int64)
-            bits = ((mask_arr[:, None] >> np.arange(n_pairs)[None, :]) & 1).astype(
-                np.float64
-            )
-            adj = np.zeros((count, n, n))
-            adj[:, u_arr, v_arr] = bits
-            adj[:, v_arr, u_arr] = bits
-            lap = -adj.copy()
+            adj = _adjacency_stack(n, sub)
+            lap = -adj
             diag = np.arange(n)
             lap[:, diag, diag] = adj.sum(axis=2)
-            dist = _batched_hop_distances(adj)
-            # walk counts: a length-d walk between vertices at hop distance d
-            # is necessarily a geodesic, so A^d entries count geodesics
-            powers = [adj]
-            for _ in range(n - 2):
-                powers.append(powers[-1] @ adj)
-            counts = np.stack(powers, axis=1) if powers else None
-            nbr_cache: dict[int, list[int]] = {}
+            counts, dist = _geodesic_tables(adj)
             rng = np.random.default_rng([spec.seed, n, start])
 
             for size in range(2, n + 1):
@@ -564,19 +521,11 @@ def _verify_exhaustive_batch(
                     schur = l_bb
                 schur = 0.5 * (schur + np.swapaxes(schur, -1, -2))
                 eig = np.linalg.eigvalsh(schur)
-                sigma1 = eig[..., 0]
-                sigma2 = eig[..., 1]
-                scale_eig = np.maximum(1.0, np.abs(eig).max(axis=-1))
-                s_scale = np.maximum(1.0, np.abs(schur).max(axis=(-1, -2)))
-
-                ok_psd = sigma1 >= -PSD_TOL * scale_eig
-                ok_sigma1 = np.abs(sigma1) <= SIGMA1_TOL * scale_eig
-                kernel_residual = np.abs(schur.sum(axis=-1)).max(axis=-1)
-                ok_kernel = kernel_residual <= KERNEL_TOL * s_scale
+                q = _operator_quantities(eig, schur)
 
                 f = rng.standard_normal((count, n_subsets, size))
                 h = rng.standard_normal((count, n_subsets, size))
-                lhs = np.einsum("gci,gcij,gcj->gc", h, schur, f)
+                q["schur_form"] = np.einsum("gci,gcij,gcj->gc", h, schur, f)
                 u_f = np.zeros((count, n_subsets, n))
                 u_h = np.zeros((count, n_subsets, n))
                 c_rows = np.arange(n_subsets)[:, None]
@@ -589,102 +538,39 @@ def _verify_exhaustive_batch(
                     u_h[:, c_rows, iidx] = -np.einsum(
                         "gcoj,gcj->gco", interior_map, h
                     )
-                rhs = np.einsum("gci,gij,gcj->gc", u_f, lap, u_h)
-                green_scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-                ok_green = np.abs(lhs - rhs) <= GREEN_TOL * green_scale
+                q["energy"] = np.einsum("gci,gij,gcj->gc", u_f, lap, u_h)
 
                 d_b = dist[:, bidx[:, :, None], bidx[:, None, :]].max(axis=(-1, -2))
-                d_b_eff = d_b + 1 if mutate_db else d_b
-                bound_ext = size / ((size - 1) ** 2 * d_b_eff)
-                bound_gen = 1.0 / (d_b * size)
-                unit_value = size / ((size - 1) ** 2 * d_b)
-                sigma2_scale = np.maximum(1.0, sigma2)
-                ok_bound = sigma2 >= bound_ext - BOUND_SLACK * sigma2_scale
-                ok_dom = bound_ext >= bound_gen - DOMINANCE_SLACK
-                ok_spec = np.abs(bound_ext - unit_value) <= UNIT_SPECIALIZATION_TOL
-                equality = np.abs(sigma2 - bound_ext) <= EQUALITY_TOL * sigma2_scale
+                q.update(_bound_quantities(
+                    eig[..., 1], 1.0, 1.0, float(size), d_b, size, mutations
+                ))
 
-                certified = np.zeros((count, n_subsets), dtype=bool)
-                cond_path_arr = np.zeros((count, n_subsets), dtype=bool)
-                cond_comb_arr = np.zeros((count, n_subsets), dtype=bool)
+                # Unit weights and measures: the boundary condition is |B| = 2
+                # and the path condition is a unique geodesic.
+                cond_boundary = np.full((count, n_subsets), size == 2)
+                cond_path = np.zeros((count, n_subsets), dtype=bool)
+                cond_comb = np.zeros((count, n_subsets), dtype=bool)
                 if size == 2:
-                    x = bidx[:, 0]
-                    y = bidx[:, 1]
-                    d_xy = dist[:, x, y]
+                    x, y = bidx[:, 0], bidx[:, 1]
                     g_rows = np.arange(count)[:, None]
-                    n_geodesics = counts[g_rows, d_xy - 1, x[None, :], y[None, :]]
-                    unique = np.rint(n_geodesics).astype(np.int64) == 1
-                    cond_path_arr = unique  # unit weights: path weights are all w0
-                    if mutate_comb:
-                        cond_comb_arr = unique
-                    else:
-                        for gi, ci in np.argwhere(unique):
-                            nbr = nbr_cache.get(gi)
-                            if nbr is None:
-                                nbr = _neighbor_bitmasks(n, sub[gi])
-                                nbr_cache[gi] = nbr
-                            cond_comb_arr[gi, ci] = _comb_over_unique_geodesic(
-                                nbr, dist[gi], int(x[ci]), int(y[ci])
-                            )
-                    certified = cond_path_arr & cond_comb_arr
-                ok_iff = equality == certified
+                    cond_path = counts[g_rows, d_b - 1, x, y] == 1
+                    gi, ci = np.nonzero(cond_path)
+                    cond_comb[gi, ci] = _comb_verdicts(adj > 0, dist, gi, x[ci], y[ci])
+                q.update(_certificate(cond_boundary, cond_path, cond_comb, mutations))
 
-                named = (
-                    ("psd", ok_psd, lambda gi, ci: {"sigma1": float(sigma1[gi, ci])}),
-                    ("sigma1_zero", ok_sigma1,
-                     lambda gi, ci: {"sigma1": float(sigma1[gi, ci])}),
-                    ("kernel_constants", ok_kernel,
-                     lambda gi, ci: {"residual": float(kernel_residual[gi, ci])}),
-                    ("green_symmetry", ok_green,
-                     lambda gi, ci: {"schur_form": float(lhs[gi, ci]),
-                                     "energy": float(rhs[gi, ci])}),
-                    ("bound_extended_holds", ok_bound,
-                     lambda gi, ci: {"sigma2": float(sigma2[gi, ci]),
-                                     "bound_extended": float(bound_ext[gi, ci])}),
-                    ("dominance", ok_dom,
-                     lambda gi, ci: {"bound_extended": float(bound_ext[gi, ci]),
-                                     "bound_general": float(bound_gen[gi, ci])}),
-                    ("unit_specialization", ok_spec,
-                     lambda gi, ci: {"bound_extended": float(bound_ext[gi, ci]),
-                                     "unit_formula": float(unit_value[gi, ci])}),
-                    ("equality_iff_certified", ok_iff,
-                     lambda gi, ci: {
-                         "sigma2": float(sigma2[gi, ci]),
-                         "bound_extended": float(bound_ext[gi, ci]),
-                         "equality": bool(equality[gi, ci]),
-                         "certified_equality": bool(certified[gi, ci]),
-                         "cond_boundary": True,
-                         "cond_path": bool(cond_path_arr[gi, ci]),
-                         "cond_comb": bool(cond_comb_arr[gi, ci]),
-                     } if size == 2 else {
-                         "sigma2": float(sigma2[gi, ci]),
-                         "bound_extended": float(bound_ext[gi, ci]),
-                         "equality": bool(equality[gi, ci]),
-                         "certified_equality": False,
-                         "cond_boundary": False,
-                         "cond_path": False,
-                         "cond_comb": False,
-                     }),
-                )
-                for check, ok, details_fn in named:
-                    if ok.all():
-                        continue
+                for check, keys, ok in _evaluate(q):
                     for gi, ci in np.argwhere(~ok):
-                        gi, ci = int(gi), int(ci)
-                        instance_index = (
-                            index_base
-                            + (start + gi) * subsets_per_graph
-                            + int(ranks[ci])
-                        )
-                        graph_doc = graph_to_json_dict(
-                            _instance_graph(n, sub[gi], bmasks[ranks[ci]])
-                        )
+                        rank = int(ranks[ci])
                         records.append(
                             ViolationRecord(
-                                index=instance_index,
+                                index=index_base
+                                + (start + int(gi)) * subsets_per_graph
+                                + rank,
                                 check=check,
-                                graph=graph_doc,
-                                details=details_fn(gi, ci),
+                                graph=graph_to_json_dict(
+                                    _instance_graph(n, sub[gi], bmasks[rank])
+                                ),
+                                details=_details(q, keys, (gi, ci)),
                             )
                         )
             if max_violations is not None and len(records) >= max_violations:

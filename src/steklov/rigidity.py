@@ -24,7 +24,7 @@ from .graph import (
     graph_from_arrays,
 )
 
-DEFAULT_EQUALITY_TOL = 1e-8
+EQUALITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,16 @@ def is_comb_over(
     )
 
 
+def bound_attained(sigma2, bound, tol: float = EQUALITY_TOL):
+    """Numeric equality of sigma_2 with the extended bound.
+
+    ``|sigma2 - bound| <= tol * bound``: relative to the bound, so the
+    verdict does not change when weights or measures are scaled.  Works
+    elementwise on arrays.
+    """
+    return abs(sigma2 - bound) <= tol * bound
+
+
 def _values_equal(a: float, b: float, rel_tol: float) -> bool:
     # rel_tol 0 means bitwise input equality, the default policy for stored
     # weights and measures.
@@ -146,21 +156,22 @@ def _unique_geodesic(g: WeightedBoundaryGraph, x: int, y: int) -> PathWitness | 
 
 def check_rigidity(
     g: WeightedBoundaryGraph,
-    tol: float = DEFAULT_EQUALITY_TOL,
+    tol: float = EQUALITY_TOL,
     weight_tol: float = 0.0,
 ) -> RigidityReport:
     """Evaluate the equality characterization on a connected graph, |B| >= 2.
 
-    ``tol`` is the relative tolerance for the numeric equality of sigma_2
-    with the extended bound; ``weight_tol`` relaxes the stored-value
-    comparisons (path weights against w0, boundary measures against m0) from
-    bitwise equality to a relative tolerance.
+    ``tol`` is the tolerance for the numeric equality of sigma_2 with the
+    extended bound, relative to the bound (see :func:`bound_attained`);
+    ``weight_tol`` relaxes the stored-value comparisons (path weights against
+    w0, boundary measures against m0) from bitwise equality to a relative
+    tolerance.
     """
     report = bound_report(g)
     if len(g.boundary) < 2:
         raise GraphError("rigidity needs at least 2 boundary vertices")
     sigma2, bound = report.sigma2, report.bound_extended
-    equality = abs(sigma2 - bound) <= tol * max(1.0, sigma2)
+    equality = bound_attained(sigma2, bound, tol)
 
     cond_boundary = len(g.boundary) == 2 and all(
         _values_equal(float(g.measures[b]), report.m0, weight_tol)

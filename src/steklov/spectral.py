@@ -62,13 +62,6 @@ class EdgeDifferential:
     graph: WeightedBoundaryGraph
     values: np.ndarray
 
-    def at(self, x: int, y: int) -> float:
-        """Value on the ordered pair (x, y); 0.0 when x and y are not adjacent."""
-        rank = self.graph.edge_rank.get((min(x, y), max(x, y)))
-        if rank is None:
-            return 0.0
-        return float(self.values[rank]) if x < y else -float(self.values[rank])
-
 
 def differential(g: WeightedBoundaryGraph, u) -> EdgeDifferential:
     """Differential du with du(x, y) = u(y) - u(x) on edges."""

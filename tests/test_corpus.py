@@ -1,5 +1,5 @@
 import json
-from itertools import permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -8,10 +8,13 @@ import pytest
 from steklov import (
     CorpusSpec,
     GraphError,
+    all_geodesics,
     check_instance,
     count_exhaustive_instances,
     enumerate_small,
     graph_from_arrays,
+    hop_distance_matrix,
+    is_comb_over,
     parse_graph,
     random_graph,
     verify_corpus,
@@ -20,7 +23,11 @@ from steklov.corpus import (
     KNOWN_MUTATIONS,
     MUTATION_BOUND_DB,
     MUTATION_COMB_SKIP,
+    _adjacency_stack,
+    _comb_verdicts,
     _connected_edge_masks,
+    _geodesic_tables,
+    _instance_graph,
     _verify_exhaustive_batch,
     _verify_exhaustive_reference,
 )
@@ -136,37 +143,31 @@ class TestEnumeration:
             list(enumerate_small(1))
 
 
-def _instances_isomorphic(g1, g2):
-    """Brute-force isomorphism of graphs-with-boundary (test oracle)."""
-    if g1.n != g2.n or len(g1.boundary) != len(g2.boundary):
-        return False
-    e2 = {(u, v) for u, v, _ in g2.edges}
-    b2 = set(g2.boundary)
-    for perm in permutations(range(g1.n)):
-        if {perm[b] for b in g1.boundary} != b2:
-            continue
-        mapped = {
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v, _ in g1.edges
-        }
-        if mapped == e2:
-            return True
-    return False
-
-
-class TestIsomorphismDedup:
-    def test_n3_classes(self):
-        # P3 admits 3 boundary classes (ends / end+mid / all), K3 admits 2
-        deduped = list(enumerate_small(3, dedup_iso=True))
-        n3 = [g for g in deduped if g.n == 3]
-        assert len(n3) == 5
-        for i, a in enumerate(n3):
-            for b in n3[i + 1 :]:
-                assert not _instances_isomorphic(a, b)
-
-    def test_every_instance_has_a_representative(self):
-        deduped = list(enumerate_small(3, dedup_iso=True))
-        for g in enumerate_small(3):
-            assert any(_instances_isomorphic(g, d) for d in deduped)
+class TestBatchedGeodesics:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_walk_counts_and_comb_match_per_graph_route(self, n):
+        """Distances from the walk counts equal hop_distance_matrix, a count
+        of 1 marks exactly the pairs with one geodesic, and the vectorized
+        comb test agrees with is_comb_over on every such pair."""
+        masks = _connected_edge_masks(n)
+        adj = _adjacency_stack(n, masks)
+        counts, dist = _geodesic_tables(adj)
+        cells, expected = [], []
+        for gi, mask in enumerate(masks):
+            g = _instance_graph(n, mask, (1 << n) - 1)
+            assert dist[gi].tolist() == hop_distance_matrix(g).tolist()
+            for x, y in combinations(range(n), 2):
+                geodesics = all_geodesics(g, x, y)
+                unique = counts[gi, dist[gi, x, y] - 1, x, y] == 1
+                assert unique == (len(geodesics) == 1)
+                if unique:
+                    cells.append((gi, x, y))
+                    expected.append(is_comb_over(g, geodesics[0]).is_comb)
+        gi, x, y = np.array(cells).T
+        verdicts = _comb_verdicts(adj > 0, dist, gi, x, y)
+        assert verdicts.tolist() == expected
+        if n >= 3:
+            assert any(expected) and not all(expected)
 
 
 class TestCheckInstance:
@@ -192,6 +193,31 @@ class TestCheckInstance:
         )
         assert [name for name, _ in failures] == ["equality_iff_certified"]
 
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
+    @pytest.mark.parametrize("scaled", ["weights", "measures"])
+    @pytest.mark.parametrize("kind", ["random", "comb"])
+    def test_verdicts_invariant_under_scaling(self, kind, scaled, c):
+        from conftest import rng_graph
+        from steklov import check_rigidity, random_comb
+
+        rng = np.random.default_rng(5)
+        if kind == "comb":
+            g = random_comb(4, 1.5, 2.0, seed=rng)
+        else:
+            g = rng_graph(rng, 10, boundary_size=2)
+        wc, mc = (c, 1.0) if scaled == "weights" else (1.0, c)
+        h = graph_from_arrays(
+            g.measures * mc, g.boundary, [(u, v, w * wc) for u, v, w in g.edges]
+        )
+        assert check_instance(h, rng=np.random.default_rng(0)) == []
+        verdict = lambda r: (
+            r.equality, r.cond_boundary, r.cond_path, r.cond_comb,
+            r.certified_equality,
+        )
+        base = check_rigidity(g)
+        assert base.certified_equality == (kind == "comb")
+        assert verdict(check_rigidity(h)) == verdict(base)
 
     @pytest.mark.parametrize("kind", ["random", "comb"])
     def test_one_laplacian_and_one_factorization(self, monkeypatch, kind):
@@ -249,7 +275,8 @@ class TestVerifyCorpus:
     @pytest.mark.parametrize("mutation", sorted(KNOWN_MUTATIONS))
     def test_batch_and_reference_agree_under_mutation(self, mutation):
         """The vectorized engine and the per-graph reference path must flag
-        exactly the same instances for the same reasons."""
+        exactly the same instances for the same reasons, with the same
+        details."""
         spec = CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)
         batch = _verify_exhaustive_batch(spec, frozenset({mutation}), None)
         reference = _verify_exhaustive_reference(spec, frozenset({mutation}), None)
@@ -258,10 +285,14 @@ class TestVerifyCorpus:
         assert len(batch) > 0
         for rb, rr in zip(batch, reference):
             assert rb.graph == rr.graph
-            if "sigma2" in rb.details:
-                assert rb.details["sigma2"] == pytest.approx(
-                    rr.details["sigma2"], rel=1e-9, abs=1e-12
-                )
+            assert rb.details.keys() == rr.details.keys()
+            for name, value in rr.details.items():
+                if isinstance(value, bool):
+                    assert rb.details[name] is value, name
+                else:
+                    assert rb.details[name] == pytest.approx(
+                        value, rel=1e-9, abs=1e-12
+                    ), name
 
     def test_mutated_runs_are_deterministic(self):
         spec = CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)

@@ -98,6 +98,19 @@ class TestCheckRigidity:
         assert not rep.certified_equality
         assert rep.witness is None
 
+    def test_equality_tolerance_is_relative_to_the_bound(self):
+        # C4 with every weight 1e-9: sigma2 = 2e-9 against the bound 1e-9 is
+        # far from equality, however small both are
+        g = graph_from_arrays(
+            [1.0] * 4, [0, 2],
+            [(0, 1, 1e-9), (1, 2, 1e-9), (2, 3, 1e-9), (0, 3, 1e-9)],
+        )
+        rep = check_rigidity(g)
+        assert rep.sigma2 == pytest.approx(2e-9, rel=1e-9)
+        assert rep.bound_extended == pytest.approx(1e-9, rel=1e-12)
+        assert not rep.equality
+        assert not rep.certified_equality
+
     def test_star_certified(self, star):
         rep = check_rigidity(star)
         assert rep.equality and rep.certified_equality

@@ -82,13 +82,10 @@ class TestDifferential:
         assert np.all(du.values == 0.0)
 
     def test_k2_values(self, k2):
+        # the one edge (0, 1) is stored along its canonical orientation 0 -> 1
         du = differential(k2, [0.0, 1.0])
-        assert du.at(0, 1) == 1.0
-        assert du.at(1, 0) == -1.0
-
-    def test_non_edge_is_zero(self, path3):
-        du = differential(path3, [0.0, 1.0, 5.0])
-        assert du.at(0, 2) == 0.0
+        assert k2.edges == ((0, 1, 1.0),)
+        assert du.values.tolist() == [1.0]
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_n=6))
