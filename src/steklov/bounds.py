@@ -12,14 +12,14 @@ and the boundary hop-diameter d_B.
 The extended form dominates the general one and reduces to the unit form on
 unit-weighted graphs; it needs no assumption on boundary-boundary edges.
 With fewer than two boundary vertices sigma_2 is +inf by convention and all
-bounds are reported as +inf (vacuous).
+bounds are reported as +inf (vacuous).  Every function here reads the one
+report kept per graph on ``g.analysis``, so the spectrum and d_B behind it
+are computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .graph import GraphError, WeightedBoundaryGraph, json_number
 from .spectral import steklov_spectrum
@@ -66,28 +66,50 @@ def bound_formulas(
     )
 
 
-def _raw_quantities(g: WeightedBoundaryGraph) -> tuple[float, float, float, int]:
-    """Quantities without the |B| >= 2 precondition (dB = 0 when |B| <= 1)."""
-    d_B = g.analysis.boundary_diameter
-    w0 = min((w for _, _, w in g.edges), default=INF)
-    bm = g.measures[np.asarray(g.boundary, dtype=np.intp)]
-    return w0, float(bm.min(initial=INF)), float(bm.sum()), d_B
+def compute_bound_report(g: WeightedBoundaryGraph) -> BoundReport:
+    """The bound report of g, computed; :func:`bound_report` reads it once
+    per graph from ``g.analysis``.
+
+    With |B| <= 1, d_B is 0, every bound is +inf and sigma_2 is +inf.
+    """
+    analysis = g.analysis
+    bm = g.measures[analysis.bidx]
+    w0 = float(g.edge_arrays[2].min(initial=INF))
+    m0, VB, dB = float(bm.min(initial=INF)), float(bm.sum()), analysis.boundary_diameter
+    sigma2 = steklov_spectrum(g).sigma(2)
+    b_unit, b_general, b_extended = bound_formulas(w0, m0, VB, dB, len(g.boundary))
+    return BoundReport(
+        w0=w0, m0=m0, VB=VB, dB=dB,
+        bound_unit=b_unit, bound_unit_applicable=_unit_applicable(g),
+        bound_general=b_general, bound_extended=b_extended,
+        sigma2=sigma2, gap_extended=float(sigma2 - b_extended),
+    )
+
+
+def bound_report(g: WeightedBoundaryGraph) -> BoundReport:
+    """All bounds plus the computed sigma_2 and its gap over the extended bound.
+
+    ``gap_extended`` is ``sigma2 - bound_extended`` in float arithmetic, so a
+    report for |B| < 2 (both values +inf) carries gap NaN.  The report is
+    computed once per graph and kept on ``g.analysis``.
+    """
+    return g.analysis.bound_report
 
 
 def boundary_quantities(
     g: WeightedBoundaryGraph,
 ) -> tuple[float, float, float, int]:
     """(w0, m0, V_B, d_B) for a connected graph with at least 2 boundary vertices."""
-    quantities = _raw_quantities(g)
     if len(g.boundary) < 2:
         raise GraphError("boundary quantities need at least 2 boundary vertices")
-    return quantities
+    r = bound_report(g)
+    return r.w0, r.m0, r.VB, r.dB
 
 
 def has_boundary_edge(g: WeightedBoundaryGraph) -> bool:
     """True iff some edge joins two boundary vertices."""
-    b = g.boundary_set
-    return any(u in b and v in b for u, v, _ in g.edges)
+    u, v, _ = g.edge_arrays
+    return bool((g.boundary_mask[u] & g.boundary_mask[v]).any())
 
 
 def _unit_applicable(g: WeightedBoundaryGraph) -> bool:
@@ -95,13 +117,13 @@ def _unit_applicable(g: WeightedBoundaryGraph) -> bool:
 
 
 def bound_extended(g: WeightedBoundaryGraph) -> float:
-    """Extended lower bound  w0 V_B / ((V_B - m0)^2 d_B);  +inf when |B| < 2."""
-    return bound_formulas(*_raw_quantities(g), len(g.boundary))[2]
+    """Extended lower bound  w0 V_B / ((V_B - m0)^2 d_B);  +inf when |B| = 1."""
+    return bound_report(g).bound_extended
 
 
 def bound_general(g: WeightedBoundaryGraph) -> float:
-    """General lower bound  w0 / (d_B V_B);  +inf when |B| < 2."""
-    return bound_formulas(*_raw_quantities(g), len(g.boundary))[1]
+    """General lower bound  w0 / (d_B V_B);  +inf when |B| = 1."""
+    return bound_report(g).bound_general
 
 
 def bound_unit_weight(g: WeightedBoundaryGraph) -> tuple[float, bool]:
@@ -111,22 +133,5 @@ def bound_unit_weight(g: WeightedBoundaryGraph) -> tuple[float, bool]:
     bound's hypotheses: unit measures and weights, and no edge joining two
     boundary vertices.
     """
-    value = bound_formulas(*_raw_quantities(g), len(g.boundary))[0]
-    return value, _unit_applicable(g)
-
-
-def bound_report(g: WeightedBoundaryGraph) -> BoundReport:
-    """All bounds plus the computed sigma_2 and its gap over the extended bound.
-
-    ``gap_extended`` is ``sigma2 - bound_extended`` in float arithmetic, so a
-    report for |B| < 2 (both values +inf) carries gap NaN.
-    """
-    w0, m0, VB, dB = _raw_quantities(g)
-    sigma2 = steklov_spectrum(g).sigma(2)
-    b_unit, b_general, b_extended = bound_formulas(w0, m0, VB, dB, len(g.boundary))
-    return BoundReport(
-        w0=w0, m0=m0, VB=VB, dB=dB,
-        bound_unit=b_unit, bound_unit_applicable=_unit_applicable(g),
-        bound_general=b_general, bound_extended=b_extended,
-        sigma2=sigma2, gap_extended=float(sigma2 - b_extended),
-    )
+    r = bound_report(g)
+    return r.bound_unit, r.bound_unit_applicable

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bounds import bound_report
@@ -19,6 +20,7 @@ from .graph import (
     WeightedBoundaryGraph,
     boundary_vector,
     graph_to_json,
+    load_json,
     parse_graph,
 )
 from .rigidity import (
@@ -89,20 +91,28 @@ def _emit(doc) -> None:
     print(json.dumps(doc, allow_nan=False))
 
 
-def _parse_values_file(g: WeightedBoundaryGraph, path: str) -> dict[int, float]:
+def _number(value, what: str) -> float:
+    """A JSON number as a finite binary64; anything else is an input error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GraphError(f"{what} must be a number")
     try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"values file: malformed JSON: {exc}") from exc
+        value = float(value)
+    except OverflowError:
+        raise GraphError(f"{what} is too large for binary64") from None
+    if not math.isfinite(value):  # JSON readers accept NaN and Infinity
+        raise GraphError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _parse_values_file(g: WeightedBoundaryGraph, path: str) -> dict[int, float]:
+    doc = load_json(_read_text(path), "values file: ")
     if not isinstance(doc, dict):
         raise GraphError("values file: must be a JSON object of label -> number")
     values: dict[int, float] = {}
     for label, value in doc.items():
         if label not in g.label_to_id:
             raise GraphError(f"values file: unknown vertex {label!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise GraphError(f"values file: value for {label!r} must be a number")
-        values[g.label_to_id[label]] = float(value)
+        values[g.label_to_id[label]] = _number(value, f"values file: value for {label!r}")
     return values
 
 
@@ -114,10 +124,7 @@ _TOOTH_ATTACH_KEYS = {"v", "path_index", "w"}
 def _parse_teeth_file(path: str) -> ToothSet:
     """Teeth document: {"vertices": [{"id","m"}], "edges": [{"u","v","w"}],
     "attachments": [{"v","path_index","w"}]}."""
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"teeth file: malformed JSON: {exc}") from exc
+    doc = load_json(_read_text(path), "teeth file: ")
     if not isinstance(doc, dict):
         raise GraphError("teeth file: top level must be an object")
     extra = set(doc) - {"vertices", "edges", "attachments"}
@@ -131,7 +138,7 @@ def _parse_teeth_file(path: str) -> ToothSet:
         if row["id"] in ids:
             raise GraphError(f"teeth file: duplicate tooth vertex {row['id']!r}")
         ids[row["id"]] = len(measures)
-        measures.append(float(row["m"]))
+        measures.append(_number(row["m"], f"teeth file: vertices[{i}]: m"))
 
     def tooth_id(label, where):
         if label not in ids:
@@ -146,7 +153,7 @@ def _parse_teeth_file(path: str) -> ToothSet:
             (
                 tooth_id(row["u"], f"edges[{i}]"),
                 tooth_id(row["v"], f"edges[{i}]"),
-                float(row["w"]),
+                _number(row["w"], f"teeth file: edges[{i}]: w"),
             )
         )
     attachments = []
@@ -158,7 +165,8 @@ def _parse_teeth_file(path: str) -> ToothSet:
         if isinstance(row["path_index"], bool) or not isinstance(row["path_index"], int):
             raise GraphError(f"teeth file: attachments[{i}]: path_index must be an integer")
         attachments.append(
-            (tooth_id(row["v"], f"attachments[{i}]"), row["path_index"], float(row["w"]))
+            (tooth_id(row["v"], f"attachments[{i}]"), row["path_index"],
+             _number(row["w"], f"teeth file: attachments[{i}]: w"))
         )
     return ToothSet(
         measures=tuple(measures), edges=tuple(edges), attachments=tuple(attachments)

@@ -166,28 +166,34 @@ def random_graph(
     if not 1 <= boundary_size <= n:
         raise GraphError("boundary size must be between 1 and n")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pairs = list(combinations(range(n), 2))
+    tails, heads = _pair_arrays(n)
     for _ in range(max_retries):
-        keep = rng.random(len(pairs)) < edge_prob
-        edges = [p for p, k in zip(pairs, keep) if k]
-        if len(set(component_labels(n, edges))) == 1:
+        keep = rng.random(len(tails)) < edge_prob
+        u, v = tails[keep], heads[keep]
+        if not component_labels(n, u, v).any():
             break
     else:
         raise GraphError(
             f"no connected draw in {max_retries} tries (n={n}, p={edge_prob})"
         )
     if unit:
-        weights = np.ones(len(edges))
+        weights = np.ones(len(u))
         measures = np.ones(n)
     else:
-        weights = rng.uniform(*weight_range, size=len(edges))
+        weights = rng.uniform(*weight_range, size=len(u))
         measures = rng.uniform(*measure_range, size=n)
     boundary = sorted(int(b) for b in rng.choice(n, size=boundary_size, replace=False))
     return graph_from_arrays(
         measures=measures,
         boundary=boundary,
-        edges=[(u, v, float(w)) for (u, v), w in zip(edges, weights)],
+        edges=list(zip(u.tolist(), v.tolist(), weights.tolist())),
     )
+
+
+@lru_cache(maxsize=64)
+def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the vertex pairs u < v, in lexicographic order."""
+    return np.triu_indices(n, 1)
 
 
 # --- exhaustive enumeration -----------------------------------------------------

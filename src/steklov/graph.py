@@ -3,7 +3,15 @@
 A graph here is a finite simple graph with a strictly positive measure on
 vertices, a strictly positive weight on edges, and a distinguished (possibly
 empty) set of boundary vertices.  Instances are immutable and canonicalized:
-vertex ids are 0..n-1 in lexicographic order of the external string labels.
+vertex ids are 0..n-1 in lexicographic order of the external string labels,
+and the edges are stored as arrays of tails u < heads v, sorted by (u, v),
+with their weights.  Tuple forms (``edges``, ``adjacency``, ``edge_rank``)
+are views derived on first use.
+
+Construction validates whole columns at once: the value types of a column in
+one pass over its distinct types, then positivity, finiteness, loops and
+repeated edges as array masks.  When some row is invalid, the error names the
+first offending row, exactly as a row-by-row check would.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,16 +50,17 @@ class WeightedBoundaryGraph:
     """Immutable weighted graph with boundary.
 
     Fields are already canonical: ``labels`` is lexicographically sorted,
-    vertex ids index into it, ``boundary`` is a sorted id tuple and ``edges``
-    holds ``(u, v, w)`` with ``u < v``, sorted.  Build instances through
-    :func:`make_graph`, :func:`graph_from_arrays` or :func:`parse_graph`
-    rather than calling the constructor directly.
+    vertex ids index into it, ``boundary`` is a sorted id tuple and
+    ``edge_arrays`` holds read-only arrays of tails u, heads v (u < v) and
+    weights, sorted by (u, v).  Build instances through :func:`make_graph`,
+    :func:`graph_from_arrays` or :func:`parse_graph` rather than calling the
+    constructor directly.
     """
 
     labels: tuple[str, ...]
     measures: np.ndarray
     boundary: tuple[int, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def n(self) -> int:
@@ -60,10 +71,22 @@ class WeightedBoundaryGraph:
         return frozenset(self.boundary)
 
     @cached_property
+    def boundary_mask(self) -> np.ndarray:
+        """Boolean vertex mask of the boundary."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[np.asarray(self.boundary, dtype=np.intp)] = True
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
     def interior(self) -> tuple[int, ...]:
         """Interior vertex ids (complement of the boundary), ascending."""
-        b = self.boundary_set
-        return tuple(v for v in range(self.n) if v not in b)
+        return tuple(np.flatnonzero(~self.boundary_mask).tolist())
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """``(u, v, w)`` per edge in edge order: a view of ``edge_arrays``."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -73,12 +96,6 @@ class WeightedBoundaryGraph:
             nbrs[u].append((v, w))
             nbrs[v].append((u, w))
         return tuple(tuple(sorted(a)) for a in nbrs)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge tails u, heads v (u < v) and weights as arrays, in edge order."""
-        table = np.array(self.edges, dtype=float).reshape(-1, 3)
-        return table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -101,14 +118,13 @@ class WeightedBoundaryGraph:
 
     @cached_property
     def edge_rank(self) -> dict[tuple[int, int], int]:
-        """Position of each canonical edge (u, v), u < v, in the edge tuple."""
-        return {(u, v): k for k, (u, v, _) in enumerate(self.edges)}
+        """Position of each canonical edge (u, v), u < v, in the edge arrays."""
+        u, v, _ = self.edge_arrays
+        return {key: k for k, key in enumerate(zip(u.tolist(), v.tolist()))}
 
     def is_unit_weighted(self) -> bool:
         """True iff every vertex measure and every edge weight equals 1."""
-        return bool(np.all(self.measures == 1.0)) and all(
-            w == 1.0 for _, _, w in self.edges
-        )
+        return bool((self.measures == 1.0).all() and (self.edge_arrays[2] == 1.0).all())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedBoundaryGraph):
@@ -117,23 +133,169 @@ class WeightedBoundaryGraph:
             self.labels == other.labels
             and np.array_equal(self.measures, other.measures)
             and self.boundary == other.boundary
-            and self.edges == other.edges
+            and all(map(np.array_equal, self.edge_arrays, other.edge_arrays))
         )
 
     def __repr__(self) -> str:
         return (
             f"WeightedBoundaryGraph(n={self.n}, |B|={len(self.boundary)}, "
-            f"|E|={len(self.edges)})"
+            f"|E|={len(self.edge_arrays[0])})"
         )
 
 
-def _check_positive(value, what: str, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise GraphError(f"{where}: {what} must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise GraphError(f"{where}: non-positive {what} {value!r}")
-    return value
+# --- construction: whole-column validation ---------------------------------------
+
+Check = tuple[np.ndarray, Callable[[int], str]]
+
+
+def _first_fault(checks: Sequence[Check]) -> None:
+    """Raise :class:`GraphError` for the earliest row that fails a check.
+
+    ``checks`` holds ``(mask, message)`` pairs in the order one row is
+    checked, and ``message(i)`` describes the fault of row i.  The earliest
+    failing row wins and, within it, the first check it fails.
+    """
+    hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(checks) if mask.any()]
+    if hits:
+        row, k = min(hits)
+        raise GraphError(checks[k][1](row))
+
+
+def _all_types(column, ok: Callable[[type], bool]) -> bool:
+    """True iff ``ok`` holds for the type of every entry of ``column``."""
+    return all(map(ok, set(map(type, column))))
+
+
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _is_float(x) -> bool:
+    """True iff x is a number (not a bool) that converts to binary64."""
+    if not _is_number_type(type(x)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _number_column(column, what: str, where: str) -> tuple[np.ndarray, list[Check]]:
+    """``column`` as a float array, with the checks that make every entry a
+    positive, finite binary64 number.
+
+    Entries that are not numbers (bools included) or are integers too large
+    for binary64 read as 1.0 in the array and fail their own check.
+    """
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    values = None
+    if _all_types(column, _is_number_type):
+        try:
+            values = np.array(column, dtype=float)
+        except OverflowError:
+            pass
+    not_number = too_large = np.zeros(len(column), dtype=bool)
+    if values is None:  # find the entries that stopped the conversion
+        not_number = ~np.fromiter(map(_is_number_type, map(type, column)), bool,
+                                  len(column))
+        too_large = ~not_number & ~np.fromiter(map(_is_float, column), bool,
+                                                len(column))
+        values = np.array([1.0 if bad else float(x) for x, bad
+                           in zip(column, not_number | too_large)], dtype=float)
+    return values, [
+        (not_number,
+         lambda i: f"{where}[{i}]: {what} must be a number, got {column[i]!r}"),
+        (too_large, lambda i: f"{where}[{i}]: {what} is too large for binary64"),
+        (~((values > 0.0) & (values < np.inf)),
+         lambda i: f"{where}[{i}]: non-positive {what} {float(values[i])!r}"),
+    ]
+
+
+def _measures(ids: np.ndarray | None, column) -> np.ndarray:
+    """Validated measures in canonical order; ``ids[i]`` is row i's vertex
+    id (None: rows are already in id order)."""
+    if not len(column):
+        raise GraphError("vertices: empty vertex list")
+    values, checks = _number_column(column, "measure", "vertices")
+    _first_fault(checks)
+    if ids is not None:
+        values[ids] = values.copy()
+    values.setflags(write=False)
+    return values
+
+
+def _canonical_labels(labels: Sequence) -> tuple[tuple[str, ...], dict[str, int]]:
+    """Sorted labels and each label's vertex id.
+
+    Raises for the first row whose label is not a string or repeats an
+    earlier one.
+    """
+    if not (_all_types(labels, lambda t: issubclass(t, str)) and len(set(labels)) == len(labels)):
+        seen: set[str] = set()
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise GraphError(f"vertices[{i}]: id must be a string, got {label!r}")
+            if label in seen:
+                raise GraphError(f"vertices[{i}]: duplicate vertex id {label!r}")
+            seen.add(label)
+    order = tuple(sorted(labels))
+    return order, dict(zip(order, range(len(order))))
+
+
+def _ids(column, n: int) -> np.ndarray:
+    """Vertex ids as an intp array; entries that are not integers in
+    0..n-1 read as -1."""
+    if _all_types(column, lambda t: issubclass(t, (int, np.integer))):
+        try:
+            return np.fromiter(column, np.intp, len(column))
+        except OverflowError:
+            pass
+    return np.fromiter(
+        (x if isinstance(x, (int, np.integer)) and 0 <= x < n else -1 for x in column),
+        np.intp, len(column),
+    )
+
+
+def _edge_arrays(
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    weights,
+    names: Callable[[int], tuple],
+    unknown: Sequence[np.ndarray] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical edge arrays from vertex ids ``u``, ``v`` and weights, per row.
+
+    ``names(j)`` gives the endpoint labels of row j for messages and
+    ``unknown`` the masks of rows whose tail, then head, names no vertex.
+    Loops and repeats (in either orientation) are found from the keys
+    ``min * n + max`` with one stable argsort.
+    """
+    w, weight_checks = _number_column(weights, "weight", "edges")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    _first_fault([
+        *((mask, lambda j, end=end: f"edges[{j}]: unknown vertex reference "
+                                    f"{names(j)[end]!r}")
+          for end, mask in enumerate(unknown)),
+        (u == v, lambda j: f"edges[{j}]: loop at vertex {names(j)[0]!r}"),
+        (repeat, lambda j: "edges[{}]: duplicate edge {!r}-{!r}".format(j, *names(j))),
+        *weight_checks,
+    ])
+    arrays = lo[order], hi[order], w[order]
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _columns(rows: Sequence, width: int) -> tuple[Sequence, ...]:
+    """The ``width`` columns of a sequence of rows."""
+    return tuple(zip(*rows)) or ((),) * width
 
 
 def make_graph(
@@ -144,49 +306,32 @@ def make_graph(
 
     ``vertices`` yields ``(label, measure, is_boundary)`` and ``edges`` yields
     ``(label_u, label_v, weight)``.  Labels are sorted lexicographically to
-    fix vertex ids.  Raises :class:`GraphError` on any invariant violation.
+    fix vertex ids.  Raises :class:`GraphError` on any invariant violation,
+    naming the first offending row.
     """
-    vlist = list(vertices)
-    if not vlist:
-        raise GraphError("vertices: empty vertex list")
-    seen: dict[str, int] = {}
-    for i, (lab, _, _) in enumerate(vlist):
-        if not isinstance(lab, str):
-            raise GraphError(f"vertices[{i}]: id must be a string, got {lab!r}")
-        if lab in seen:
-            raise GraphError(f"vertices[{i}]: duplicate vertex id {lab!r}")
-        seen[lab] = i
+    return _graph_from_columns(*_columns(list(vertices), 3), *_columns(list(edges), 3))
 
-    order = sorted(seen)
-    label_to_id = {lab: i for i, lab in enumerate(order)}
-    measures = np.empty(len(order))
-    boundary: list[int] = []
-    for i, (lab, m, is_b) in enumerate(vlist):
-        vid = label_to_id[lab]
-        measures[vid] = _check_positive(m, "measure", f"vertices[{i}]")
-        if is_b:
-            boundary.append(vid)
 
-    canon_edges: dict[tuple[int, int], float] = {}
-    for j, (lu, lv, w) in enumerate(edges):
-        if lu not in label_to_id:
-            raise GraphError(f"edges[{j}]: unknown vertex reference {lu!r}")
-        if lv not in label_to_id:
-            raise GraphError(f"edges[{j}]: unknown vertex reference {lv!r}")
-        u, v = label_to_id[lu], label_to_id[lv]
-        if u == v:
-            raise GraphError(f"edges[{j}]: loop at vertex {lu!r}")
-        key = (min(u, v), max(u, v))
-        if key in canon_edges:
-            raise GraphError(f"edges[{j}]: duplicate edge {lu!r}-{lv!r}")
-        canon_edges[key] = _check_positive(w, "weight", f"edges[{j}]")
-
-    measures.setflags(write=False)
+def _graph_from_columns(labels, measures, flags, tails, heads, weights):
+    order, rank = _canonical_labels(labels)
+    n = len(order)
+    ids = np.fromiter(map(rank.__getitem__, labels), np.intp, n)
+    measure_values = _measures(ids, measures)
+    ends, unknown = [], []
+    for column in (tails, heads):
+        try:
+            end = np.fromiter(map(rank.__getitem__, column), np.intp, len(column))
+        except (KeyError, TypeError):  # some label names no vertex
+            end = np.fromiter((rank.get(x, -1) if isinstance(x, str) else -1
+                               for x in column), np.intp, len(column))
+        ends.append(end)
+        unknown.append(end < 0)
     return WeightedBoundaryGraph(
-        labels=tuple(order),
-        measures=measures,
-        boundary=tuple(sorted(boundary)),
-        edges=tuple((u, v, w) for (u, v), w in sorted(canon_edges.items())),
+        labels=order,
+        measures=measure_values,
+        boundary=tuple(sorted(compress(ids.tolist(), flags))),
+        edge_arrays=_edge_arrays(n, *ends, weights,
+                                 lambda j: (tails[j], heads[j]), unknown),
     )
 
 
@@ -199,57 +344,112 @@ def graph_from_arrays(
     """Build a graph from 0-based vertex ids.
 
     Default labels are zero-padded (``v00``, ``v01``, ...) so canonical label
-    order preserves the given id order.
+    order preserves the given id order, and the ids need no relabelling.
     """
     n = len(measures)
+    row_labels = labels
     if labels is None:
         width = max(1, len(str(n - 1))) if n else 1
-        labels = [f"v{i:0{width}d}" for i in range(n)]
-    if len(labels) != n:
-        raise GraphError(f"expected {n} labels, got {len(labels)}")
-    bset = set()
-    for b in boundary:
-        if not 0 <= b < n:
-            raise GraphError(f"boundary: unknown vertex reference {b}")
-        bset.add(b)
-    vertices = [(labels[i], measures[i], i in bset) for i in range(n)]
-    edge_rows = []
-    for u, v, w in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edges: unknown vertex reference in ({u}, {v})")
-        edge_rows.append((labels[u], labels[v], w))
-    return make_graph(vertices, edge_rows)
+        row_labels = [f"v{i:0{width}d}" for i in range(n)]
+    if len(row_labels) != n:
+        raise GraphError(f"expected {n} labels, got {len(row_labels)}")
+    bcol = list(boundary)
+    bids = _ids(bcol, n)
+    _first_fault([((bids < 0) | (bids >= n),
+                   lambda i: f"boundary: unknown vertex reference {bcol[i]}")])
+    tails, heads, weights = _columns(list(edges), 3)
+    u, v = _ids(tails, n), _ids(heads, n)
+    _first_fault([((u < 0) | (u >= n) | (v < 0) | (v >= n),
+                   lambda j: f"edges: unknown vertex reference in "
+                             f"({tails[j]}, {heads[j]})")])
+    if labels is None:
+        order, ids = tuple(row_labels), None
+    else:
+        order, rank = _canonical_labels(row_labels)
+        ids = np.fromiter(map(rank.__getitem__, row_labels), np.intp, n)
+        u, v, bids = ids[u], ids[v], ids[bids]
+    return WeightedBoundaryGraph(
+        labels=order,
+        measures=_measures(ids, measures),
+        boundary=tuple(np.unique(bids).tolist()),
+        edge_arrays=_edge_arrays(
+            n, u, v, weights,
+            lambda j: (row_labels[tails[j]], row_labels[heads[j]]),
+        ),
+    )
 
 
 # --- JSON interchange -------------------------------------------------------
 
-_VERTEX_KEYS = {"id", "m", "boundary"}
-_EDGE_KEYS = {"u", "v", "w"}
+_VERTEX_KEYS = ("id", "m", "boundary")
+_EDGE_KEYS = ("u", "v", "w")
 
 
-def _checked_row(row, keys: set[str], where: str) -> dict:
-    """``row`` itself, once it is an object with exactly the fields ``keys``."""
+def load_json(text: str, what: str = ""):
+    """``json.loads`` with every failure as a one-line :class:`GraphError`.
+
+    That covers malformed documents, integers too long to read and nesting
+    too deep to parse.  ``what`` prefixes the message.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphError(f"{what}malformed JSON: {exc}") from exc
+
+
+def _row_fault(row, keys: tuple[str, ...], kinds: dict[str, type], where: str) -> str | None:
+    """What is wrong with one JSON row, or None when nothing is."""
     if not isinstance(row, dict):
-        raise GraphError(f"{where}: must be an object")
-    extra = set(row) - keys
+        return f"{where}: must be an object"
+    extra = set(row) - set(keys)
     if extra:
-        raise GraphError(f"{where}: unknown field {sorted(extra)[0]!r}")
-    missing = keys - set(row)
+        return f"{where}: unknown field {sorted(extra)[0]!r}"
+    missing = set(keys) - set(row)
     if missing:
-        raise GraphError(f"{where}: missing field {sorted(missing)[0]!r}")
-    return row
+        return f"{where}: missing field {sorted(missing)[0]!r}"
+    for key, kind in kinds.items():
+        if not isinstance(row[key], kind):
+            return f"{where}: {key} {_KIND_NAMES[kind]}"
+    return None
+
+
+_KIND_NAMES = {bool: "must be true or false", str: "must be a string"}
+
+
+def _json_columns(rows: list, keys: tuple[str, ...], kinds: dict[str, type],
+                  where: str) -> tuple[tuple, ...]:
+    """The ``keys`` columns of a list of JSON objects.
+
+    Every row must be an object with exactly the fields ``keys``, and the
+    columns named in ``kinds`` must hold values of that type.  Each test is
+    one pass over a column; only a failed test looks at single rows, to
+    report the first offending one.
+    """
+    columns = None
+    if _all_types(rows, lambda t: issubclass(t, dict)) and set(map(len, rows)) <= {len(keys)}:
+        try:
+            columns = _columns(list(map(itemgetter(*keys), rows)), len(keys))
+        except KeyError:
+            pass
+    if columns is not None and all(
+        _all_types(columns[keys.index(key)], lambda t, kind=kind: issubclass(t, kind))
+        for key, kind in kinds.items()
+    ):
+        return columns
+    raise GraphError(next(
+        fault for i, row in enumerate(rows)
+        if (fault := _row_fault(row, keys, kinds, f"{where}[{i}]")) is not None
+    ))
 
 
 def parse_graph(text: str) -> WeightedBoundaryGraph:
     """Parse the JSON graph document format.
 
     Schema: ``{"vertices": [{"id", "m", "boundary"}], "edges": [{"u", "v",
-    "w"}]}``.  Unknown fields are rejected; all numbers are binary64.
+    "w"}]}``.  Unknown fields are rejected; all numbers are binary64.  An
+    invalid document is reported at its first offending row.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"malformed JSON: {exc}") from exc
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise GraphError("malformed JSON: top level must be an object")
     extra = set(doc) - {"vertices", "edges"}
@@ -260,23 +460,10 @@ def parse_graph(text: str) -> WeightedBoundaryGraph:
             raise GraphError(f"missing field {key!r} at top level")
         if not isinstance(doc[key], list):
             raise GraphError(f"{key}: must be an array")
-
-    vertices = []
-    for i, row in enumerate(doc["vertices"]):
-        row = _checked_row(row, _VERTEX_KEYS, f"vertices[{i}]")
-        if not isinstance(row["boundary"], bool):
-            raise GraphError(f"vertices[{i}]: boundary must be true or false")
-        vertices.append((row["id"], row["m"], row["boundary"]))
-
-    edges = []
-    for j, row in enumerate(doc["edges"]):
-        row = _checked_row(row, _EDGE_KEYS, f"edges[{j}]")
-        for key in ("u", "v"):
-            if not isinstance(row[key], str):
-                raise GraphError(f"edges[{j}]: {key} must be a string")
-        edges.append((row["u"], row["v"], row["w"]))
-
-    return make_graph(vertices, edges)
+    vertex_columns = _json_columns(doc["vertices"], _VERTEX_KEYS, {"boundary": bool},
+                                   "vertices")
+    edge_columns = _json_columns(doc["edges"], _EDGE_KEYS, {"u": str, "v": str}, "edges")
+    return _graph_from_columns(*vertex_columns, *edge_columns)
 
 
 def format_number(x: float) -> str:
@@ -300,19 +487,16 @@ def json_number(x: float) -> float | str:
 
 def graph_to_json(g: WeightedBoundaryGraph) -> str:
     """Serialize to the canonical JSON document (single line, sorted order)."""
-    vparts = []
-    for i, lab in enumerate(g.labels):
-        flag = "true" if i in g.boundary_set else "false"
-        vparts.append(
-            f'{{"id":{json.dumps(lab)},"m":{format_number(g.measures[i])},'
-            f'"boundary":{flag}}}'
-        )
-    eparts = []
-    for u, v, w in g.edges:
-        eparts.append(
-            f'{{"u":{json.dumps(g.labels[u])},"v":{json.dumps(g.labels[v])},'
-            f'"w":{format_number(w)}}}'
-        )
+    labels = list(map(json.dumps, g.labels))
+    flags = ("true" if b else "false" for b in g.boundary_mask.tolist())
+    vparts = [
+        f'{{"id":{lab},"m":{format_number(m)},"boundary":{flag}}}'
+        for lab, m, flag in zip(labels, g.measures.tolist(), flags)
+    ]
+    eparts = [
+        f'{{"u":{labels[u]},"v":{labels[v]},"w":{format_number(w)}}}'
+        for u, v, w in g.edges
+    ]
     return f'{{"vertices":[{",".join(vparts)}],"edges":[{",".join(eparts)}]}}'
 
 
@@ -324,28 +508,33 @@ def graph_to_json_dict(g: WeightedBoundaryGraph) -> dict:
 # --- connectivity and distances ---------------------------------------------
 
 
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest vertex of each vertex's connected component.
+
+    Components of the graph on 0..n-1 with edges ``(u[k], v[k])``, by
+    hooking and pointer jumping (Shiloach & Vishkin 1982): every round hooks
+    the larger of the two roots of each edge under the smaller one and then
+    jumps every pointer to its root, so a round is a few array operations
+    over the edges and few rounds are needed.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[apart], np.minimum(ru, rv)[apart])
+        while True:
+            jumped = root[root]
+            if (jumped == root).all():
+                break
+            root = jumped
+
+
 def is_connected(g: WeightedBoundaryGraph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
-    return g.n > 0 and min(bfs_distances(g, 0)) >= 0
-
-
-def component_labels(n: int, edges: Iterable[Sequence]) -> list[int]:
-    """A representative vertex of each vertex's connected component.
-
-    Union-find over the ``(u, v, ...)`` rows of ``edges`` on vertices 0..n-1;
-    two vertices share a component iff their labels are equal.
-    """
-    root = list(range(n))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for a, b, *_ in edges:
-        root[find(a)] = find(b)
-    return [find(a) for a in range(n)]
+    u, v, _ = g.edge_arrays
+    return g.n > 0 and not component_labels(g.n, u, v).any()
 
 
 def require_connected(g: WeightedBoundaryGraph) -> None:

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import bound_report
 from .graph import (
     GraphError,
     WeightedBoundaryGraph,
@@ -86,14 +85,17 @@ def is_comb_over(
     for v in path:
         if not 0 <= v < g.n:
             raise GraphError(f"invalid path: unknown vertex {v}")
-    removed = set()
+    removed = []
     for a, b in zip(path, path[1:]):
         key = (min(a, b), max(a, b))
         if key not in g.edge_rank:
             raise GraphError(f"invalid path: {a} and {b} are not adjacent")
-        removed.add(key)
+        removed.append(g.edge_rank[key])
 
-    comp = component_labels(g.n, [e for e in g.edges if e[:2] not in removed])
+    tails, heads, _ = g.edge_arrays
+    kept = np.ones(len(tails), dtype=bool)
+    kept[removed] = False
+    comp = component_labels(g.n, tails[kept], heads[kept]).tolist()
     members: dict[int, set[int]] = {}
     for x in range(g.n):
         members.setdefault(comp[x], set()).add(x)
@@ -167,7 +169,7 @@ def check_rigidity(
     w0, boundary measures against m0) from bitwise equality to a relative
     tolerance.
     """
-    report = bound_report(g)
+    report = g.analysis.bound_report
     if len(g.boundary) < 2:
         raise GraphError("rigidity needs at least 2 boundary vertices")
     sigma2, bound = report.sigma2, report.bound_extended
@@ -284,7 +286,9 @@ def comb_graph(
                 raise GraphError(
                     f"tooth edge weight {w!r} below path weight {path_weight!r}"
                 )
-        comp = component_labels(k, teeth.edges)
+        tails, heads = (np.array([e[i] for e in teeth.edges], dtype=np.intp)
+                        for i in (0, 1))
+        comp = component_labels(k, tails, heads).tolist()
         comp_targets: dict[int, set[int]] = {}
         for t, p, w in teeth.attachments:
             if not 0 <= t < k:

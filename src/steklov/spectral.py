@@ -55,8 +55,8 @@ def laplacian(g: WeightedBoundaryGraph) -> tuple[np.ndarray, np.ndarray]:
 class EdgeDifferential:
     """Skew-symmetric edge function, stored along canonical orientations.
 
-    ``values[k]`` is the value on edge ``g.edges[k] = (u, v)`` oriented from
-    u to v; the opposite orientation is its negative and non-edges are 0.
+    ``values[k]`` is the value on edge ``g.edges[k] = (u, v, w)`` oriented
+    from u to v; the opposite orientation is its negative and non-edges are 0.
     """
 
     graph: WeightedBoundaryGraph
@@ -76,9 +76,10 @@ def dirichlet_energy(
     g: WeightedBoundaryGraph, a: EdgeDifferential, b: EdgeDifferential
 ) -> float:
     """Edge inner product  sum over edges of a(x,y) b(x,y) w_xy."""
-    if len(a.values) != len(g.edges) or len(b.values) != len(g.edges):
+    weights = g.edge_arrays[2]
+    if len(a.values) != len(weights) or len(b.values) != len(weights):
         raise GraphError("edge differential does not match the graph")
-    return float(np.dot(a.values * g.edge_arrays[2], b.values))
+    return float(np.dot(a.values * weights, b.values))
 
 
 def normal_derivative(g: WeightedBoundaryGraph, u) -> np.ndarray:
@@ -89,11 +90,9 @@ def normal_derivative(g: WeightedBoundaryGraph, u) -> np.ndarray:
     """
     if len(g.boundary) == 0:
         raise EmptyBoundaryError("graph has an empty boundary")
-    uv = vertex_vector(g, u)
-    L, m = laplacian(g)
-    flux = L @ uv
-    bidx = np.asarray(g.boundary, dtype=np.intp)
-    return flux[bidx] / m[bidx]
+    bidx = g.analysis.bidx
+    flux = g.analysis.laplacian_matrix[bidx] @ vertex_vector(g, u)
+    return flux / g.measures[bidx]
 
 
 def harmonic_extension(g: WeightedBoundaryGraph, f) -> np.ndarray:
@@ -203,16 +202,17 @@ class GraphAnalysis:
     """Per-graph numerical state, each piece built on first use and then kept.
 
     Every per-graph operation reads ``g.analysis``, so the Laplacian, the
-    interior Cholesky factor, the Steklov system, the spectrum and d_B are
-    computed once per graph.  It checks connectivity on construction and
-    holds its graph weakly, so both are freed by reference counting.
+    interior Cholesky factor, the Steklov system, the spectrum, d_B and the
+    bound report are computed once per graph.  It checks connectivity on
+    construction and holds its graph weakly, so both are freed by reference
+    counting.
     """
 
     def __init__(self, g: WeightedBoundaryGraph):
         require_connected(g)
         self.graph = weakref.proxy(g)
-        self.bidx = np.asarray(g.boundary, dtype=np.intp)
-        self.iidx = np.asarray(g.interior, dtype=np.intp)
+        self.bidx = np.flatnonzero(g.boundary_mask)
+        self.iidx = np.flatnonzero(~g.boundary_mask)
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
@@ -256,6 +256,13 @@ class GraphAnalysis:
     def boundary_diameter(self) -> int:
         return boundary_diameter(self.graph)
 
+    @cached_property
+    def bound_report(self):
+        """The graph's :class:`~steklov.bounds.BoundReport`."""
+        from .bounds import compute_bound_report  # bounds imports this module
+
+        return compute_bound_report(self.graph)
+
     def _eigensolve(self, with_vectors: bool) -> Spectrum:
         system = self.system
         inv_sqrt = 1.0 / np.sqrt(system.boundary_mass)
@@ -287,6 +294,5 @@ def rayleigh_quotient(g: WeightedBoundaryGraph, f) -> float:
     u = harmonic_extension(g, fvec)
     du = differential(g, u)
     energy = dirichlet_energy(g, du, du)
-    bidx = np.asarray(g.boundary, dtype=np.intp)
-    denom = float(np.dot(fvec * fvec, g.measures[bidx]))
+    denom = float(np.dot(fvec * fvec, g.measures[g.analysis.bidx]))
     return energy / denom

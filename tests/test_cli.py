@@ -292,3 +292,85 @@ class TestLongGeodesic:
         assert doc["certified_equality"] is True
         assert doc["equality"] is True
         assert len(doc["witness"]["vertices"]) == 1501
+
+
+class TestNumbersOutOfRange:
+    """Integers beyond binary64 and non-finite values end in exit 2 with one
+    line, not a traceback."""
+
+    HUGE = 10**400
+
+    @staticmethod
+    def assert_one_line_exit_2(code, out, err, *fragments):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("steklov: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        for fragment in fragments:
+            assert fragment in err
+
+    @pytest.mark.parametrize("row, field, where", [
+        ("vertices", "m", "vertices[1]: measure"),
+        ("edges", "w", "edges[0]: weight"),
+    ])
+    def test_graph_file(self, capsys, tmp_path, path3, row, field, where):
+        doc = json.loads(graph_to_json(path3))
+        doc[row][1 if row == "vertices" else 0][field] = self.HUGE
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        for command in ("spectrum", "bounds", "rigidity"):
+            self.assert_one_line_exit_2(*run(capsys, command, str(p)),
+                                        where, "too large for binary64")
+
+    def test_values_file(self, capsys, tmp_path, path3_file):
+        values = tmp_path / "values.json"
+        values.write_text(json.dumps({"v0": 0, "v2": self.HUGE}))
+        self.assert_one_line_exit_2(
+            *run(capsys, "harmonic", path3_file, "--values", str(values)),
+            "values file: value for 'v2' is too large for binary64",
+        )
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value(self, capsys, tmp_path, path3_file, token):
+        values = tmp_path / "values.json"
+        values.write_text('{"v0": 0, "v2": ' + token + "}")
+        self.assert_one_line_exit_2(
+            *run(capsys, "harmonic", path3_file, "--values", str(values)),
+            "values file: value for 'v2' must be finite",
+        )
+
+    def test_integer_too_long_to_read(self, capsys, tmp_path, path3_file):
+        # Python refuses to read integers of more than 4300 digits
+        values = tmp_path / "values.json"
+        values.write_text('{"v0": 0, "v2": ' + "9" * 5000 + "}")
+        self.assert_one_line_exit_2(
+            *run(capsys, "harmonic", path3_file, "--values", str(values)),
+            "values file: malformed JSON",
+        )
+        graph = tmp_path / "graph.json"
+        graph.write_text('{"vertices": [{"id": "a", "m": ' + "9" * 5000
+                         + ', "boundary": true}], "edges": []}')
+        self.assert_one_line_exit_2(*run(capsys, "spectrum", str(graph)),
+                                    "malformed JSON")
+
+    @pytest.mark.parametrize("teeth, where", [
+        ({"vertices": [{"id": "t", "m": HUGE}],
+          "attachments": [{"v": "t", "path_index": 1, "w": 2}]},
+         "teeth file: vertices[0]: m"),
+        ({"vertices": [{"id": "s", "m": 1}, {"id": "t", "m": 1}],
+          "edges": [{"u": "s", "v": "t", "w": HUGE}],
+          "attachments": [{"v": "s", "path_index": 1, "w": 2}]},
+         "teeth file: edges[0]: w"),
+        ({"vertices": [{"id": "t", "m": 1}],
+          "attachments": [{"v": "t", "path_index": 1, "w": -HUGE}]},
+         "teeth file: attachments[0]: w"),
+    ])
+    def test_teeth_file(self, capsys, tmp_path, teeth, where):
+        p = tmp_path / "teeth.json"
+        p.write_text(json.dumps(teeth))
+        self.assert_one_line_exit_2(
+            *run(capsys, "generate-comb", "--path-len", "2", "--path-weight", "1",
+                 "--endpoint-mass", "1", "--teeth", str(p)),
+            where, "too large for binary64",
+        )
