@@ -130,23 +130,28 @@ def _parse_teeth_file(path: str) -> ToothSet:
     extra = set(doc) - {"vertices", "edges", "attachments"}
     if extra:
         raise GraphError(f"teeth file: unknown field {sorted(extra)[0]!r}")
+    for key in ("vertices", "edges", "attachments"):
+        if not isinstance(doc.setdefault(key, []), list):
+            raise GraphError(f"teeth file: {key} must be an array")
     ids: dict[str, int] = {}
     measures: list[float] = []
-    for i, row in enumerate(doc.get("vertices", [])):
+    for i, row in enumerate(doc["vertices"]):
         if not isinstance(row, dict) or set(row) != _TOOTH_VERTEX_KEYS:
             raise GraphError(f"teeth file: vertices[{i}] must have fields id, m")
+        if not isinstance(row["id"], str):
+            raise GraphError(f"teeth file: vertices[{i}]: id must be a string")
         if row["id"] in ids:
             raise GraphError(f"teeth file: duplicate tooth vertex {row['id']!r}")
         ids[row["id"]] = len(measures)
         measures.append(_number(row["m"], f"teeth file: vertices[{i}]: m"))
 
     def tooth_id(label, where):
-        if label not in ids:
+        if not isinstance(label, str) or label not in ids:
             raise GraphError(f"teeth file: {where}: unknown tooth vertex {label!r}")
         return ids[label]
 
     edges = []
-    for i, row in enumerate(doc.get("edges", [])):
+    for i, row in enumerate(doc["edges"]):
         if not isinstance(row, dict) or set(row) != _TOOTH_EDGE_KEYS:
             raise GraphError(f"teeth file: edges[{i}] must have fields u, v, w")
         edges.append(
@@ -157,7 +162,7 @@ def _parse_teeth_file(path: str) -> ToothSet:
             )
         )
     attachments = []
-    for i, row in enumerate(doc.get("attachments", [])):
+    for i, row in enumerate(doc["attachments"]):
         if not isinstance(row, dict) or set(row) != _TOOTH_ATTACH_KEYS:
             raise GraphError(
                 f"teeth file: attachments[{i}] must have fields v, path_index, w"

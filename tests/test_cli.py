@@ -190,6 +190,26 @@ class TestGenerateComb:
         assert code == 2
         assert "touches two path vertices" in err
 
+    @pytest.mark.parametrize("teeth, message", [
+        ({"vertices": [{"id": ["t"], "m": 1}]},
+         "teeth file: vertices[0]: id must be a string"),
+        ({"vertices": [{"id": "t", "m": 1}],
+          "attachments": [{"v": {"id": "t"}, "path_index": 1, "w": 2}]},
+         "teeth file: attachments[0]: unknown tooth vertex {'id': 't'}"),
+        ({"vertices": [{"id": "t", "m": 1}], "edges": None},
+         "teeth file: edges must be an array"),
+        ({"vertices": 3}, "teeth file: vertices must be an array"),
+    ])
+    def test_malformed_teeth_exit_2(self, capsys, tmp_path, teeth, message):
+        p = tmp_path / "teeth.json"
+        p.write_text(json.dumps(teeth))
+        code, out, err = run(
+            capsys, "generate-comb", "--path-len", "2", "--path-weight", "1",
+            "--endpoint-mass", "1", "--teeth", str(p),
+        )
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == [f"steklov: {message}"]
+
 
 class TestVerify:
     def test_exhaustive_clean_run(self, capsys):
