@@ -32,7 +32,6 @@ from .graph import (
     GraphError,
     WeightedBoundaryGraph,
     all_geodesics,
-    bfs_distances,
     boundary_vector,
     graph_from_arrays,
     graph_to_json,
@@ -89,7 +88,6 @@ __all__ = [
     "ViolationRecord",
     "WeightedBoundaryGraph",
     "all_geodesics",
-    "bfs_distances",
     "bound_extended",
     "bound_general",
     "bound_report",

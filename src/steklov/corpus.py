@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -199,42 +198,29 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 # --- exhaustive enumeration -----------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(combinations(range(n), 2))
+# Graphs per chunk, both when deciding connectivity and in the batched engine.
+_CHUNK = 4096
 
 
 @lru_cache(maxsize=8)
 def _connected_edge_masks(n: int) -> tuple[int, ...]:
     """Edge bitmasks of all connected labeled simple graphs on n vertices.
 
-    Bit k of a mask corresponds to ``_vertex_pairs(n)[k]``.  Ascending order.
+    Bit k of a mask is the k-th pair of ``_pair_arrays(n)``.  Ascending
+    order.  Each chunk of masks is decided by one :func:`component_labels`
+    call over the disjoint union of its graphs, graph i on the vertices
+    i*n .. i*n + n-1.
     """
-    pairs = _vertex_pairs(n)
-    full = (1 << n) - 1
-    out = []
-    for mask in range(1 << len(pairs)):
-        nbr = [0] * n
-        m = mask
-        while m:
-            k = (m & -m).bit_length() - 1
-            m &= m - 1
-            u, v = pairs[k]
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        visited = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= nbr[v]
-            frontier = nxt & ~visited
-            visited |= frontier
-        if visited == full:
-            out.append(mask)
+    tails, heads = _pair_arrays(n)
+    total = 1 << len(tails)
+    out: list[int] = []
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total))
+        graph, pair = np.nonzero(_bits(masks, len(tails)))
+        offset = graph * n
+        root = component_labels(len(masks) * n, offset + tails[pair], offset + heads[pair])
+        root = root.reshape(-1, n)
+        out.extend(masks[(root == root[:, :1]).all(axis=1)].tolist())
     return tuple(out)
 
 
@@ -244,12 +230,9 @@ def _boundary_masks(n: int) -> tuple[int, ...]:
     return tuple(m for m in range(1 << n) if bin(m).count("1") >= 2)
 
 
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
+def _bits(masks, width: int) -> np.ndarray:
+    """Bit k of each mask as entry k of a new last axis of length ``width``."""
+    return (np.asarray(masks, dtype=np.int64)[..., None] >> np.arange(width)) & 1
 
 
 def _instance_graph(
@@ -259,16 +242,15 @@ def _instance_graph(
     weights: Sequence[float] | None = None,
     measures: Sequence[float] | None = None,
 ) -> WeightedBoundaryGraph:
-    pairs = _vertex_pairs(n)
-    edge_bits = _mask_bits(edge_mask)
+    tails, heads = _pair_arrays(n)
+    on = np.flatnonzero(_bits(edge_mask, len(tails)))
     if weights is None:
-        weights = [1.0] * len(edge_bits)
+        weights = [1.0] * len(on)
     if measures is None:
         measures = [1.0] * n
-    edges = [(*pairs[k], float(w)) for k, w in zip(edge_bits, weights)]
-    return graph_from_arrays(
-        measures=measures, boundary=_mask_bits(boundary_mask), edges=edges
-    )
+    edges = zip(tails[on].tolist(), heads[on].tolist(), map(float, weights))
+    boundary = np.flatnonzero(_bits(boundary_mask, n)).tolist()
+    return graph_from_arrays(measures=measures, boundary=boundary, edges=edges)
 
 
 def enumerate_small(
@@ -306,6 +288,8 @@ def enumerate_small(
 
 def count_exhaustive_instances(n_max: int) -> int:
     """Number of (graph, boundary) instances enumerate_small would yield."""
+    if not 2 <= n_max <= 7:
+        raise GraphError("exhaustive enumeration requires 2 <= n_max <= 7")
     total = 0
     for n in range(2, n_max + 1):
         total += len(_connected_edge_masks(n)) * len(_boundary_masks(n))
@@ -427,10 +411,9 @@ def check_instance(
 
 def _adjacency_stack(n: int, edge_masks: Sequence[int]) -> np.ndarray:
     """Adjacency matrices (as floats) of graphs given by edge bitmasks."""
-    u, v = np.array(_vertex_pairs(n), dtype=np.intp).reshape(-1, 2).T
-    masks = np.asarray(edge_masks, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(len(u))) & 1).astype(np.float64)
-    adj = np.zeros((len(masks), n, n))
+    u, v = _pair_arrays(n)
+    bits = _bits(edge_masks, len(u)).astype(np.float64)
+    adj = np.zeros((len(edge_masks), n, n))
     adj[:, u, v] = bits
     adj[:, v, u] = bits
     return adj
@@ -479,7 +462,6 @@ def _verify_exhaustive_batch(
     spec: CorpusSpec, mutations: frozenset, max_violations: int | None
 ) -> list[ViolationRecord]:
     """Vectorized unit-weight exhaustive verification (n grouped in chunks)."""
-    chunk_size = 4096
     records: list[ViolationRecord] = []
     index_base = 0
 
@@ -487,23 +469,16 @@ def _verify_exhaustive_batch(
         masks = _connected_edge_masks(n)
         bmasks = _boundary_masks(n)
         subsets_per_graph = len(bmasks)
+        bits = _bits(bmasks, n)
         by_size: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for size in range(2, n + 1):
-            ranks = [r for r, bm in enumerate(bmasks) if bin(bm).count("1") == size]
-            bidx = np.array(
-                [_mask_bits(bmasks[r]) for r in ranks], dtype=np.intp
-            )
-            iidx = np.array(
-                [
-                    [v for v in range(n) if not (bmasks[r] >> v) & 1]
-                    for r in ranks
-                ],
-                dtype=np.intp,
-            ).reshape(len(ranks), n - size)
-            by_size[size] = (np.array(ranks), bidx, iidx)
+            ranks = np.flatnonzero(bits.sum(axis=1) == size)
+            bidx = np.nonzero(bits[ranks])[1].reshape(len(ranks), size)
+            iidx = np.nonzero(1 - bits[ranks])[1].reshape(len(ranks), n - size)
+            by_size[size] = (ranks, bidx, iidx)
 
-        for start in range(0, len(masks), chunk_size):
-            sub = masks[start : start + chunk_size]
+        for start in range(0, len(masks), _CHUNK):
+            sub = masks[start : start + _CHUNK]
             count = len(sub)
             adj = _adjacency_stack(n, sub)
             lap = -adj
@@ -579,6 +554,8 @@ def _verify_exhaustive_batch(
                                 details=_details(q, keys, (gi, ci)),
                             )
                         )
+                # Free this size's stacks before the next size allocates its own.
+                del l_bb, schur, eig, interior_map, q, f, h, u_f, u_h
             if max_violations is not None and len(records) >= max_violations:
                 records.sort(key=lambda r: (r.index, _CHECK_RANK[r.check]))
                 return records

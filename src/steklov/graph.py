@@ -5,8 +5,8 @@ vertices, a strictly positive weight on edges, and a distinguished (possibly
 empty) set of boundary vertices.  Instances are immutable and canonicalized:
 vertex ids are 0..n-1 in lexicographic order of the external string labels,
 and the edges are stored as arrays of tails u < heads v, sorted by (u, v),
-with their weights.  Tuple forms (``edges``, ``adjacency``, ``edge_rank``)
-are views derived on first use.
+with their weights.  Tuple forms (``edges``, ``edge_rank``) and the sorted
+neighbour lists (``csr``) that every traversal reads are derived on first use.
 
 Construction validates whole columns at once: the value types of a column in
 one pass over its distinct types, then positivity, finiteness, loops and
@@ -17,7 +17,6 @@ first offending row, exactly as a row-by-row check would.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -89,20 +88,12 @@ class WeightedBoundaryGraph:
         return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-vertex tuple of (neighbor, weight), neighbors ascending."""
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            nbrs[u].append((v, w))
-            nbrs[v].append((u, w))
-        return tuple(tuple(sorted(a)) for a in nbrs)
-
-    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbour lists in compressed sparse row form: (indptr, indices)."""
+        """Neighbour lists in compressed sparse row form: (indptr, indices),
+        each row's neighbours ascending."""
         u, v, _ = self.edge_arrays
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.argsort(rows, kind="stable")
+        order = np.lexsort((cols, rows))
         return np.searchsorted(rows[order], np.arange(self.n + 1)), cols[order]
 
     @cached_property
@@ -601,19 +592,28 @@ def hop_distance_matrix(g: WeightedBoundaryGraph) -> np.ndarray:
     return dist
 
 
-def bfs_distances(g: WeightedBoundaryGraph, source: int) -> list[int]:
-    """Hop distances from one vertex; -1 marks unreachable vertices."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v, _ in g.adjacency[u]:
+def geodesic_counts(g: WeightedBoundaryGraph, source: int) -> tuple[list[int], list[int]]:
+    """Hop distances from ``source`` and the number of geodesics to each
+    vertex, capped at 2; -1 and 0 mark unreachable vertices.
+
+    One breadth-first pass over the CSR lists: a vertex's count is the sum
+    of its predecessors' counts, which are all final before it leaves the queue.
+    """
+    if not 0 <= source < g.n:
+        raise GraphError(f"unknown vertex {source}")
+    indptr, indices = (a.tolist() for a in g.csr)
+    dist, count = [-1] * g.n, [0] * g.n
+    dist[source], count[source] = 0, 1
+    order = [source]
+    for u in order:  # the list grows while it is read: a queue
+        du, cu = dist[u] + 1, count[u]
+        for v in indices[indptr[u]:indptr[u + 1]]:
             if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+                dist[v] = du
+                order.append(v)
+            if dist[v] == du:
+                count[v] = min(2, count[v] + cu)
+    return dist, count
 
 
 def all_geodesics(
@@ -629,18 +629,19 @@ def all_geodesics(
     small cap without paying for the full enumeration.
     """
     require_connected(g)
-    dist_x = bfs_distances(g, x)
-    dist_y = bfs_distances(g, y)
-    d = dist_x[y]
+    if not 0 <= x < g.n:
+        raise GraphError(f"unknown vertex {x}")
+    dist, _ = geodesic_counts(g, y)
     if x == y:
         return [(x,)]
+    indptr, indices = (a.tolist() for a in g.csr)
 
     def steps(u: int) -> Iterator[int]:
-        return (v for v, _ in g.adjacency[u]
-                if dist_x[v] == dist_x[u] + 1 and dist_x[v] + dist_y[v] == d)
+        return (v for v in indices[indptr[u]:indptr[u + 1]] if dist[v] == dist[u] - 1)
 
-    # Depth-first over the geodesic DAG, which has no dead ends, so the work
-    # is proportional to the paths emitted; the stack replaces recursion.
+    # Depth-first from x over the steps one hop closer to y: that DAG has no
+    # dead ends, so the work is proportional to the paths emitted; the stack
+    # replaces recursion.
     out: list[tuple[int, ...]] = []
     path = [x]
     stack = [steps(x)]

@@ -10,7 +10,6 @@ Conversely every graph of that shape attains equality, which is what
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .graph import (
     GraphError,
     WeightedBoundaryGraph,
     component_labels,
+    geodesic_counts,
     graph_from_arrays,
 )
 
@@ -127,33 +127,23 @@ def _values_equal(a: float, b: float, rel_tol: float) -> bool:
 def _unique_geodesic(g: WeightedBoundaryGraph, x: int, y: int) -> PathWitness | None:
     """The shortest x-y path if it is the only one, else None.
 
-    Geodesic counts capped at 2 are summed layer by layer during a BFS from
-    x; when y's count is 1, walking back through the one counted
-    predecessor of each vertex rebuilds the path.
+    When y's capped geodesic count from x is 1, every vertex on the way back
+    has exactly one predecessor in the BFS layering, and walking back
+    through it rebuilds the path.
     """
-    dist = [-1] * g.n
-    count = [0] * g.n
-    dist[x], count[x] = 0, 1
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for v, _ in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-            if dist[v] == dist[u] + 1:
-                count[v] = min(2, count[v] + count[u])
+    dist, count = geodesic_counts(g, x)
     if count[y] != 1:
         return None
-    path, weights = [y], []
+    indptr, indices = g.csr
+    path = [y]
     while path[-1] != x:
         v = path[-1]
-        u, w = next(
-            (u, w) for u, w in g.adjacency[v] if dist[u] == dist[v] - 1 and count[u]
-        )
-        path.append(u)
-        weights.append(w)
-    return PathWitness(vertices=tuple(path[::-1]), edge_weights=tuple(weights[::-1]))
+        path.append(next(u for u in indices[indptr[v]:indptr[v + 1]].tolist()
+                         if dist[u] == dist[v] - 1))
+    path.reverse()
+    ranks = [g.edge_rank[min(a, b), max(a, b)] for a, b in zip(path, path[1:])]
+    return PathWitness(vertices=tuple(path),
+                       edge_weights=tuple(g.edge_arrays[2][ranks].tolist()))
 
 
 def check_rigidity(
@@ -167,8 +157,11 @@ def check_rigidity(
     extended bound, relative to the bound (see :func:`bound_attained`);
     ``weight_tol`` relaxes the stored-value comparisons (path weights against
     w0, boundary measures against m0) from bitwise equality to a relative
-    tolerance.
+    tolerance.  Both must be finite and nonnegative.
     """
+    for name, value in (("tol", tol), ("weight_tol", weight_tol)):
+        if not 0.0 <= value < np.inf:
+            raise GraphError(f"{name} must be finite and nonnegative, got {value!r}")
     report = g.analysis.bound_report
     if len(g.boundary) < 2:
         raise GraphError("rigidity needs at least 2 boundary vertices")

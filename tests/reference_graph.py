@@ -1,16 +1,21 @@
-"""Row-by-row reference for graph construction, to test the vectorized core.
+"""Scalar references for graph construction and traversal, to test the
+vectorized core.
 
-This is the scalar canonicalizer that ``steklov.graph`` used before its
-construction became column-wise: one Python check per row and value, in row
-order.  The tests compare the library with it, on valid documents (same
-canonical graph) and on invalid ones (same first offending row, same
-message).  Integers too large for binary64 are the one difference from the
-old loop, which crashed on them; here they fail like in the library.
+``reference_make_graph`` is the canonicalizer that ``steklov.graph`` used
+before its construction became column-wise: one Python check per row and
+value, in row order.  The tests compare the library with it, on valid
+documents (same canonical graph) and on invalid ones (same first offending
+row, same message).  Integers too large for binary64 are the one difference
+from the old loop, which crashed on them; here they fail like in the library.
+
+``bfs_distances`` is a plain queue BFS over ``g.edges``, the oracle for the
+packed BFS and for ``geodesic_counts``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 
 import numpy as np
 
@@ -122,3 +127,21 @@ def reference_parse_graph(text: str):
         edges.append((row["u"], row["v"], row["w"]))
 
     return reference_make_graph(vertices, edges)
+
+
+def bfs_distances(g, source: int) -> list[int]:
+    """Hop distances from one vertex; -1 marks unreachable vertices."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist

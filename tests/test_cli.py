@@ -102,6 +102,15 @@ class TestRigidity:
         code, out, _ = run(capsys, "rigidity", str(p), "--weight-tol", "1e-9")
         assert json.loads(out)["certified_equality"] is True
 
+    @pytest.mark.parametrize("flag", ["--tol", "--weight-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, capsys, path3_file, flag, value):
+        code, out, err = run(capsys, "rigidity", path3_file, flag, value)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "must be finite and nonnegative" in err
+
 
 class TestHarmonic:
     def test_path3_midpoint(self, capsys, tmp_path, path3_file):

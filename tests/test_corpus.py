@@ -15,10 +15,12 @@ from steklov import (
     graph_from_arrays,
     hop_distance_matrix,
     is_comb_over,
+    is_connected,
     parse_graph,
     random_graph,
     verify_corpus,
 )
+from steklov import corpus
 from steklov.corpus import (
     KNOWN_MUTATIONS,
     MUTATION_BOUND_DB,
@@ -104,6 +106,14 @@ class TestEnumeration:
         for n in range(2, 7):
             assert len(_connected_edge_masks(n)) == connected_labeled_count(n)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_masks_are_the_connected_graphs(self, n):
+        masks = _connected_edge_masks(n)
+        assert list(masks) == sorted(masks)
+        expected = {mask for mask in range(1 << (n * (n - 1) // 2))
+                    if is_connected(_instance_graph(n, mask, 0))}
+        assert set(masks) == expected
+
     def test_n2_single_instance(self):
         graphs = list(enumerate_small(2))
         assert len(graphs) == 1
@@ -141,6 +151,16 @@ class TestEnumeration:
             list(enumerate_small(8))
         with pytest.raises(GraphError):
             list(enumerate_small(1))
+
+    @pytest.mark.parametrize("n_max", [1, 8, 40])
+    def test_count_out_of_range(self, monkeypatch, n_max):
+        # rejected before any enumeration: n_max = 8 alone means 2^28 masks
+        def no_enumeration(n):
+            raise AssertionError(f"enumerated the masks of n = {n}")
+
+        monkeypatch.setattr(corpus, "_connected_edge_masks", no_enumeration)
+        with pytest.raises(GraphError, match="2 <= n_max <= 7"):
+            count_exhaustive_instances(n_max)
 
 
 class TestBatchedGeodesics:

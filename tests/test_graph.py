@@ -10,7 +10,6 @@ from steklov import (
     GeodesicLimitError,
     GraphError,
     all_geodesics,
-    bfs_distances,
     bound_report,
     boundary_vector,
     graph_from_arrays,
@@ -20,9 +19,10 @@ from steklov import (
     make_graph,
     parse_graph,
 )
-from steklov.graph import boundary_diameter
+from steklov.graph import boundary_diameter, geodesic_counts
 from steklov.rigidity import _unique_geodesic, comb_graph
 
+from reference_graph import bfs_distances
 from strategies import connected_graphs
 
 K2_JSON = """
@@ -224,16 +224,17 @@ class TestDistances:
             assert list(d[src]) == bfs_distances(g, src)
 
 
-def _geodesic_count_oracle(g, x, y):
-    """Independent count: dynamic program over the BFS layering."""
+def _geodesic_count_oracle(g, x):
+    """Independent geodesic counts from x to every vertex: a dynamic program
+    over the edges of the BFS layering, taken in order of their layer."""
     dist = bfs_distances(g, x)
     count = [0] * g.n
     count[x] = 1
-    for v in sorted(range(g.n), key=lambda v: dist[v]):
-        if v == x:
-            continue
-        count[v] = sum(count[u] for u, _ in g.adjacency[v] if dist[u] == dist[v] - 1)
-    return count[y]
+    steps = [(a, b) for u, v, _ in g.edges for a, b in ((u, v), (v, u))
+             if dist[b] == dist[a] + 1]
+    for a, b in sorted(steps, key=lambda step: dist[step[0]]):
+        count[b] += count[a]
+    return count
 
 
 class TestGeodesics:
@@ -282,7 +283,47 @@ class TestGeodesics:
             assert p[0] == x and p[-1] == y
             for a, b in zip(p, p[1:]):
                 assert (min(a, b), max(a, b)) in g.edge_rank
-        assert len(paths) == _geodesic_count_oracle(g, x, y)
+        assert len(paths) == _geodesic_count_oracle(g, x)[y]
+
+    def test_order_follows_sorted_neighbour_lists(self):
+        # vertex 2's CSR row must read 1 before 3 for the lexicographic order
+        g = graph_from_arrays(
+            [1.0] * 5,
+            [0, 4],
+            [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.0), (3, 4, 1.0)],
+        )
+        assert all_geodesics(g, 0, 4) == [(0, 2, 1, 4), (0, 2, 3, 4)]
+
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, 4), (4, 0)])
+    def test_vertex_out_of_range(self, x, y):
+        g = comb_graph(path_len=3, path_weight=1.0, endpoint_mass=1.0)
+        with pytest.raises(GraphError, match="unknown vertex"):
+            all_geodesics(g, x, y)
+
+
+class TestGeodesicCounts:
+    """The scalar pass against the packed BFS and the counting oracle."""
+
+    @staticmethod
+    def _check(g, sources):
+        d = hop_distance_matrix(g)
+        for x in sources:
+            dist, count = geodesic_counts(g, x)
+            assert dist == d[x].tolist()
+            assert count == [min(2, c) for c in _geodesic_count_oracle(g, x)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=8))
+    def test_small_graphs(self, g):
+        self._check(g, range(g.n))
+
+    def test_1500_edge_comb(self):
+        g = comb_graph(path_len=1500, path_weight=1.0, endpoint_mass=1.0)
+        self._check(g, [0, 750, 1500])
+
+    def test_unreachable_vertices(self):
+        g = graph_from_arrays([1.0] * 4, [0], [(0, 1, 1.0), (2, 3, 1.0)])
+        assert geodesic_counts(g, 0) == ([0, 1, -1, -1], [1, 1, 0, 0])
 
 
 class TestCoercion:

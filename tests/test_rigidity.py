@@ -162,6 +162,12 @@ class TestCheckRigidity:
         assert not rep.cond_path and not rep.cond_comb
         assert rep.witness is None
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("name", ["tol", "weight_tol"])
+    def test_rejects_bad_tolerances(self, path3, name, tol):
+        with pytest.raises(GraphError, match=f"{name} must be finite and nonnegative"):
+            check_rigidity(path3, **{name: tol})
+
     def test_needs_two_boundary_vertices(self):
         g = graph_from_arrays([1.0, 1.0], [0], [(0, 1, 1.0)])
         with pytest.raises(GraphError, match="at least 2"):
