@@ -14,7 +14,7 @@ import math
 import sys
 
 from .bounds import bound_report
-from .corpus import CorpusSpec, count_exhaustive_instances, verify_corpus
+from .corpus import RANDOM_N_MAX, CorpusSpec, count_exhaustive_instances, verify_corpus
 from .graph import (
     GraphError,
     WeightedBoundaryGraph,
@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force corpus verification")
     p.add_argument("--mode", choices=("random", "exhaustive"), required=True)
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=int, default=6,
+                   help=f"largest n: 2..7 exhaustive, 2..{RANDOM_N_MAX} random")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unit-only", action="store_true")

@@ -1,52 +1,38 @@
 """Random and exhaustive graph corpora with brute-force theorem verification.
 
-``verify_corpus`` asserts, for every instance, that sigma_2 respects the
-extended lower bound, that numeric equality coincides with the structural
-certificate, and that the spectral invariants hold (PSD, kernel, Green
-symmetry, bound dominance and the unit-weight specialization).  Violations
-come back as data, never as exceptions.
+``verify_corpus`` asserts, for every instance, the extended lower bound,
+that numeric equality coincides with the structural certificate, and the
+spectral invariants.  Violations come back as data, never as exceptions.
+Each assertion is written once, as a row of the check table ``_CHECKS``.
 
-Each assertion is written once, as a row of the check table ``_CHECKS``: a
-predicate over named quantities that holds its tolerance, plus the
-quantities a violation reports.  Two routes compute those quantities and
-hand them to the same evaluator.  ``check_instance`` is a batch of one: it
-reads Python scalars off the public per-graph operations, and random mode
-and the weighted exhaustive mode go through it.  The unit-weight exhaustive
-mode is the stacked case: because the n <= 6 corpus has about 1.5 million
-instances, it builds stacked Laplacians, batched Schur complements and
-eigensolves, walk counts and comb tests, and hands the table arrays.  The
-test suite cross-checks the two routes record by record.
+One kernel, ``_quantities``, computes every quantity the table reads for a
+stack of graphs crossed with shared boundary index tables.  Unit-weight
+exhaustive mode feeds it chunks of edge masks; every other stream (random
+mode, weighted exhaustive mode and ``check_instance``, a stream of one) is
+relabelled boundary-first and stacked by (n, |B|, unit weights).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import bound_formulas, bound_report
+from .bounds import bound_formulas
 from .graph import (
+    EmptyBoundaryError,
     GraphError,
     WeightedBoundaryGraph,
     component_labels,
     graph_from_arrays,
     graph_to_json_dict,
     json_number,
+    require_connected,
 )
-from .rigidity import bound_attained, check_rigidity
-from .spectral import (
-    KERNEL_TOL,
-    PSD_TOL,
-    SIGMA1_TOL,
-    NumericsError,
-    differential,
-    dirichlet_energy,
-    harmonic_extension,
-    steklov_spectrum,
-    steklov_system,
-)
+from .rigidity import bound_attained
+from .spectral import KERNEL_TOL, PSD_TOL, SIGMA1_TOL, SYMMETRY_TOL
 
 # The bound tolerances are relative to the bound, so their verdicts do not
 # change when weights or measures are scaled.
@@ -56,6 +42,10 @@ UNIT_SPECIALIZATION_TOL = 1e-15
 GREEN_TOL = 1e-9
 EIGVEC_ALIGN_TOL = 1e-8
 
+# Largest n of random mode: one instance at n = 1000 takes 0.4-0.9 s with its
+# generation and about 200 MB (2-core VM, one BLAS thread).
+RANDOM_N_MAX = 1000
+
 # Deliberate corruptions for mutation-sentinel tests: each must make the
 # verifier report violations, proving the assertions are not vacuous.
 MUTATION_BOUND_DB = "bound_db_plus_one"
@@ -64,11 +54,13 @@ KNOWN_MUTATIONS = frozenset({MUTATION_BOUND_DB, MUTATION_COMB_SKIP})
 
 # The check table: (check, predicate over the named quantities, quantities a
 # violation reports).  A row runs only when every quantity it reports is
-# present: sigma_2, the bounds and the certificate are absent when |B| < 2,
-# unit_formula when the graph is not unit-weighted, and misalignment in the
-# batched engine, which computes no eigenvectors.  Each predicate works on
-# Python scalars and elementwise on arrays.
+# present: sigma_2, the bounds and the certificate need |B| >= 2,
+# unit_formula unit weights, misalignment eigenvectors, and a failed solve or
+# eigensolve leaves only its error.  Predicates also work elementwise.
 _CHECKS = (
+    ("numerics_failure", lambda q: q["error"] == "", ("error",)),
+    ("schur_symmetry",
+     lambda q: q["asymmetry"] <= SYMMETRY_TOL * q["schur_scale"], ("asymmetry",)),
     ("psd", lambda q: q["sigma1"] >= -PSD_TOL * q["eig_scale"], ("sigma1",)),
     ("sigma1_zero", lambda q: abs(q["sigma1"]) <= SIGMA1_TOL * q["eig_scale"],
      ("sigma1",)),
@@ -94,8 +86,7 @@ _CHECKS = (
      ("sigma2", "bound_extended", "equality", "certified_equality",
       "cond_boundary", "cond_path", "cond_comb")),
 )
-_CHECK_ORDER = ("numerics_failure", *(check for check, _, _ in _CHECKS))
-_CHECK_RANK = {name: i for i, name in enumerate(_CHECK_ORDER)}
+_CHECK_RANK = {check: rank for rank, (check, _, _) in enumerate(_CHECKS)}
 
 
 @dataclass(frozen=True)
@@ -115,10 +106,12 @@ class CorpusSpec:
             raise GraphError(f"unknown corpus mode {self.mode!r}")
         if self.mode == "exhaustive" and not 2 <= self.n_max <= 7:
             raise GraphError("exhaustive mode requires 2 <= n_max <= 7")
-        if self.mode == "random" and self.n_max < 2:
-            raise GraphError("random mode requires n_max >= 2")
+        if self.mode == "random" and not 2 <= self.n_max <= RANDOM_N_MAX:
+            raise GraphError(f"random mode requires 2 <= n_max <= {RANDOM_N_MAX}")
         if self.samples < 0:
             raise GraphError("samples must be nonnegative")
+        if self.seed < 0:
+            raise GraphError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -198,18 +191,17 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 # --- exhaustive enumeration -----------------------------------------------------
 
 
-# Graphs per chunk, both when deciding connectivity and in the batched engine.
+# Graphs per chunk, both when deciding connectivity and per unit stack.
 _CHUNK = 4096
 
 
 @lru_cache(maxsize=8)
 def _connected_edge_masks(n: int) -> tuple[int, ...]:
-    """Edge bitmasks of all connected labeled simple graphs on n vertices.
+    """Edge bitmasks of all connected labeled simple graphs on n vertices,
+    ascending; bit k of a mask is the k-th pair of ``_pair_arrays(n)``.
 
-    Bit k of a mask is the k-th pair of ``_pair_arrays(n)``.  Ascending
-    order.  Each chunk of masks is decided by one :func:`component_labels`
-    call over the disjoint union of its graphs, graph i on the vertices
-    i*n .. i*n + n-1.
+    Each chunk is decided by one :func:`component_labels` call over the
+    disjoint union of its graphs, graph i on the vertices i*n .. i*n + n-1.
     """
     tails, heads = _pair_arrays(n)
     total = 1 << len(tails)
@@ -276,24 +268,19 @@ def enumerate_small(
         for edge_mask in _connected_edge_masks(n):
             n_edges = bin(edge_mask).count("1")
             for boundary_mask in _boundary_masks(n):
-                if unit_only:
-                    yield _instance_graph(n, edge_mask, boundary_mask)
-                else:
+                weights = measures = None
+                if not unit_only:
                     weights = rng.uniform(*weight_range, size=n_edges)
                     measures = rng.uniform(*measure_range, size=n)
-                    yield _instance_graph(
-                        n, edge_mask, boundary_mask, weights, measures
-                    )
+                yield _instance_graph(n, edge_mask, boundary_mask, weights, measures)
 
 
 def count_exhaustive_instances(n_max: int) -> int:
     """Number of (graph, boundary) instances enumerate_small would yield."""
     if not 2 <= n_max <= 7:
         raise GraphError("exhaustive enumeration requires 2 <= n_max <= 7")
-    total = 0
-    for n in range(2, n_max + 1):
-        total += len(_connected_edge_masks(n)) * len(_boundary_masks(n))
-    return total
+    return sum(len(_connected_edge_masks(n)) * len(_boundary_masks(n))
+               for n in range(2, n_max + 1))
 
 
 # --- the check table's evaluator and its shared quantities ---------------------
@@ -301,11 +288,7 @@ def count_exhaustive_instances(n_max: int) -> int:
 
 def _evaluate(q: dict) -> Iterator[tuple[str, tuple[str, ...], object]]:
     """(check, reported quantities, verdict) for every table row whose inputs
-    are present.
-
-    The verdict is a bool for one instance's scalars and a bool array over
-    the cells of stacked arrays.
-    """
+    are present; the verdict is a bool array over stacked cells."""
     for check, holds, keys in _CHECKS:
         if all(key in q for key in keys):
             yield check, keys, holds(q)
@@ -327,10 +310,8 @@ def _operator_quantities(eig: np.ndarray, schur: np.ndarray) -> dict:
 
 
 def _bound_quantities(sigma2, w0, m0, v_b, d_b, nb: int, mutations) -> dict:
-    """sigma_2, the three bounds and the numeric equality verdict.
-
-    The ``bound_db_plus_one`` sentinel shifts d_B in the extended bound only.
-    """
+    """sigma_2, the three bounds and the numeric equality verdict; the
+    ``bound_db_plus_one`` sentinel shifts d_B in the extended bound only."""
     unit, general, extended = bound_formulas(w0, m0, v_b, d_b, nb)
     if MUTATION_BOUND_DB in mutations:
         extended = bound_formulas(w0, m0, v_b, d_b + 1, nb)[2]
@@ -356,7 +337,226 @@ def _certificate(cond_boundary, cond_path, cond_comb, mutations) -> dict:
     }
 
 
-# --- reference per-instance verification ---------------------------------------
+# --- the kernel -----------------------------------------------------------------
+
+
+def _geodesic_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Geodesic counts capped at 2 and hop distances of connected graphs
+    from their (G, n, n) weights.
+
+    No x-y walk is shorter than d(x, y) and each of that length is a
+    geodesic, so d(x, y) is the first hop count with a walk and the walk
+    count there counts the geodesics.  Counts capped by walks <- min(walks A,
+    2) keep both facts, cannot overflow and cost one product per hop.
+    """
+    adj = (weights > 0).astype(float)
+    n = adj.shape[-1]
+    walks = np.broadcast_to(np.eye(n), adj.shape)
+    reached = walks > 0
+    counts, dist = walks.copy(), np.zeros(adj.shape, dtype=np.int64)
+    for hops in range(1, n):
+        if reached.all():
+            break
+        walks = np.minimum(walks @ adj, 2.0)
+        new = (walks > 0) & ~reached
+        counts[new], dist[new] = walks[new], hops
+        reached |= new
+    return counts, dist
+
+
+class _Stack:
+    """G graphs on n vertices: (G, n, n) weights, zero off the edges, and
+    (G, n) measures, or None when every weight and measure is 1."""
+
+    def __init__(self, weights: np.ndarray, measures: np.ndarray | None = None):
+        self.weights, self.measures = weights, measures
+        self.lap = weights.sum(axis=2)[:, :, None] * np.eye(weights.shape[-1]) - weights
+        self.w0 = np.where(weights > 0, weights, np.inf).min(axis=(1, 2))
+        self.counts, self.dist = _geodesic_tables(weights)
+
+
+def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dict:
+    """Every quantity the check table reads, as (G, C) arrays: the graphs of
+    ``stack`` crossed with the boundary index tables ``bidx`` (C, |B|) and
+    ``iidx`` (C, n - |B|).  ``vectors`` takes ``eigh`` and the misalignment
+    over ``eigvalsh``.  Unit stacks skip the mass reduction: m0 = 1 exactly.
+    """
+    lap, (count, n), size = stack.lap, stack.lap.shape[:2], bidx.shape[1]
+    raw = lap[:, bidx[:, :, None], bidx[:, None, :]]
+    mass = np.ones(size) if stack.measures is None else stack.measures[:, bidx]
+    inv_sqrt = 1.0 / np.sqrt(mass)
+    interior_map = None
+    try:
+        if n > size:
+            l_ob = lap[:, iidx[:, :, None], bidx[:, None, :]]
+            interior_map = np.linalg.solve(lap[:, iidx[:, :, None], iidx[:, None, :]], l_ob)
+            raw = raw - np.swapaxes(l_ob, -1, -2) @ interior_map
+        schur = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        reduced = schur
+        if stack.measures is not None:  # the M^-1/2 S M^-1/2 reduction
+            reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+            reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
+        if vectors:
+            eig, vecs = np.linalg.eigh(reduced)
+        else:
+            eig = np.linalg.eigvalsh(reduced)
+    except np.linalg.LinAlgError as exc:
+        return {"error": np.full((count, len(bidx)), str(exc))}
+    q = {"asymmetry": np.abs(raw - np.swapaxes(raw, -1, -2)).max(axis=(-1, -2)),
+         **_operator_quantities(eig, schur)}
+    if vectors:  # v1 is m-normalized; its residual off the constants:
+        v1 = vecs[..., 0] * inv_sqrt
+        resid = v1 - (v1 * mass).sum(-1, keepdims=True) / mass.sum(-1, keepdims=True)
+        q["misalignment"] = np.sqrt((resid * resid * mass).sum(-1))
+
+    # Green symmetry: <Lambda f, h>_B (Schur route) against the energy
+    # pairing of the harmonic extensions
+    def extend(values: np.ndarray) -> np.ndarray:
+        u = np.zeros((count, len(bidx), n))
+        rows = np.arange(len(bidx))[:, None]
+        u[:, rows, bidx] = values
+        if interior_map is not None:
+            u[:, rows, iidx] = -np.einsum("gcoj,gcj->gco", interior_map, values)
+        return u
+
+    f = rng.standard_normal((count, len(bidx), size))
+    h = rng.standard_normal((count, len(bidx), size))
+    q["schur_form"] = np.einsum("gci,gcij,gcj->gc", h, schur, f)
+    q["energy"] = np.einsum("gci,gij,gcj->gc", extend(f), lap, extend(h))
+
+    if size >= 2:
+        d_b = stack.dist[:, bidx[:, :, None], bidx[:, None, :]].max(axis=(-1, -2))
+        q.update(_bound_quantities(eig[..., 1], stack.w0[:, None], mass.min(-1),
+                                   mass.sum(-1), d_b, size, mutations))
+        if stack.measures is not None:
+            del q["unit_formula"]
+        cond = np.zeros((3, count, len(bidx)), dtype=bool)
+        if size == 2:
+            x, y = bidx.T
+            cond[0] = mass[..., 0] == mass[..., 1]
+            gi, ci = np.nonzero(stack.counts[:, x, y] == 1)
+            cond[1:, gi, ci] = _geodesic_conditions(stack, gi, x[ci], y[ci])
+        q.update(_certificate(*cond, mutations))
+    return q
+
+
+def _geodesic_conditions(stack: _Stack, gi, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """cond_path and cond_comb of graph ``gi[k]`` over its unique x[k]-y[k]
+    geodesic.
+
+    Its vertices are those with d(x, v) + d(v, y) = d(x, y) and its edges
+    the edges among them (no chord), each weighing w0 bitwise for the path
+    condition.  The graph is a comb when no two of those vertices are joined
+    once those edges are removed: a closure by repeated boolean squaring.
+    """
+    n = stack.dist.shape[-1]
+    d_x = stack.dist[gi, x]
+    on = d_x + stack.dist[gi, :, y] == d_x[np.arange(len(gi)), y][:, None]
+    on_pairs = on[:, :, None] & on[:, None, :]
+    weights = stack.weights[gi]
+    edge = weights > 0
+    cond_path = ~(edge & on_pairs & (weights != stack.w0[gi, None, None])).any(axis=(1, 2))
+    eye = np.eye(n, dtype=bool)
+    reach = edge & ~on_pairs | eye
+    for _ in range((n - 2).bit_length()):
+        reach = reach @ reach
+    return cond_path, ~(reach & on_pairs & ~eye).any(axis=(1, 2))
+
+
+def _violations(q: dict, instance: Callable) -> list[ViolationRecord]:
+    """Records of the failed cells of ``q``; ``instance(gi, ci)`` gives the
+    index and the graph of cell (gi, ci)."""
+    records = []
+    for check, keys, ok in _evaluate(q):
+        for gi, ci in np.argwhere(~ok).tolist():
+            index, g = instance(gi, ci)
+            records.append(ViolationRecord(
+                index, check, graph_to_json_dict(g), _details(q, keys, (gi, ci))
+            ))
+    return records
+
+
+def _record_key(record: ViolationRecord) -> tuple[int, int]:
+    return record.index, _CHECK_RANK[record.check]
+
+
+# --- the two feeders ------------------------------------------------------------
+
+
+def _verify_unit_masks(spec, mutations, max_violations) -> list[ViolationRecord]:
+    """Unit-weight exhaustive verification: each chunk of edge masks, crossed
+    with the boundary subsets of one size at a time."""
+    records: list[ViolationRecord] = []
+    index_base = 0
+    for n in range(2, spec.n_max + 1):
+        masks, bmasks = _connected_edge_masks(n), _boundary_masks(n)
+        bits = _bits(bmasks, n)
+        tables = []
+        for size in range(2, n + 1):
+            ranks = np.flatnonzero(bits.sum(axis=1) == size)
+            tables.append((ranks, np.nonzero(bits[ranks])[1].reshape(-1, size),
+                           np.nonzero(1 - bits[ranks])[1].reshape(len(ranks), n - size)))
+        u, v = _pair_arrays(n)
+        for start in range(0, len(masks), _CHUNK):
+            sub = masks[start : start + _CHUNK]
+            adj = np.zeros((len(sub), n, n))
+            adj[:, u, v] = adj[:, v, u] = _bits(sub, len(u))
+            stack = _Stack(adj)
+            rng = np.random.default_rng([spec.seed, n, start])
+            for ranks, bidx, iidx in tables:
+                q = _quantities(stack, bidx, iidx, rng, mutations, vectors=False)
+                records += _violations(q, lambda gi, ci: (
+                    index_base + (start + gi) * len(bmasks) + int(ranks[ci]),
+                    _instance_graph(n, sub[gi], bmasks[ranks[ci]]),
+                ))
+            if max_violations is not None and len(records) >= max_violations:
+                return sorted(records, key=_record_key)
+        index_base += len(masks) * len(bmasks)
+    return sorted(records, key=_record_key)
+
+
+def _graph_quantities(graphs: Sequence[WeightedBoundaryGraph], rng, mutations) -> dict:
+    """The kernel's quantities for graphs that share (n, |B|, unit weights),
+    each relabelled boundary-first so that they share ``bidx = arange(|B|)``."""
+    n, nb = graphs[0].n, len(graphs[0].boundary)
+    weights = np.zeros((len(graphs), n, n))
+    measures = None if graphs[0].is_unit_weighted() else np.empty((len(graphs), n))
+    for k, g in enumerate(graphs):
+        order = np.argsort(~g.boundary_mask, kind="stable")
+        label = np.empty(n, dtype=np.intp)
+        label[order] = np.arange(n)
+        u, v, w = g.edge_arrays
+        weights[k, label[u], label[v]] = weights[k, label[v], label[u]] = w
+        if measures is not None:
+            measures[k] = g.measures[order]
+    return _quantities(_Stack(weights, measures), np.arange(nb)[None],
+                       np.arange(nb, n)[None], rng, mutations, vectors=True)
+
+
+# Matrix cells (n^2 summed over the graphs) per window of a graph stream.
+_WINDOW_CELLS = 1 << 20
+
+
+def _verify_graphs(graphs, rng, mutations, max_violations) -> list[ViolationRecord]:
+    """Verify a graph stream window by window, each window stacked by
+    (n, |B|, unit weights); Green-check vectors are drawn per stack."""
+    records: list[ViolationRecord] = []
+    stream = enumerate(graphs)
+    while True:
+        stacks: dict[tuple, list] = {}
+        cells = 0
+        for index, g in stream:
+            key = (g.n, len(g.boundary), g.is_unit_weighted())
+            stacks.setdefault(key, []).append((index, g))
+            cells += g.n * g.n
+            if cells >= _WINDOW_CELLS:
+                break
+        for members in stacks.values():
+            indices, group = zip(*members)
+            q = _graph_quantities(group, rng, mutations)
+            records += _violations(q, lambda gi, ci: (indices[gi], group[gi]))
+        if not stacks or (max_violations is not None and len(records) >= max_violations):
+            return sorted(records, key=_record_key)
 
 
 def check_instance(
@@ -366,203 +566,16 @@ def check_instance(
 ) -> list[tuple[str, dict]]:
     """Run every corpus assertion on one graph; returns (check, details) failures.
 
-    The quantities come from the public per-graph operations; the batched
-    exhaustive engine must agree with this on every instance.
+    A stream of one through the kernel of ``verify_corpus``.  Raises
+    :class:`~steklov.graph.DisconnectedGraphError` and
+    :class:`~steklov.graph.EmptyBoundaryError` like the per-graph analysis.
     """
+    require_connected(g)
+    if not g.boundary:
+        raise EmptyBoundaryError("graph has an empty boundary")
     rng = rng if rng is not None else np.random.default_rng(0)
-    try:
-        system = steklov_system(g)
-        spectrum = steklov_spectrum(g, with_vectors=True)
-    except NumericsError as exc:
-        return [("numerics_failure", {"error": str(exc)})]
-    q = _operator_quantities(spectrum.eigenvalues, system.schur)
-
-    # lowest eigenvector must be constant: residual after projecting onto 1
-    # in the m-inner product (v1 is m-normalized already)
-    v1 = spectrum.eigenvectors[:, 0]
-    mass = system.boundary_mass
-    resid = v1 - float(np.dot(v1, mass)) / float(mass.sum())
-    q["misalignment"] = float(np.sqrt(np.dot(resid * resid, mass)))
-
-    # Green symmetry: <Lambda f, h>_B (Schur route) against <du_f, du_h>
-    # (harmonic extension route)
-    nb = len(g.boundary)
-    f = rng.standard_normal(nb)
-    h = rng.standard_normal(nb)
-    q["schur_form"] = float(h @ (system.schur @ f))
-    du_f = differential(g, harmonic_extension(g, f))
-    du_h = differential(g, harmonic_extension(g, h))
-    q["energy"] = dirichlet_energy(g, du_f, du_h)
-
-    if nb >= 2:
-        r = bound_report(g)
-        q.update(_bound_quantities(r.sigma2, r.w0, r.m0, r.VB, r.dB, nb, mutations))
-        if not g.is_unit_weighted():
-            del q["unit_formula"]
-        rigidity = check_rigidity(g)
-        q.update(_certificate(
-            rigidity.cond_boundary, rigidity.cond_path, rigidity.cond_comb, mutations
-        ))
-    return [(check, _details(q, keys)) for check, keys, ok in _evaluate(q) if not ok]
-
-
-# --- batched exhaustive engine ---------------------------------------------------
-
-
-def _adjacency_stack(n: int, edge_masks: Sequence[int]) -> np.ndarray:
-    """Adjacency matrices (as floats) of graphs given by edge bitmasks."""
-    u, v = _pair_arrays(n)
-    bits = _bits(edge_masks, len(u)).astype(np.float64)
-    adj = np.zeros((len(edge_masks), n, n))
-    adj[:, u, v] = bits
-    adj[:, v, u] = bits
-    return adj
-
-
-def _geodesic_tables(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walk counts and hop distances for a stack of connected adjacencies.
-
-    ``counts[:, k - 1]`` is A^k for k = 1..n-1.  No walk is shorter than a
-    geodesic and every length-d(x, y) walk from x to y is one, so d(x, y) is
-    the first k with A^k[x, y] > 0 and that entry counts the geodesics.
-    """
-    n = adj.shape[-1]
-    powers = [adj]
-    for _ in range(n - 2):
-        powers.append(powers[-1] @ adj)
-    counts = np.stack(powers, axis=1)
-    dist = np.argmax(counts > 0, axis=1) + 1
-    dist[:, np.arange(n), np.arange(n)] = 0
-    return counts, dist
-
-
-def _comb_verdicts(
-    edge: np.ndarray, dist: np.ndarray, graph: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Comb test of ``edge[graph[i]]`` over its unique x[i]-y[i] geodesic.
-
-    The geodesic's vertices are those with d(x, v) + d(v, y) = d(x, y), and
-    its edges are the adjacent pairs among them (a unique geodesic has no
-    chord).  The graph is a comb when no two of those vertices are joined in
-    the graph without those edges, whose reachability is the transitive
-    closure by repeated boolean squaring.
-    """
-    n = edge.shape[-1]
-    d_x = dist[graph, x]
-    on = d_x + dist[graph, :, y] == d_x[np.arange(len(graph)), y][:, None]
-    on_pairs = on[:, :, None] & on[:, None, :]
-    eye = np.eye(n, dtype=bool)
-    reach = (edge[graph] & ~on_pairs) | eye
-    for _ in range((n - 2).bit_length()):
-        reach = reach @ reach
-    return ~(reach & on_pairs & ~eye).any(axis=(1, 2))
-
-
-def _verify_exhaustive_batch(
-    spec: CorpusSpec, mutations: frozenset, max_violations: int | None
-) -> list[ViolationRecord]:
-    """Vectorized unit-weight exhaustive verification (n grouped in chunks)."""
-    records: list[ViolationRecord] = []
-    index_base = 0
-
-    for n in range(2, spec.n_max + 1):
-        masks = _connected_edge_masks(n)
-        bmasks = _boundary_masks(n)
-        subsets_per_graph = len(bmasks)
-        bits = _bits(bmasks, n)
-        by_size: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for size in range(2, n + 1):
-            ranks = np.flatnonzero(bits.sum(axis=1) == size)
-            bidx = np.nonzero(bits[ranks])[1].reshape(len(ranks), size)
-            iidx = np.nonzero(1 - bits[ranks])[1].reshape(len(ranks), n - size)
-            by_size[size] = (ranks, bidx, iidx)
-
-        for start in range(0, len(masks), _CHUNK):
-            sub = masks[start : start + _CHUNK]
-            count = len(sub)
-            adj = _adjacency_stack(n, sub)
-            lap = -adj
-            diag = np.arange(n)
-            lap[:, diag, diag] = adj.sum(axis=2)
-            counts, dist = _geodesic_tables(adj)
-            rng = np.random.default_rng([spec.seed, n, start])
-
-            for size in range(2, n + 1):
-                ranks, bidx, iidx = by_size[size]
-                n_subsets = len(ranks)
-                n_int = n - size
-                l_bb = lap[:, bidx[:, :, None], bidx[:, None, :]]
-                if n_int:
-                    l_oo = lap[:, iidx[:, :, None], iidx[:, None, :]]
-                    l_ob = lap[:, iidx[:, :, None], bidx[:, None, :]]
-                    interior_map = np.linalg.solve(l_oo, l_ob)
-                    schur = l_bb - np.swapaxes(l_ob, -1, -2) @ interior_map
-                else:
-                    interior_map = None
-                    schur = l_bb
-                schur = 0.5 * (schur + np.swapaxes(schur, -1, -2))
-                eig = np.linalg.eigvalsh(schur)
-                q = _operator_quantities(eig, schur)
-
-                f = rng.standard_normal((count, n_subsets, size))
-                h = rng.standard_normal((count, n_subsets, size))
-                q["schur_form"] = np.einsum("gci,gcij,gcj->gc", h, schur, f)
-                u_f = np.zeros((count, n_subsets, n))
-                u_h = np.zeros((count, n_subsets, n))
-                c_rows = np.arange(n_subsets)[:, None]
-                u_f[:, c_rows, bidx] = f
-                u_h[:, c_rows, bidx] = h
-                if interior_map is not None:
-                    u_f[:, c_rows, iidx] = -np.einsum(
-                        "gcoj,gcj->gco", interior_map, f
-                    )
-                    u_h[:, c_rows, iidx] = -np.einsum(
-                        "gcoj,gcj->gco", interior_map, h
-                    )
-                q["energy"] = np.einsum("gci,gij,gcj->gc", u_f, lap, u_h)
-
-                d_b = dist[:, bidx[:, :, None], bidx[:, None, :]].max(axis=(-1, -2))
-                q.update(_bound_quantities(
-                    eig[..., 1], 1.0, 1.0, float(size), d_b, size, mutations
-                ))
-
-                # Unit weights and measures: the boundary condition is |B| = 2
-                # and the path condition is a unique geodesic.
-                cond_boundary = np.full((count, n_subsets), size == 2)
-                cond_path = np.zeros((count, n_subsets), dtype=bool)
-                cond_comb = np.zeros((count, n_subsets), dtype=bool)
-                if size == 2:
-                    x, y = bidx[:, 0], bidx[:, 1]
-                    g_rows = np.arange(count)[:, None]
-                    cond_path = counts[g_rows, d_b - 1, x, y] == 1
-                    gi, ci = np.nonzero(cond_path)
-                    cond_comb[gi, ci] = _comb_verdicts(adj > 0, dist, gi, x[ci], y[ci])
-                q.update(_certificate(cond_boundary, cond_path, cond_comb, mutations))
-
-                for check, keys, ok in _evaluate(q):
-                    for gi, ci in np.argwhere(~ok):
-                        rank = int(ranks[ci])
-                        records.append(
-                            ViolationRecord(
-                                index=index_base
-                                + (start + int(gi)) * subsets_per_graph
-                                + rank,
-                                check=check,
-                                graph=graph_to_json_dict(
-                                    _instance_graph(n, sub[gi], bmasks[rank])
-                                ),
-                                details=_details(q, keys, (gi, ci)),
-                            )
-                        )
-                # Free this size's stacks before the next size allocates its own.
-                del l_bb, schur, eig, interior_map, q, f, h, u_f, u_h
-            if max_violations is not None and len(records) >= max_violations:
-                records.sort(key=lambda r: (r.index, _CHECK_RANK[r.check]))
-                return records
-        index_base += len(masks) * subsets_per_graph
-
-    records.sort(key=lambda r: (r.index, _CHECK_RANK[r.check]))
-    return records
+    q = _graph_quantities([g], rng, mutations)
+    return [(r.check, r.details) for r in _violations(q, lambda gi, ci: (0, g))]
 
 
 # --- top-level verification ------------------------------------------------------
@@ -585,41 +598,6 @@ def _random_graphs(spec: CorpusSpec) -> Iterator[WeightedBoundaryGraph]:
         )
 
 
-def _check_stream(
-    graphs: Iterable[WeightedBoundaryGraph],
-    spec: CorpusSpec,
-    mutations: frozenset,
-    max_violations: int | None,
-) -> list[ViolationRecord]:
-    """check_instance on every graph, Green-check vectors drawn from one stream."""
-    rng_green = np.random.default_rng([spec.seed, 1])
-    records: list[ViolationRecord] = []
-    for index, g in enumerate(graphs):
-        failures = check_instance(g, rng=rng_green, mutations=mutations)
-        if failures:
-            doc = graph_to_json_dict(g)
-            records.extend(
-                ViolationRecord(index=index, check=check, graph=doc, details=details)
-                for check, details in failures
-            )
-            if max_violations is not None and len(records) >= max_violations:
-                break
-    return records
-
-
-def _verify_exhaustive_reference(
-    spec: CorpusSpec, mutations: frozenset, max_violations: int | None
-) -> list[ViolationRecord]:
-    stream = enumerate_small(
-        spec.n_max,
-        unit_only=spec.unit_only,
-        rng=np.random.default_rng([spec.seed, 0]),
-        weight_range=spec.weight_range,
-        measure_range=spec.measure_range,
-    )
-    return _check_stream(stream, spec, mutations, max_violations)
-
-
 def verify_corpus(
     spec: CorpusSpec,
     max_violations: int | None = None,
@@ -636,8 +614,17 @@ def verify_corpus(
     unknown = set(mutations) - set(KNOWN_MUTATIONS)
     if unknown:
         raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
+    if spec.mode == "exhaustive" and spec.unit_only:
+        return _verify_unit_masks(spec, mutations, max_violations)
     if spec.mode == "random":
-        return _check_stream(_random_graphs(spec), spec, mutations, max_violations)
-    if spec.unit_only:
-        return _verify_exhaustive_batch(spec, mutations, max_violations)
-    return _verify_exhaustive_reference(spec, mutations, max_violations)
+        graphs = _random_graphs(spec)
+    else:
+        graphs = enumerate_small(
+            spec.n_max,
+            unit_only=False,
+            rng=np.random.default_rng([spec.seed, 0]),
+            weight_range=spec.weight_range,
+            measure_range=spec.measure_range,
+        )
+    return _verify_graphs(graphs, np.random.default_rng([spec.seed, 1]), mutations,
+                          max_violations)

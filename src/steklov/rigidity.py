@@ -237,6 +237,13 @@ class ToothSet:
     attachments: tuple[tuple[int, int, float], ...] = ()
 
 
+def _require_positive_finite(*named: tuple[str, float]) -> None:
+    """Raise :class:`GraphError` for the first (name, value) not in (0, inf)."""
+    for name, value in named:
+        if not 0.0 < value < np.inf:
+            raise GraphError(f"{name} must be positive and finite, got {value!r}")
+
+
 def comb_graph(
     path_len: int,
     path_weight: float,
@@ -254,8 +261,7 @@ def comb_graph(
     """
     if path_len < 1:
         raise GraphError("path length must be at least 1")
-    if path_weight <= 0 or endpoint_mass <= 0:
-        raise GraphError("path weight and endpoint mass must be positive")
+    _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass))
     n_path = path_len + 1
     if isinstance(interior_masses, (int, float)):
         inner = [float(interior_masses)] * max(0, path_len - 1)
@@ -323,6 +329,10 @@ def random_comb(
     for path weight w, tooth and interior-path measures uniform in
     ``measure_range``.  Deterministic for a given seed.
     """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise GraphError(f"seed must be nonnegative, got {seed}")
+    _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass),
+                             ("weight_factor * path weight", weight_factor * path_weight))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     lo, hi = measure_range
     interior = [float(rng.uniform(lo, hi)) for _ in range(max(0, path_len - 1))]

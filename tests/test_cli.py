@@ -219,6 +219,37 @@ class TestGenerateComb:
         assert (code, out) == (2, "")
         assert err.strip().splitlines() == [f"steklov: {message}"]
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--path-weight", "-1", "path weight must be positive and finite, got -1.0"),
+        ("--path-weight", "nan", "path weight must be positive and finite, got nan"),
+        ("--path-weight", "inf", "path weight must be positive and finite, got inf"),
+        ("--path-weight", "1e308",
+         "weight_factor * path weight must be positive and finite, got inf"),
+        ("--endpoint-mass", "nan", "endpoint mass must be positive and finite, got nan"),
+        ("--endpoint-mass", "0", "endpoint mass must be positive and finite, got 0.0"),
+    ])
+    def test_bad_random_comb_values_exit_2(self, capsys, flag, value, message):
+        values = {"--path-weight": "1", "--endpoint-mass": "1", flag: value}
+        code, out, err = run(
+            capsys, "generate-comb", "--path-len", "3",
+            "--path-weight", values["--path-weight"],
+            "--endpoint-mass", values["--endpoint-mass"],
+        )
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == [f"steklov: {message}"]
+
+    def test_nan_path_weight_with_teeth_exit_2(self, capsys, tmp_path):
+        teeth = tmp_path / "teeth.json"
+        teeth.write_text(json.dumps({"vertices": [{"id": "t", "m": 1}], "attachments": [
+            {"v": "t", "path_index": 1, "w": 1}]}))
+        code, out, err = run(
+            capsys, "generate-comb", "--path-len", "2", "--path-weight", "nan",
+            "--endpoint-mass", "1", "--teeth", str(teeth),
+        )
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == [
+            "steklov: path weight must be positive and finite, got nan"]
+
 
 class TestVerify:
     def test_exhaustive_clean_run(self, capsys):
@@ -260,6 +291,33 @@ class TestVerify:
         assert doc["index"] == 7 and doc["check"] == "bound_extended_holds"
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["violations"] == 1
+
+    def test_random_n_max_above_cap_exit_2(self, capsys, monkeypatch):
+        from steklov import corpus
+
+        def no_pairs(n):
+            raise AssertionError(f"built the vertex pairs of n = {n}")
+
+        monkeypatch.setattr(corpus, "_pair_arrays", no_pairs)
+        code, out, err = run(
+            capsys, "verify", "--mode", "random", "--n-max", "100000", "--samples", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err.strip().splitlines() == [
+            f"steklov: random mode requires 2 <= n_max <= {corpus.RANDOM_N_MAX}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "random", "--seed", "-1"],
+    ["verify", "--mode", "exhaustive", "--n-max", "3", "--seed", "-1"],
+    ["verify", "--mode", "exhaustive", "--n-max", "3", "--unit-only", "--seed", "-1"],
+    ["generate-comb", "--path-len", "3", "--path-weight", "1", "--endpoint-mass", "1",
+     "--seed", "-1"],
+], ids=["random", "weighted-exhaustive", "unit-exhaustive", "generate-comb"])
+def test_negative_seed_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.strip().splitlines() == ["steklov: seed must be nonnegative, got -1"]
 
 
 class TestErrors:

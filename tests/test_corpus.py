@@ -25,13 +25,21 @@ from steklov.corpus import (
     KNOWN_MUTATIONS,
     MUTATION_BOUND_DB,
     MUTATION_COMB_SKIP,
-    _adjacency_stack,
-    _comb_verdicts,
+    RANDOM_N_MAX,
+    _bits,
     _connected_edge_masks,
+    _geodesic_conditions,
     _geodesic_tables,
+    _graph_quantities,
     _instance_graph,
-    _verify_exhaustive_batch,
-    _verify_exhaustive_reference,
+    _pair_arrays,
+    _Stack,
+)
+from conftest import unit_path
+from reference_corpus import (
+    reference_check_instance,
+    reference_quantities,
+    reference_verify,
 )
 
 
@@ -166,28 +174,49 @@ class TestEnumeration:
 class TestBatchedGeodesics:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_walk_counts_and_comb_match_per_graph_route(self, n):
-        """Distances from the walk counts equal hop_distance_matrix, a count
-        of 1 marks exactly the pairs with one geodesic, and the vectorized
-        comb test agrees with is_comb_over on every such pair."""
+        """Distances from the capped walk counts equal hop_distance_matrix, a
+        count of 1 marks exactly the pairs with one geodesic, and the
+        vectorized comb test agrees with is_comb_over on every such pair."""
         masks = _connected_edge_masks(n)
-        adj = _adjacency_stack(n, masks)
-        counts, dist = _geodesic_tables(adj)
+        u, v = _pair_arrays(n)
+        adj = np.zeros((len(masks), n, n))
+        adj[:, u, v] = adj[:, v, u] = _bits(masks, len(u))
+        stack = _Stack(adj)
+        counts, dist = stack.counts, stack.dist
         cells, expected = [], []
         for gi, mask in enumerate(masks):
             g = _instance_graph(n, mask, (1 << n) - 1)
             assert dist[gi].tolist() == hop_distance_matrix(g).tolist()
             for x, y in combinations(range(n), 2):
                 geodesics = all_geodesics(g, x, y)
-                unique = counts[gi, dist[gi, x, y] - 1, x, y] == 1
+                unique = counts[gi, x, y] == 1
                 assert unique == (len(geodesics) == 1)
                 if unique:
                     cells.append((gi, x, y))
                     expected.append(is_comb_over(g, geodesics[0]).is_comb)
         gi, x, y = np.array(cells).T
-        verdicts = _comb_verdicts(adj > 0, dist, gi, x, y)
-        assert verdicts.tolist() == expected
+        cond_path, cond_comb = _geodesic_conditions(stack, gi, x, y)
+        assert cond_path.all()  # unit weights: every geodesic edge is w0
+        assert cond_comb.tolist() == expected
         if n >= 3:
             assert any(expected) and not all(expected)
+
+    def test_capped_tables_on_200_vertices(self):
+        """On a random graph with n = 200 the hop tables equal the per-graph
+        BFS, counts capped at 2, and nothing overflows."""
+        from steklov.graph import geodesic_counts
+
+        g = random_graph(200, 0.03, (0.5, 2.0), (0.5, 2.0), 2, seed=4)
+        u, v, w = g.edge_arrays
+        weights = np.zeros((1, g.n, g.n))
+        weights[0, u, v] = weights[0, v, u] = w
+        with np.errstate(all="raise"):
+            counts, dist = _geodesic_tables(weights)
+        assert dist[0].tolist() == hop_distance_matrix(g).tolist()
+        assert dist.max() >= 3
+        capped = [geodesic_counts(g, x)[1] for x in range(g.n)]
+        assert counts[0].tolist() == np.minimum(2, capped).tolist()
+        assert (counts == 2).any()
 
 
 class TestCheckInstance:
@@ -213,6 +242,69 @@ class TestCheckInstance:
         )
         assert [name for name, _ in failures] == ["equality_iff_certified"]
 
+
+    @pytest.mark.parametrize("mutation", ["", *sorted(KNOWN_MUTATIONS)],
+                             ids=lambda m: m or "clean")
+    def test_quantities_match_reference(self, mutation):
+        """A batch of one draws the reference's Green vectors, so every
+        quantity of the table agrees with the per-graph route, the
+        schur_form/energy pair included."""
+        from conftest import rng_graph
+        from steklov import random_comb
+
+        mutations = frozenset({mutation} - {""})
+        rng = np.random.default_rng(21)
+        graphs = [random_comb(int(rng.integers(1, 5)), 1.5, 2.0, seed=rng) for _ in range(5)]
+        graphs += [rng_graph(rng, int(rng.integers(1, 13)), unit=bool(k % 2))
+                   for k in range(60)]
+        for g in graphs:
+            ours = _graph_quantities([g], np.random.default_rng(7), mutations)
+            ref = reference_quantities(g, np.random.default_rng(7), mutations)
+            assert ours.keys() == ref.keys()
+            for name, value in ref.items():
+                got = np.asarray(ours[name])[0, 0].item()
+                if isinstance(value, (bool, np.bool_)):
+                    assert got == value, name
+                else:
+                    assert got == pytest.approx(value, rel=1e-9, abs=1e-12), name
+
+    def test_single_boundary_vertex_skips_bound_rows(self):
+        g = graph_from_arrays([1.0, 2.0, 1.5], [1], [(0, 1, 1.0), (1, 2, 0.5)])
+        q = _graph_quantities([g], np.random.default_rng(0), frozenset())
+        assert "sigma2" not in q and "certified_equality" not in q
+        assert check_instance(g) == []
+
+    def test_graphs_without_spectrum_raise(self):
+        from steklov import DisconnectedGraphError, EmptyBoundaryError
+
+        disconnected = graph_from_arrays([1.0] * 4, [0, 3], [(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(DisconnectedGraphError):
+            check_instance(disconnected)
+        no_boundary = graph_from_arrays([1.0] * 2, [], [(0, 1, 1.0)])
+        with pytest.raises(EmptyBoundaryError):
+            check_instance(no_boundary)
+
+    @pytest.mark.parametrize("routine", ["solve", "eigh", "eigvalsh"])
+    def test_linalg_error_is_a_numerics_failure(self, monkeypatch, routine):
+        """A LinAlgError fails every instance of its stack, one record each."""
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(np.linalg, routine, fail)
+        if routine == "eigvalsh":
+            spec = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
+            instances = count_exhaustive_instances(3)
+        else:
+            assert check_instance(unit_path(4)) == [
+                ("numerics_failure", {"error": "forced failure"})
+            ]
+            if routine == "solve":
+                return
+            spec = CorpusSpec(mode="random", n_max=5, samples=20)
+            instances = spec.samples
+        records = verify_corpus(spec)
+        assert {r.check for r in records} == {"numerics_failure"}
+        assert [r.index for r in records] == list(range(instances))
 
     @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
     @pytest.mark.parametrize("scaled", ["weights", "measures"])
@@ -241,6 +333,8 @@ class TestCheckInstance:
 
     @pytest.mark.parametrize("kind", ["random", "comb"])
     def test_one_laplacian_and_one_factorization(self, monkeypatch, kind):
+        """The per-graph reference route builds one Laplacian and one
+        interior factorization per graph."""
         import steklov.spectral as spectral
         from conftest import rng_graph
         from steklov import random_comb
@@ -264,7 +358,7 @@ class TestCheckInstance:
         else:
             g = rng_graph(rng, 12, boundary_size=3)
         assert len(g.interior) > 0
-        assert check_instance(g, rng=rng) == []
+        assert reference_check_instance(g, rng=rng) == []
         assert calls == {"laplacian": 1, "cho_factor": 1}
 
 
@@ -291,26 +385,49 @@ class TestVerifyCorpus:
             CorpusSpec(mode="full")
         with pytest.raises(GraphError, match="2 <= n_max <= 7"):
             CorpusSpec(mode="exhaustive", n_max=9)
+        with pytest.raises(GraphError, match="seed must be nonnegative"):
+            CorpusSpec(mode="random", seed=-1)
 
-    @pytest.mark.parametrize("mutation", sorted(KNOWN_MUTATIONS))
-    def test_batch_and_reference_agree_under_mutation(self, mutation):
-        """The vectorized engine and the per-graph reference path must flag
-        exactly the same instances for the same reasons, with the same
-        details."""
-        spec = CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)
-        batch = _verify_exhaustive_batch(spec, frozenset({mutation}), None)
-        reference = _verify_exhaustive_reference(spec, frozenset({mutation}), None)
+    @pytest.mark.parametrize("n_max", [1, RANDOM_N_MAX + 1, 100_000])
+    def test_random_n_max_out_of_range(self, monkeypatch, n_max):
+        # rejected before any draw: n_max = 100000 means 5e9 vertex pairs
+        def no_pairs(n):
+            raise AssertionError(f"built the vertex pairs of n = {n}")
+
+        monkeypatch.setattr(corpus, "_pair_arrays", no_pairs)
+        with pytest.raises(GraphError, match=f"2 <= n_max <= {RANDOM_N_MAX}"):
+            verify_corpus(CorpusSpec(mode="random", n_max=n_max, samples=1))
+
+    @pytest.mark.parametrize("mutation", ["", *sorted(KNOWN_MUTATIONS)],
+                             ids=lambda m: m or "clean")
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec(mode="exhaustive", n_max=4, unit_only=True),
+        CorpusSpec(mode="exhaustive", n_max=4, seed=3),
+        CorpusSpec(mode="random", n_max=30, samples=300),
+        CorpusSpec(mode="random", n_max=8, samples=300, unit_only=True),
+    ], ids=["unit", "weighted", "random", "random-unit"])
+    def test_kernel_and_reference_agree(self, spec, mutation):
+        """The stacked kernel and the per-graph reference route flag exactly
+        the same instances for the same reasons, with the same details.
+        Stacked streams draw their Green vectors per stack, so only the
+        schur_form/energy pair is left out."""
+        mutations = frozenset({mutation} - {""})
+        ours = verify_corpus(spec, mutations=mutations)
+        reference = reference_verify(spec, mutations)
         key = lambda recs: [(r.index, r.check) for r in recs]
-        assert key(batch) == key(reference)
-        assert len(batch) > 0
-        for rb, rr in zip(batch, reference):
-            assert rb.graph == rr.graph
-            assert rb.details.keys() == rr.details.keys()
+        assert key(ours) == key(reference)
+        assert (len(ours) > 0) == (mutation == MUTATION_BOUND_DB or (
+            mutation == MUTATION_COMB_SKIP and spec.unit_only))
+        for ro, rr in zip(ours, reference):
+            assert ro.graph == rr.graph
+            assert ro.details.keys() == rr.details.keys()
             for name, value in rr.details.items():
+                if name in ("schur_form", "energy"):
+                    continue
                 if isinstance(value, bool):
-                    assert rb.details[name] is value, name
+                    assert ro.details[name] is value, name
                 else:
-                    assert rb.details[name] == pytest.approx(
+                    assert ro.details[name] == pytest.approx(
                         value, rel=1e-9, abs=1e-12
                     ), name
 
