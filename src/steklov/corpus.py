@@ -8,12 +8,14 @@ Each assertion is written once, as a row of the check table ``_CHECKS``.
 One kernel, ``_quantities``, computes every quantity the table reads for a
 stack of graphs crossed with shared boundary index tables.  Unit-weight
 exhaustive mode feeds it chunks of edge masks; every other stream (random
-mode, weighted exhaustive mode and ``check_instance``, a stream of one) is
-relabelled boundary-first and stacked by (n, |B|, unit weights).
+mode, weighted exhaustive mode and ``check_instance``, a stream of one) is a
+stream of array instances, relabelled boundary-first and stacked by (n, |B|,
+unit weights).  A validated graph is built only for a violation record.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
@@ -25,11 +27,13 @@ from .graph import (
     EmptyBoundaryError,
     GraphError,
     WeightedBoundaryGraph,
+    all_unit,
     component_labels,
     graph_from_arrays,
     graph_to_json_dict,
     json_number,
     require_connected,
+    seeded_rng,
 )
 from .rigidity import bound_attained
 from .spectral import KERNEL_TOL, PSD_TOL, SIGMA1_TOL, SYMMETRY_TOL
@@ -112,6 +116,7 @@ class CorpusSpec:
             raise GraphError("samples must be nonnegative")
         if self.seed < 0:
             raise GraphError(f"seed must be nonnegative, got {self.seed}")
+        _check_ranges(self.weight_range, self.measure_range)
 
 
 @dataclass(frozen=True)
@@ -133,19 +138,36 @@ class ViolationRecord:
         }
 
 
-# --- random graphs ------------------------------------------------------------
+# --- instances -------------------------------------------------------------------
 
 
-def random_graph(
-    n: int,
-    edge_prob: float,
-    weight_range: tuple[float, float],
-    measure_range: tuple[float, float],
-    boundary_size: int,
-    seed,
-    unit: bool = False,
-    max_retries: int = 1000,
-) -> WeightedBoundaryGraph:
+class _Instance(namedtuple("_Instance", "n u v w m boundary unit")):
+    """A corpus instance as the kernel reads it: the edges u < v, sorted by
+    (u, v), with weights w, the measures m, the sorted boundary ids and
+    whether every weight and measure is 1 (:func:`all_unit`)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, g: WeightedBoundaryGraph) -> _Instance:
+        return cls(g.n, *g.edge_arrays, g.measures, np.asarray(g.boundary), g.is_unit_weighted())
+
+    def graph(self) -> WeightedBoundaryGraph:
+        """The validated graph, built only for a violation record."""
+        return graph_from_arrays(self.m, self.boundary.tolist(),
+                                 zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
+
+
+def _check_ranges(weight_range, measure_range) -> None:
+    """Ends finite and > 0 make every drawn value so: drawn instances skip validation."""
+    for name, ends in (("weight_range", weight_range), ("measure_range", measure_range)):
+        if len(ends) != 2 or not all(0 < end < np.inf for end in ends):
+            raise GraphError(f"{name} ends must be finite and > 0, got {tuple(ends)}")
+
+
+def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
+                 measure_range: tuple[float, float], boundary_size: int, seed,
+                 unit: bool = False, max_retries: int = 1000) -> WeightedBoundaryGraph:
     """Uniform G(n, p) conditioned on connectivity, by rejection sampling.
 
     Weights and measures are uniform in the given ranges (or all 1 with
@@ -157,7 +179,14 @@ def random_graph(
         raise GraphError("random graphs need n >= 2")
     if not 1 <= boundary_size <= n:
         raise GraphError("boundary size must be between 1 and n")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    _check_ranges(weight_range, measure_range)
+    return _random_instance(n, edge_prob, weight_range, measure_range, boundary_size,
+                            seeded_rng(seed), unit, max_retries).graph()
+
+
+def _random_instance(n, edge_prob, weight_range, measure_range, boundary_size, rng,
+                     unit, max_retries=1000) -> _Instance:
+    """The draw of :func:`random_graph`, as an instance."""
     tails, heads = _pair_arrays(n)
     for _ in range(max_retries):
         keep = rng.random(len(tails)) < edge_prob
@@ -165,21 +194,14 @@ def random_graph(
         if not component_labels(n, u, v).any():
             break
     else:
-        raise GraphError(
-            f"no connected draw in {max_retries} tries (n={n}, p={edge_prob})"
-        )
+        raise GraphError(f"no connected draw in {max_retries} tries (n={n}, p={edge_prob})")
     if unit:
-        weights = np.ones(len(u))
-        measures = np.ones(n)
+        weights, measures = np.ones(len(u)), np.ones(n)
     else:
         weights = rng.uniform(*weight_range, size=len(u))
         measures = rng.uniform(*measure_range, size=n)
-    boundary = sorted(int(b) for b in rng.choice(n, size=boundary_size, replace=False))
-    return graph_from_arrays(
-        measures=measures,
-        boundary=boundary,
-        edges=list(zip(u.tolist(), v.tolist(), weights.tolist())),
-    )
+    boundary = np.sort(rng.choice(n, size=boundary_size, replace=False))
+    return _Instance(n, u, v, weights, measures, boundary, all_unit(measures, weights))
 
 
 @lru_cache(maxsize=64)
@@ -227,31 +249,29 @@ def _bits(masks, width: int) -> np.ndarray:
     return (np.asarray(masks, dtype=np.int64)[..., None] >> np.arange(width)) & 1
 
 
-def _instance_graph(
-    n: int,
-    edge_mask: int,
-    boundary_mask: int,
-    weights: Sequence[float] | None = None,
-    measures: Sequence[float] | None = None,
-) -> WeightedBoundaryGraph:
+def _mask_instance(n: int, edge_mask: int, boundary_mask: int,
+                   rng=None, weight_range=None, measure_range=None) -> _Instance:
+    """Instance of an edge and a boundary bitmask; values drawn from ``rng``, else all 1."""
     tails, heads = _pair_arrays(n)
     on = np.flatnonzero(_bits(edge_mask, len(tails)))
-    if weights is None:
-        weights = [1.0] * len(on)
-    if measures is None:
-        measures = [1.0] * n
-    edges = zip(tails[on].tolist(), heads[on].tolist(), map(float, weights))
-    boundary = np.flatnonzero(_bits(boundary_mask, n)).tolist()
-    return graph_from_arrays(measures=measures, boundary=boundary, edges=edges)
+    w, m = np.ones(len(on)), np.ones(n)
+    if rng is not None:
+        w, m = rng.uniform(*weight_range, size=len(on)), rng.uniform(*measure_range, size=n)
+    return _Instance(n, tails[on], heads[on], w, m, np.flatnonzero(_bits(boundary_mask, n)),
+                     all_unit(m, w))
 
 
-def enumerate_small(
-    n_max: int,
-    unit_only: bool = True,
-    rng=None,
-    weight_range: tuple[float, float] = (0.5, 2.0),
-    measure_range: tuple[float, float] = (0.5, 2.0),
-) -> Iterator[WeightedBoundaryGraph]:
+def _small_instances(n_max: int, *draw) -> Iterator[_Instance]:
+    """The instances of :func:`enumerate_small`, by ``_mask_instance(..., *draw)``."""
+    return (_mask_instance(n, edge_mask, boundary_mask, *draw)
+            for n in range(2, n_max + 1) for edge_mask in _connected_edge_masks(n)
+            for boundary_mask in _boundary_masks(n))
+
+
+def enumerate_small(n_max: int, unit_only: bool = True, rng=None,
+                    weight_range: tuple[float, float] = (0.5, 2.0),
+                    measure_range: tuple[float, float] = (0.5, 2.0)
+                    ) -> Iterator[WeightedBoundaryGraph]:
     """Every connected labeled graph on 2..n_max vertices, crossed with every
     boundary subset of size >= 2.
 
@@ -262,17 +282,9 @@ def enumerate_small(
     """
     if not 2 <= n_max <= 7:
         raise GraphError("exhaustive enumeration requires 2 <= n_max <= 7")
-    if not unit_only and rng is None:
-        rng = np.random.default_rng(0)
-    for n in range(2, n_max + 1):
-        for edge_mask in _connected_edge_masks(n):
-            n_edges = bin(edge_mask).count("1")
-            for boundary_mask in _boundary_masks(n):
-                weights = measures = None
-                if not unit_only:
-                    weights = rng.uniform(*weight_range, size=n_edges)
-                    measures = rng.uniform(*measure_range, size=n)
-                yield _instance_graph(n, edge_mask, boundary_mask, weights, measures)
+    _check_ranges(weight_range, measure_range)
+    draw = () if unit_only else (rng or np.random.default_rng(0), weight_range, measure_range)
+    return map(_Instance.graph, _small_instances(n_max, *draw))
 
 
 def count_exhaustive_instances(n_max: int) -> int:
@@ -468,6 +480,8 @@ def _violations(q: dict, instance: Callable) -> list[ViolationRecord]:
     index and the graph of cell (gi, ci)."""
     records = []
     for check, keys, ok in _evaluate(q):
+        if ok.all():
+            continue
         for gi, ci in np.argwhere(~ok).tolist():
             index, g = instance(gi, ci)
             records.append(ViolationRecord(
@@ -507,7 +521,7 @@ def _verify_unit_masks(spec, mutations, max_violations) -> list[ViolationRecord]
                 q = _quantities(stack, bidx, iidx, rng, mutations, vectors=False)
                 records += _violations(q, lambda gi, ci: (
                     index_base + (start + gi) * len(bmasks) + int(ranks[ci]),
-                    _instance_graph(n, sub[gi], bmasks[ranks[ci]]),
+                    _mask_instance(n, sub[gi], bmasks[ranks[ci]]).graph(),
                 ))
             if max_violations is not None and len(records) >= max_violations:
                 return sorted(records, key=_record_key)
@@ -515,87 +529,78 @@ def _verify_unit_masks(spec, mutations, max_violations) -> list[ViolationRecord]
     return sorted(records, key=_record_key)
 
 
-def _graph_quantities(graphs: Sequence[WeightedBoundaryGraph], rng, mutations) -> dict:
-    """The kernel's quantities for graphs that share (n, |B|, unit weights),
-    each relabelled boundary-first so that they share ``bidx = arange(|B|)``."""
-    n, nb = graphs[0].n, len(graphs[0].boundary)
-    weights = np.zeros((len(graphs), n, n))
-    measures = None if graphs[0].is_unit_weighted() else np.empty((len(graphs), n))
-    for k, g in enumerate(graphs):
-        order = np.argsort(~g.boundary_mask, kind="stable")
-        label = np.empty(n, dtype=np.intp)
-        label[order] = np.arange(n)
-        u, v, w = g.edge_arrays
-        weights[k, label[u], label[v]] = weights[k, label[v], label[u]] = w
-        if measures is not None:
-            measures[k] = g.measures[order]
-    return _quantities(_Stack(weights, measures), np.arange(nb)[None],
-                       np.arange(nb, n)[None], rng, mutations, vectors=True)
+def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
+    """The kernel's quantities for instances that share (n, |B|, unit weights),
+    each relabelled boundary-first so that they share ``bidx = arange(|B|)``;
+    one fancy assignment scatters every edge of the stack."""
+    count, n, nb = len(stack), stack[0].n, len(stack[0].boundary)
+    on_b = np.zeros((count, n), dtype=bool)
+    on_b[np.arange(count)[:, None], [inst.boundary for inst in stack]] = True
+    label = np.where(on_b, on_b.cumsum(axis=1) - 1, nb - 1 + (~on_b).cumsum(axis=1))
+    gi = np.repeat(np.arange(count), [len(inst.u) for inst in stack])
+    u = label[gi, np.concatenate([inst.u for inst in stack])]
+    v = label[gi, np.concatenate([inst.v for inst in stack])]
+    weights = np.zeros((count, n, n))
+    weights[gi, u, v] = weights[gi, v, u] = np.concatenate([inst.w for inst in stack])
+    measures = np.empty((count, n))
+    measures[np.arange(count)[:, None], label] = [inst.m for inst in stack]
+    return _quantities(_Stack(weights, None if stack[0].unit else measures),
+                       np.arange(nb)[None], np.arange(nb, n)[None], rng, mutations,
+                       vectors=True)
 
 
 # Matrix cells (n^2 summed over the graphs) per window of a graph stream.
 _WINDOW_CELLS = 1 << 20
 
 
-def _verify_graphs(graphs, rng, mutations, max_violations) -> list[ViolationRecord]:
-    """Verify a graph stream window by window, each window stacked by
+def _verify_instances(instances, rng, mutations, max_violations) -> list[ViolationRecord]:
+    """Verify an instance stream window by window, each window stacked by
     (n, |B|, unit weights); Green-check vectors are drawn per stack."""
     records: list[ViolationRecord] = []
-    stream = enumerate(graphs)
+    stream = enumerate(instances)
     while True:
         stacks: dict[tuple, list] = {}
         cells = 0
-        for index, g in stream:
-            key = (g.n, len(g.boundary), g.is_unit_weighted())
-            stacks.setdefault(key, []).append((index, g))
-            cells += g.n * g.n
+        for index, inst in stream:
+            stacks.setdefault((inst.n, len(inst.boundary), inst.unit), []).append((index, inst))
+            cells += inst.n * inst.n
             if cells >= _WINDOW_CELLS:
                 break
         for members in stacks.values():
             indices, group = zip(*members)
-            q = _graph_quantities(group, rng, mutations)
-            records += _violations(q, lambda gi, ci: (indices[gi], group[gi]))
+            q = _stack_quantities(group, rng, mutations)
+            records += _violations(q, lambda gi, ci: (indices[gi], group[gi].graph()))
         if not stacks or (max_violations is not None and len(records) >= max_violations):
             return sorted(records, key=_record_key)
 
 
-def check_instance(
-    g: WeightedBoundaryGraph,
-    rng=None,
-    mutations: frozenset = frozenset(),
-) -> list[tuple[str, dict]]:
+def check_instance(g: WeightedBoundaryGraph, rng=None,
+                   mutations: frozenset = frozenset()) -> list[tuple[str, dict]]:
     """Run every corpus assertion on one graph; returns (check, details) failures.
 
-    A stream of one through the kernel of ``verify_corpus``.  Raises
-    :class:`~steklov.graph.DisconnectedGraphError` and
-    :class:`~steklov.graph.EmptyBoundaryError` like the per-graph analysis.
+    The graph's own arrays as a stream of one through the kernel of
+    ``verify_corpus``.  Raises :class:`~steklov.graph.DisconnectedGraphError`
+    and :class:`~steklov.graph.EmptyBoundaryError` like the per-graph analysis.
     """
     require_connected(g)
     if not g.boundary:
         raise EmptyBoundaryError("graph has an empty boundary")
     rng = rng if rng is not None else np.random.default_rng(0)
-    q = _graph_quantities([g], rng, mutations)
+    q = _stack_quantities([_Instance.of(g)], rng, mutations)
     return [(r.check, r.details) for r in _violations(q, lambda gi, ci: (0, g))]
 
 
 # --- top-level verification ------------------------------------------------------
 
 
-def _random_graphs(spec: CorpusSpec) -> Iterator[WeightedBoundaryGraph]:
+def _random_instances(spec: CorpusSpec) -> Iterator[_Instance]:
     rng = np.random.default_rng([spec.seed, 0])
     for _ in range(spec.samples):
         n = int(rng.integers(2, spec.n_max + 1))
         edge_prob = float(rng.uniform(0.2, 0.9))
         boundary_size = int(rng.integers(2, n + 1))
-        yield random_graph(
-            n,
-            edge_prob,
-            spec.weight_range,
-            spec.measure_range,
-            boundary_size,
-            rng,
-            unit=spec.unit_only,
-        )
+        yield _random_instance(n, edge_prob, spec.weight_range, spec.measure_range,
+                               boundary_size, rng, spec.unit_only)
 
 
 def verify_corpus(
@@ -617,14 +622,9 @@ def verify_corpus(
     if spec.mode == "exhaustive" and spec.unit_only:
         return _verify_unit_masks(spec, mutations, max_violations)
     if spec.mode == "random":
-        graphs = _random_graphs(spec)
+        instances = _random_instances(spec)
     else:
-        graphs = enumerate_small(
-            spec.n_max,
-            unit_only=False,
-            rng=np.random.default_rng([spec.seed, 0]),
-            weight_range=spec.weight_range,
-            measure_range=spec.measure_range,
-        )
-    return _verify_graphs(graphs, np.random.default_rng([spec.seed, 1]), mutations,
-                          max_violations)
+        instances = _small_instances(spec.n_max, np.random.default_rng([spec.seed, 0]),
+                                     spec.weight_range, spec.measure_range)
+    return _verify_instances(instances, np.random.default_rng([spec.seed, 1]), mutations,
+                             max_violations)

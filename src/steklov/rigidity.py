@@ -21,6 +21,7 @@ from .graph import (
     component_labels,
     geodesic_counts,
     graph_from_arrays,
+    seeded_rng,
 )
 
 EQUALITY_TOL = 1e-8
@@ -329,11 +330,9 @@ def random_comb(
     for path weight w, tooth and interior-path measures uniform in
     ``measure_range``.  Deterministic for a given seed.
     """
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise GraphError(f"seed must be nonnegative, got {seed}")
+    rng = seeded_rng(seed)
     _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass),
                              ("weight_factor * path weight", weight_factor * path_weight))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     lo, hi = measure_range
     interior = [float(rng.uniform(lo, hi)) for _ in range(max(0, path_len - 1))]
 

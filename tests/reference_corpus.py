@@ -18,7 +18,7 @@ from steklov.corpus import (
     _details,
     _evaluate,
     _operator_quantities,
-    _random_graphs,
+    _random_instances,
 )
 from steklov.spectral import (
     NumericsError,
@@ -89,7 +89,7 @@ def reference_check_instance(g, rng=None, mutations=frozenset()) -> list:
 def reference_verify(spec, mutations=frozenset()) -> list:
     """verify_corpus one graph at a time over the same instance stream."""
     if spec.mode == "random":
-        graphs = _random_graphs(spec)
+        graphs = (instance.graph() for instance in _random_instances(spec))
     else:
         graphs = enumerate_small(
             spec.n_max,

@@ -30,10 +30,13 @@ from steklov.corpus import (
     _connected_edge_masks,
     _geodesic_conditions,
     _geodesic_tables,
-    _graph_quantities,
-    _instance_graph,
+    _Instance,
+    _mask_instance,
     _pair_arrays,
+    _random_instances,
+    _small_instances,
     _Stack,
+    _stack_quantities,
 )
 from conftest import unit_path
 from reference_corpus import (
@@ -104,6 +107,48 @@ class TestRandomGraph:
         with pytest.raises(GraphError):
             random_graph(4, 0.5, (0.5, 2.0), (0.5, 2.0), 5, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)], ids=["int", "numpy"])
+    def test_negative_seed_is_a_graph_error(self, seed):
+        with pytest.raises(GraphError, match=r"^seed must be nonnegative, got -\d+$"):
+            random_graph(5, 0.5, (0.5, 2), (0.5, 2), 2, seed=seed)
+
+
+BAD_RANGES = [(float("nan"), 1.0), (0.5, float("inf")), (-1.0, 2.0), (0.0, 1.0),
+              (0.5, float("nan")), (float("-inf"), 1.0)]
+
+
+@pytest.mark.parametrize("bad", BAD_RANGES, ids=str)
+@pytest.mark.parametrize("name", ["weight_range", "measure_range"])
+class TestValueRanges:
+    """A range end that is not finite and > 0 is one GraphError line, raised
+    before any draw: drawn instances are not validated value by value."""
+
+    @staticmethod
+    def ranges(name, bad):
+        return {"weight_range": (0.5, 2.0), "measure_range": (0.5, 2.0), name: bad}
+
+    @staticmethod
+    def assert_one_line(excinfo, name):
+        assert str(excinfo.value).startswith(f"{name} ends must be finite and > 0, got (")
+        assert "\n" not in str(excinfo.value)
+
+    def test_random_graph(self, name, bad):
+        r = self.ranges(name, bad)
+        with pytest.raises(GraphError) as excinfo:
+            random_graph(12, 0.5, r["weight_range"], r["measure_range"], 3, seed=0)
+        self.assert_one_line(excinfo, name)
+
+    def test_enumerate_small(self, name, bad):
+        with pytest.raises(GraphError) as excinfo:
+            enumerate_small(3, unit_only=False, **self.ranges(name, bad))
+        self.assert_one_line(excinfo, name)
+
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    def test_corpus_spec(self, name, bad, mode):
+        with pytest.raises(GraphError) as excinfo:
+            CorpusSpec(mode=mode, n_max=4, samples=50, **self.ranges(name, bad))
+        self.assert_one_line(excinfo, name)
+
 
 class TestEnumeration:
     def test_counts_match_recurrence(self):
@@ -119,7 +164,7 @@ class TestEnumeration:
         masks = _connected_edge_masks(n)
         assert list(masks) == sorted(masks)
         expected = {mask for mask in range(1 << (n * (n - 1) // 2))
-                    if is_connected(_instance_graph(n, mask, 0))}
+                    if is_connected(_mask_instance(n, mask, 0).graph())}
         assert set(masks) == expected
 
     def test_n2_single_instance(self):
@@ -171,6 +216,79 @@ class TestEnumeration:
             count_exhaustive_instances(n_max)
 
 
+class TestInstanceStreams:
+    """Random and weighted exhaustive mode stream array instances; a graph
+    is built from one only for a violation record."""
+
+    @staticmethod
+    def assert_instance_is_graph(inst, g):
+        assert inst.graph() == g
+        for ours, theirs in zip(inst, _Instance.of(g)):
+            assert np.array_equal(ours, theirs)
+            assert np.asarray(ours).dtype.kind == np.asarray(theirs).dtype.kind
+
+    @pytest.mark.parametrize("unit_only", [False, True])
+    def test_random_stream_is_random_graph(self, unit_only):
+        spec = CorpusSpec(mode="random", n_max=30, samples=300, seed=4, unit_only=unit_only)
+        rng = np.random.default_rng([spec.seed, 0])
+        for inst in _random_instances(spec):
+            n = int(rng.integers(2, spec.n_max + 1))
+            p = float(rng.uniform(0.2, 0.9))
+            g = random_graph(n, p, spec.weight_range, spec.measure_range,
+                             int(rng.integers(2, n + 1)), rng, unit=unit_only)
+            self.assert_instance_is_graph(inst, g)
+            assert inst.unit == unit_only
+
+    def test_weighted_stream_is_enumerate_small(self):
+        ranges = (0.25, 4.0), (0.5, 2.0)
+        stream = _small_instances(4, np.random.default_rng(13), *ranges)
+        graphs = enumerate_small(4, unit_only=False, rng=np.random.default_rng(13),
+                                 weight_range=ranges[0], measure_range=ranges[1])
+        count = 0
+        for inst, g in zip(stream, graphs, strict=True):
+            self.assert_instance_is_graph(inst, g)
+            count += 1
+        assert count == count_exhaustive_instances(4)
+
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec(mode="random", n_max=30, samples=300),
+        CorpusSpec(mode="random", n_max=8, samples=300, seed=5, unit_only=True),
+        CorpusSpec(mode="exhaustive", n_max=4, seed=3),
+        CorpusSpec(mode="exhaustive", n_max=4, unit_only=True),
+    ], ids=["random", "random-unit", "weighted", "unit"])
+    def test_clean_run_builds_no_graph(self, monkeypatch, spec):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("built a graph on a clean run")
+
+        def no_argwhere(*args, **kwargs):
+            raise AssertionError("searched a check row whose verdicts all hold")
+
+        monkeypatch.setattr(corpus, "graph_from_arrays", no_graph)
+        monkeypatch.setattr(corpus.np, "argwhere", no_argwhere)
+        assert verify_corpus(spec) == []
+
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec(mode="random", n_max=30, samples=300),
+        CorpusSpec(mode="exhaustive", n_max=4, seed=3),
+        CorpusSpec(mode="exhaustive", n_max=4, unit_only=True),
+    ], ids=["random", "weighted", "unit"])
+    def test_graphs_built_only_for_violations(self, monkeypatch, spec):
+        from steklov import graph_to_json_dict
+
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(graph_from_arrays(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(corpus, "graph_from_arrays", spy)
+        records = verify_corpus(spec, mutations=frozenset({MUTATION_BOUND_DB}))
+        assert records
+        as_text = lambda g: json.dumps(g, sort_keys=True)  # noqa: E731
+        assert sorted(as_text(graph_to_json_dict(g)) for g in built) == sorted(
+            as_text(r.graph) for r in records)
+
+
 class TestBatchedGeodesics:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_walk_counts_and_comb_match_per_graph_route(self, n):
@@ -185,7 +303,7 @@ class TestBatchedGeodesics:
         counts, dist = stack.counts, stack.dist
         cells, expected = [], []
         for gi, mask in enumerate(masks):
-            g = _instance_graph(n, mask, (1 << n) - 1)
+            g = _mask_instance(n, mask, (1 << n) - 1).graph()
             assert dist[gi].tolist() == hop_distance_matrix(g).tolist()
             for x, y in combinations(range(n), 2):
                 geodesics = all_geodesics(g, x, y)
@@ -258,7 +376,7 @@ class TestCheckInstance:
         graphs += [rng_graph(rng, int(rng.integers(1, 13)), unit=bool(k % 2))
                    for k in range(60)]
         for g in graphs:
-            ours = _graph_quantities([g], np.random.default_rng(7), mutations)
+            ours = _stack_quantities([_Instance.of(g)], np.random.default_rng(7), mutations)
             ref = reference_quantities(g, np.random.default_rng(7), mutations)
             assert ours.keys() == ref.keys()
             for name, value in ref.items():
@@ -270,7 +388,7 @@ class TestCheckInstance:
 
     def test_single_boundary_vertex_skips_bound_rows(self):
         g = graph_from_arrays([1.0, 2.0, 1.5], [1], [(0, 1, 1.0), (1, 2, 0.5)])
-        q = _graph_quantities([g], np.random.default_rng(0), frozenset())
+        q = _stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
         assert "sigma2" not in q and "certified_equality" not in q
         assert check_instance(g) == []
 
