@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .graph import GraphError, WeightedBoundaryGraph, json_number
-from .spectral import steklov_spectrum
+from .spectral import NumericsError, steklov_spectrum
 
 INF = float("inf")
 
@@ -75,15 +77,31 @@ def compute_bound_report(g: WeightedBoundaryGraph) -> BoundReport:
     analysis = g.analysis
     bm = g.measures[analysis.bidx]
     w0 = float(g.edge_arrays[2].min(initial=INF))
-    m0, VB, dB = float(bm.min(initial=INF)), float(bm.sum()), analysis.boundary_diameter
+    with np.errstate(over="ignore"):  # an infinite V_B is reported below
+        VB = float(bm.sum())
+    m0, dB = float(bm.min(initial=INF)), analysis.boundary_diameter
     sigma2 = steklov_spectrum(g).sigma(2)
-    b_unit, b_general, b_extended = bound_formulas(w0, m0, VB, dB, len(g.boundary))
+    nb = len(g.boundary)
+    if nb >= 2:
+        _require_in_range(VB=VB, **{"(V_B - m0)^2": (VB - m0) ** 2})
+    b_unit, b_general, b_extended = bound_formulas(w0, m0, VB, dB, nb)
+    if nb >= 2:
+        _require_in_range(bound_unit=b_unit, bound_general=b_general,
+                          bound_extended=b_extended, sigma2=sigma2)
     return BoundReport(
         w0=w0, m0=m0, VB=VB, dB=dB,
         bound_unit=b_unit, bound_unit_applicable=_unit_applicable(g),
         bound_general=b_general, bound_extended=b_extended,
         sigma2=sigma2, gap_extended=float(sigma2 - b_extended),
     )
+
+
+def _require_in_range(**values: float) -> None:
+    """Raise :class:`NumericsError` for the first value that is zero or not
+    finite: an overflow or underflow of binary64 at this scale."""
+    for name, value in values.items():
+        if not 0.0 < abs(value) < INF:
+            raise NumericsError(f"{name} = {value!r} is out of binary64 range")
 
 
 def bound_report(g: WeightedBoundaryGraph) -> BoundReport:

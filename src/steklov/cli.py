@@ -13,11 +13,17 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .bounds import bound_report
 from .corpus import RANDOM_N_MAX, CorpusSpec, count_exhaustive_instances, verify_corpus
 from .graph import (
+    Check,
     GraphError,
     WeightedBoundaryGraph,
+    _first_fault,
+    _json_columns,
+    _number_column,
     boundary_vector,
     graph_to_json,
     load_json,
@@ -117,14 +123,20 @@ def _parse_values_file(g: WeightedBoundaryGraph, path: str) -> dict[int, float]:
     return values
 
 
-_TOOTH_VERTEX_KEYS = {"id", "m"}
-_TOOTH_EDGE_KEYS = {"u", "v", "w"}
-_TOOTH_ATTACH_KEYS = {"v", "path_index", "w"}
+def _tooth_ids(column, ids: dict[str, int], where: str) -> tuple[list[int], Check]:
+    """The tooth ids a column of labels names, with the check that each
+    label names a tooth vertex."""
+    known = [isinstance(label, str) and label in ids for label in column]
+    return [ids[label] if k else -1 for label, k in zip(column, known)], (
+        ~np.array(known, dtype=bool),
+        lambda i: f"teeth file: {where}[{i}]: unknown tooth vertex {column[i]!r}")
 
 
 def _parse_teeth_file(path: str) -> ToothSet:
     """Teeth document: {"vertices": [{"id","m"}], "edges": [{"u","v","w"}],
-    "attachments": [{"v","path_index","w"}]}."""
+    "attachments": [{"v","path_index","w"}]}.  Rows are validated column by
+    column like those of a graph document, and the first offending row of
+    each array is reported."""
     doc = load_json(_read_text(path), "teeth file: ")
     if not isinstance(doc, dict):
         raise GraphError("teeth file: top level must be an object")
@@ -134,49 +146,32 @@ def _parse_teeth_file(path: str) -> ToothSet:
     for key in ("vertices", "edges", "attachments"):
         if not isinstance(doc.setdefault(key, []), list):
             raise GraphError(f"teeth file: {key} must be an array")
+    labels, measures = _json_columns(doc["vertices"], ("id", "m"), {"id": str},
+                                     "teeth file: vertices")
     ids: dict[str, int] = {}
-    measures: list[float] = []
-    for i, row in enumerate(doc["vertices"]):
-        if not isinstance(row, dict) or set(row) != _TOOTH_VERTEX_KEYS:
-            raise GraphError(f"teeth file: vertices[{i}] must have fields id, m")
-        if not isinstance(row["id"], str):
-            raise GraphError(f"teeth file: vertices[{i}]: id must be a string")
-        if row["id"] in ids:
-            raise GraphError(f"teeth file: duplicate tooth vertex {row['id']!r}")
-        ids[row["id"]] = len(measures)
-        measures.append(_number(row["m"], f"teeth file: vertices[{i}]: m"))
+    repeat = np.array([ids.setdefault(label, i) != i for i, label in enumerate(labels)],
+                      dtype=bool)
+    m, m_checks = _number_column(measures, "measure", "teeth file: vertices")
+    _first_fault([(repeat, lambda i: f"teeth file: duplicate tooth vertex {labels[i]!r}"),
+                  *m_checks])
 
-    def tooth_id(label, where):
-        if not isinstance(label, str) or label not in ids:
-            raise GraphError(f"teeth file: {where}: unknown tooth vertex {label!r}")
-        return ids[label]
+    tails, heads, weights = _json_columns(doc["edges"], ("u", "v", "w"), {},
+                                          "teeth file: edges")
+    (u, u_check), (v, v_check) = (_tooth_ids(c, ids, "edges") for c in (tails, heads))
+    w, w_checks = _number_column(weights, "weight", "teeth file: edges")
+    _first_fault([u_check, v_check, *w_checks])
 
-    edges = []
-    for i, row in enumerate(doc["edges"]):
-        if not isinstance(row, dict) or set(row) != _TOOTH_EDGE_KEYS:
-            raise GraphError(f"teeth file: edges[{i}] must have fields u, v, w")
-        edges.append(
-            (
-                tooth_id(row["u"], f"edges[{i}]"),
-                tooth_id(row["v"], f"edges[{i}]"),
-                _number(row["w"], f"teeth file: edges[{i}]: w"),
-            )
-        )
-    attachments = []
-    for i, row in enumerate(doc["attachments"]):
-        if not isinstance(row, dict) or set(row) != _TOOTH_ATTACH_KEYS:
-            raise GraphError(
-                f"teeth file: attachments[{i}] must have fields v, path_index, w"
-            )
-        if isinstance(row["path_index"], bool) or not isinstance(row["path_index"], int):
-            raise GraphError(f"teeth file: attachments[{i}]: path_index must be an integer")
-        attachments.append(
-            (tooth_id(row["v"], f"attachments[{i}]"), row["path_index"],
-             _number(row["w"], f"teeth file: attachments[{i}]: w"))
-        )
-    return ToothSet(
-        measures=tuple(measures), edges=tuple(edges), attachments=tuple(attachments)
-    )
+    teeth, indices, weights = _json_columns(doc["attachments"], ("v", "path_index", "w"),
+                                            {}, "teeth file: attachments")
+    not_int = np.array([isinstance(p, bool) or not isinstance(p, int) for p in indices],
+                       dtype=bool)
+    t, t_check = _tooth_ids(teeth, ids, "attachments")
+    aw, aw_checks = _number_column(weights, "weight", "teeth file: attachments")
+    _first_fault([
+        (not_int, lambda i: f"teeth file: attachments[{i}]: path_index must be an integer"),
+        t_check, *aw_checks])
+    return ToothSet(measures=tuple(m.tolist()), edges=tuple(zip(u, v, w.tolist())),
+                    attachments=tuple(zip(t, indices, aw.tolist())))
 
 
 def _cmd_spectrum(args) -> int:

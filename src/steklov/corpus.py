@@ -29,6 +29,7 @@ from .graph import (
     WeightedBoundaryGraph,
     all_unit,
     component_labels,
+    geodesic_layers,
     graph_from_arrays,
     graph_to_json_dict,
     json_number,
@@ -352,28 +353,24 @@ def _certificate(cond_boundary, cond_path, cond_comb, mutations) -> dict:
 # --- the kernel -----------------------------------------------------------------
 
 
-def _geodesic_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Geodesic counts capped at 2 and hop distances of connected graphs
-    from their (G, n, n) weights.
+def _distance_tables(weights: np.ndarray) -> np.ndarray:
+    """Hop distances of connected graphs from their (G, n, n) weights.
 
-    No x-y walk is shorter than d(x, y) and each of that length is a
-    geodesic, so d(x, y) is the first hop count with a walk and the walk
-    count there counts the geodesics.  Counts capped by walks <- min(walks A,
-    2) keep both facts, cannot overflow and cost one product per hop.
+    d(x, y) counts the hop counts at which y is still out of x's reach, by
+    boolean reach powers reach <- min(reach (A + I), 1): they cannot
+    overflow and cost one product per hop, at most n - 1 of them.
     """
-    adj = (weights > 0).astype(float)
-    n = adj.shape[-1]
-    walks = np.broadcast_to(np.eye(n), adj.shape)
-    reached = walks > 0
-    counts, dist = walks.copy(), np.zeros(adj.shape, dtype=np.int64)
-    for hops in range(1, n):
-        if reached.all():
+    n = weights.shape[-1]
+    step = (weights > 0) + np.eye(n)
+    reach = np.broadcast_to(np.eye(n), weights.shape)
+    dist = np.zeros(weights.shape, dtype=np.int64)
+    for _ in range(n - 1):
+        apart = reach == 0
+        if not apart.any():
             break
-        walks = np.minimum(walks @ adj, 2.0)
-        new = (walks > 0) & ~reached
-        counts[new], dist[new] = walks[new], hops
-        reached |= new
-    return counts, dist
+        dist += apart
+        reach = np.minimum(reach @ step, 1.0)
+    return dist
 
 
 class _Stack:
@@ -384,7 +381,7 @@ class _Stack:
         self.weights, self.measures = weights, measures
         self.lap = weights.sum(axis=2)[:, :, None] * np.eye(weights.shape[-1]) - weights
         self.w0 = np.where(weights > 0, weights, np.inf).min(axis=(1, 2))
-        self.counts, self.dist = _geodesic_tables(weights)
+        self.dist = _distance_tables(weights)
 
 
 def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dict:
@@ -446,24 +443,23 @@ def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dic
         if size == 2:
             x, y = bidx.T
             cond[0] = mass[..., 0] == mass[..., 1]
-            gi, ci = np.nonzero(stack.counts[:, x, y] == 1)
-            cond[1:, gi, ci] = _geodesic_conditions(stack, gi, x[ci], y[ci])
+            on, unique = geodesic_layers(stack.dist[:, x], stack.dist[:, y])
+            gi, ci = np.nonzero(unique)
+            cond[1:, gi, ci] = _geodesic_conditions(stack, gi, on[gi, ci])
         q.update(_certificate(*cond, mutations))
     return q
 
 
-def _geodesic_conditions(stack: _Stack, gi, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """cond_path and cond_comb of graph ``gi[k]`` over its unique x[k]-y[k]
-    geodesic.
+def _geodesic_conditions(stack: _Stack, gi, on) -> tuple[np.ndarray, np.ndarray]:
+    """cond_path and cond_comb of graph ``gi[k]`` over the unique geodesic
+    whose vertex mask is ``on[k]`` (:func:`~steklov.graph.geodesic_layers`).
 
-    Its vertices are those with d(x, v) + d(v, y) = d(x, y) and its edges
-    the edges among them (no chord), each weighing w0 bitwise for the path
-    condition.  The graph is a comb when no two of those vertices are joined
-    once those edges are removed: a closure by repeated boolean squaring.
+    Its edges are the edges among those vertices (no chord), each weighing
+    w0 bitwise for the path condition.  The graph is a comb when no two of
+    those vertices are joined once those edges are removed: a closure by
+    repeated boolean squaring.
     """
-    n = stack.dist.shape[-1]
-    d_x = stack.dist[gi, x]
-    on = d_x + stack.dist[gi, :, y] == d_x[np.arange(len(gi)), y][:, None]
+    n = on.shape[-1]
     on_pairs = on[:, :, None] & on[:, None, :]
     weights = stack.weights[gi]
     edge = weights > 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -546,87 +546,76 @@ def require_connected(g: WeightedBoundaryGraph) -> None:
         raise DisconnectedGraphError("graph is not connected")
 
 
-def _reach_levels(g: WeightedBoundaryGraph, sources) -> Iterator[np.ndarray]:
-    """Packed multi-source BFS in the style of MS-BFS (Then et al., PVLDB 2014).
+def boundary_diameter(g: WeightedBoundaryGraph) -> int:
+    """Largest hop distance between two boundary vertices (0 when |B| < 2).
 
-    Yields an ``(n, ceil(len(sources) / 64))`` uint64 array after 0, 1, 2, ...
-    hops: bit ``k % 64`` of word ``k // 64`` in row v is set once v lies
-    within that many hops of ``sources[k]``.  Stops when nothing changes.  One
-    ``bitwise_or.reduceat`` over the CSR rows advances every source at once.
+    A packed multi-source BFS from the boundary only, in the style of MS-BFS
+    (Then et al., PVLDB 2014): bit ``k % 64`` of word ``k // 64`` in row v is
+    set once v lies within the current hop count of boundary vertex k, and
+    one ``bitwise_or.reduceat`` over the CSR rows advances every source at
+    once.  It stops at the first hop count at which every boundary vertex
+    has been reached from every boundary source: O(|E| d_B ceil(|B| / 64))
+    word operations.
     """
     indptr, indices = g.csr
     if g.n > 1 and not np.diff(indptr).all():
         # reduceat would read a neighbour's bits into an empty CSR row
         raise DisconnectedGraphError("graph is not connected")
-    k = np.arange(len(sources), dtype=np.uint64)
-    visited = np.zeros((g.n, -(-len(sources) // 64)), dtype=np.uint64)
-    visited[np.asarray(sources, dtype=np.intp), k // 64] = np.uint64(1) << k % 64
-    frontier = visited
-    yield visited
-    while len(indices):
-        reached = np.take(frontier, indices, axis=0)
-        frontier = np.bitwise_or.reduceat(reached, indptr[:-1]) & ~visited
-        if not frontier.any():
-            return
-        visited = visited | frontier
-        yield visited
-
-
-def boundary_diameter(g: WeightedBoundaryGraph) -> int:
-    """Largest hop distance between two boundary vertices (0 when |B| < 2).
-
-    Runs the packed BFS from the boundary only and stops at the first hop
-    count at which every boundary vertex has been reached from every
-    boundary source: O(|E| d_B ceil(|B| / 64)) word operations.
-    """
     bidx = np.asarray(g.boundary, dtype=np.intp)
-    for hops, visited in enumerate(_reach_levels(g, bidx)):
+    k = np.arange(len(bidx), dtype=np.uint64)
+    visited = np.zeros((g.n, -(-len(bidx) // 64)), dtype=np.uint64)
+    visited[bidx, k // 64] = np.uint64(1) << k % 64
+    frontier = visited
+    for hops in count():
         rows = visited[bidx]
         if (rows == rows[:1]).all():  # rows hold their own bits: equal means full
             return hops
-    raise DisconnectedGraphError("graph is not connected")
+        reached = np.take(frontier, indices, axis=0)
+        frontier = np.bitwise_or.reduceat(reached, indptr[:-1]) & ~visited
+        if not frontier.any():
+            raise DisconnectedGraphError("graph is not connected")
+        visited = visited | frontier
 
 
-def hop_distance_matrix(g: WeightedBoundaryGraph) -> np.ndarray:
-    """All-pairs unweighted hop distances as an (n, n) integer matrix.
-
-    Edge weights are ignored.  The packed BFS runs from every vertex, and a
-    distance is the number of hop counts at which the pair is still apart.
-    Raises :class:`DisconnectedGraphError` on disconnected input.
+def hop_distances(g: WeightedBoundaryGraph, sources=None) -> np.ndarray:
+    """Unweighted hop distances from each of ``sources`` (default: every
+    vertex) to every vertex, as a read-only (len(sources), n) integer array:
+    one ``scipy.sparse.csgraph`` BFS per source over the CSR lists.  Raises
+    :class:`DisconnectedGraphError` when some vertex is out of reach.
     """
-    dist = np.zeros((g.n, g.n), dtype=np.int64)
-    for visited in _reach_levels(g, range(g.n)):
-        bits = visited.astype("<u8", copy=False).view(np.uint8)
-        apart = np.unpackbits(bits, axis=1, count=g.n, bitorder="little") == 0
-        dist += apart
-    if apart.any():
+    # imported here, not at module load: the corpus routes never need scipy.sparse
+    from scipy.sparse import csgraph, csr_array
+
+    if sources is not None and (bad := [s for s in sources if not 0 <= s < g.n]):
+        raise GraphError(f"unknown vertex {bad[0]}")
+    indptr, indices = g.csr
+    adj = csr_array((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
+    dist = csgraph.shortest_path(adj, unweighted=True, indices=sources)
+    if np.isinf(dist).any():
         raise DisconnectedGraphError("graph is not connected")
+    dist = dist.astype(np.int64)
     dist.setflags(write=False)
     return dist
 
 
-def geodesic_counts(g: WeightedBoundaryGraph, source: int) -> tuple[list[int], list[int]]:
-    """Hop distances from ``source`` and the number of geodesics to each
-    vertex, capped at 2; -1 and 0 mark unreachable vertices.
+def hop_distance_matrix(g: WeightedBoundaryGraph) -> np.ndarray:
+    """All-pairs :func:`hop_distances`, an (n, n) integer matrix."""
+    return hop_distances(g)
 
-    One breadth-first pass over the CSR lists: a vertex's count is the sum
-    of its predecessors' counts, which are all final before it leaves the queue.
+
+def geodesic_layers(from_x: np.ndarray, from_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices on some x-y geodesic, and whether that geodesic is unique,
+    from the hop distances d(x, .) and d(., y) over any leading axes.
+
+    v lies on an x-y geodesic iff d(x, v) + d(v, y) = d(x, y), the least
+    such sum.  Every geodesic meets each layer d(x, .) = 0, ..., d(x, y) of
+    that set exactly once, so the geodesic is unique iff the set has
+    d(x, y) + 1 vertices; it is then the set ordered by d(x, .).
     """
-    if not 0 <= source < g.n:
-        raise GraphError(f"unknown vertex {source}")
-    indptr, indices = (a.tolist() for a in g.csr)
-    dist, count = [-1] * g.n, [0] * g.n
-    dist[source], count[source] = 0, 1
-    order = [source]
-    for u in order:  # the list grows while it is read: a queue
-        du, cu = dist[u] + 1, count[u]
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if dist[v] < 0:
-                dist[v] = du
-                order.append(v)
-            if dist[v] == du:
-                count[v] = min(2, count[v] + cu)
-    return dist, count
+    through = from_x + from_y
+    length = through.min(axis=-1, keepdims=True)
+    on = through == length
+    return on, on.sum(axis=-1) == length[..., 0] + 1
 
 
 def all_geodesics(
@@ -641,10 +630,7 @@ def all_geodesics(
     geodesics exist, so callers that only need "one vs. several" can pass a
     small cap without paying for the full enumeration.
     """
-    require_connected(g)
-    if not 0 <= x < g.n:
-        raise GraphError(f"unknown vertex {x}")
-    dist, _ = geodesic_counts(g, y)
+    dist = hop_distances(g, [y, x])[0].tolist()  # x too: its range is checked
     if x == y:
         return [(x,)]
     indptr, indices = (a.tolist() for a in g.csr)

@@ -19,8 +19,9 @@ from .graph import (
     GraphError,
     WeightedBoundaryGraph,
     component_labels,
-    geodesic_counts,
+    geodesic_layers,
     graph_from_arrays,
+    hop_distances,
     seeded_rng,
 )
 
@@ -126,22 +127,13 @@ def _values_equal(a: float, b: float, rel_tol: float) -> bool:
 
 
 def _unique_geodesic(g: WeightedBoundaryGraph, x: int, y: int) -> PathWitness | None:
-    """The shortest x-y path if it is the only one, else None.
-
-    When y's capped geodesic count from x is 1, every vertex on the way back
-    has exactly one predecessor in the BFS layering, and walking back
-    through it rebuilds the path.
-    """
-    dist, count = geodesic_counts(g, x)
-    if count[y] != 1:
+    """The shortest x-y path if it is the only one, else None, read off the
+    distance layers of x and y (:func:`~steklov.graph.geodesic_layers`)."""
+    dist = hop_distances(g, [x, y])
+    on, unique = geodesic_layers(*dist)
+    if not unique:
         return None
-    indptr, indices = g.csr
-    path = [y]
-    while path[-1] != x:
-        v = path[-1]
-        path.append(next(u for u in indices[indptr[v]:indptr[v + 1]].tolist()
-                         if dist[u] == dist[v] - 1))
-    path.reverse()
+    path = np.flatnonzero(on)[np.argsort(dist[0][on])].tolist()
     ranks = [g.edge_rank[min(a, b), max(a, b)] for a, b in zip(path, path[1:])]
     return PathWitness(vertices=tuple(path),
                        edge_weights=tuple(g.edge_arrays[2][ranks].tolist()))

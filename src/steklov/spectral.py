@@ -216,7 +216,12 @@ class GraphAnalysis:
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
-        L, _ = laplacian(self.graph)
+        with np.errstate(over="ignore"):  # reported below, in one line
+            L, _ = laplacian(self.graph)
+        degree = L.diagonal()
+        if not np.isfinite(degree).all():
+            v = self.graph.labels[int(np.argmin(np.isfinite(degree)))]
+            raise NumericsError(f"weighted degree of vertex {v!r} is not finite")
         L.setflags(write=False)
         return L
 

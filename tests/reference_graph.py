@@ -8,8 +8,10 @@ documents (same canonical graph) and on invalid ones (same first offending
 row, same message).  Integers too large for binary64 are the one difference
 from the old loop, which crashed on them; here they fail like in the library.
 
-``bfs_distances`` is a plain queue BFS over ``g.edges``, the oracle for the
-packed BFS and for ``geodesic_counts``.
+``bfs_distances`` is a plain queue BFS over ``g.edges``, the oracle for
+every hop distance the library computes, and ``geodesic_count_oracle``
+counts geodesics on top of it, the oracle for the layer test of geodesic
+uniqueness.
 """
 
 from __future__ import annotations
@@ -145,3 +147,16 @@ def bfs_distances(g, source: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def geodesic_count_oracle(g, x: int) -> list[int]:
+    """Geodesic counts from x to every vertex: a dynamic program over the
+    edges of the BFS layering, taken in order of their layer."""
+    dist = bfs_distances(g, x)
+    count = [0] * g.n
+    count[x] = 1
+    steps = [(a, b) for u, v, _ in g.edges for a, b in ((u, v), (v, u))
+             if dist[b] == dist[a] + 1]
+    for a, b in sorted(steps, key=lambda step: dist[step[0]]):
+        count[b] += count[a]
+    return count

@@ -208,6 +208,19 @@ class TestGenerateComb:
         ({"vertices": [{"id": "t", "m": 1}], "edges": None},
          "teeth file: edges must be an array"),
         ({"vertices": 3}, "teeth file: vertices must be an array"),
+        # non-positive tooth values are named at their row of the teeth file
+        ({"vertices": [{"id": "t", "m": 0}],
+          "attachments": [{"v": "t", "path_index": 1, "w": 2}]},
+         "teeth file: vertices[0]: non-positive measure 0.0"),
+        ({"vertices": [{"id": "s", "m": 1}, {"id": "t", "m": 1}],
+          "edges": [{"u": "s", "v": "t", "w": -1}],
+          "attachments": [{"v": "s", "path_index": 1, "w": 2}]},
+         "teeth file: edges[0]: non-positive weight -1.0"),
+        ({"vertices": [{"id": "t", "m": 1}],
+          "attachments": [{"v": "t", "path_index": 1, "w": 2, "x": 0}]},
+         "teeth file: attachments[0]: unknown field 'x'"),
+        ({"vertices": [{"id": "t", "m": 1}, {"id": "t", "m": 2}]},
+         "teeth file: duplicate tooth vertex 't'"),
     ])
     def test_malformed_teeth_exit_2(self, capsys, tmp_path, teeth, message):
         p = tmp_path / "teeth.json"
@@ -461,3 +474,21 @@ class TestNumbersOutOfRange:
                  "--endpoint-mass", "1", "--teeth", str(p)),
             where, "too large for binary64",
         )
+
+    @pytest.mark.parametrize("m, w, commands, message", [
+        (1.0, 1e308, ("spectrum", "bounds", "rigidity"),
+         "weighted degree of vertex 'b' is not finite"),
+        (1e308, 1.0, ("bounds", "rigidity"), "VB = inf is out of binary64 range"),
+        (1e-308, 1.0, ("bounds", "rigidity"),
+         "(V_B - m0)^2 = 0.0 is out of binary64 range"),
+    ])
+    def test_values_beyond_binary64(self, capsys, tmp_path, m, w, commands, message):
+        """On the path a-b-c with B = {a, c}, every measure m and every
+        weight w: a weighted degree, V_B or (V_B - m0)^2 that binary64
+        cannot hold is exit 2, not a traceback or "inf" with exit 0."""
+        doc = {"vertices": [{"id": v, "m": m, "boundary": v != "b"} for v in "abc"],
+               "edges": [{"u": "a", "v": "b", "w": w}, {"u": "b", "v": "c", "w": w}]}
+        p = tmp_path / "graph.json"
+        p.write_text(json.dumps(doc))
+        for command in commands:
+            self.assert_one_line_exit_2(*run(capsys, command, str(p)), message)

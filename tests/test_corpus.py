@@ -28,8 +28,8 @@ from steklov.corpus import (
     RANDOM_N_MAX,
     _bits,
     _connected_edge_masks,
+    _distance_tables,
     _geodesic_conditions,
-    _geodesic_tables,
     _Instance,
     _mask_instance,
     _pair_arrays,
@@ -38,7 +38,10 @@ from steklov.corpus import (
     _Stack,
     _stack_quantities,
 )
+from steklov.graph import geodesic_layers
+from steklov.rigidity import _unique_geodesic, check_rigidity
 from conftest import unit_path
+from reference_graph import geodesic_count_oracle
 from reference_corpus import (
     reference_check_instance,
     reference_quantities,
@@ -292,49 +295,66 @@ class TestInstanceStreams:
 class TestBatchedGeodesics:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_walk_counts_and_comb_match_per_graph_route(self, n):
-        """Distances from the capped walk counts equal hop_distance_matrix, a
-        count of 1 marks exactly the pairs with one geodesic, and the
+        """Distances from the reach powers equal hop_distance_matrix, the
+        layer flags mark exactly the pairs with one geodesic, and the
         vectorized comb test agrees with is_comb_over on every such pair."""
         masks = _connected_edge_masks(n)
         u, v = _pair_arrays(n)
         adj = np.zeros((len(masks), n, n))
         adj[:, u, v] = adj[:, v, u] = _bits(masks, len(u))
         stack = _Stack(adj)
-        counts, dist = stack.counts, stack.dist
+        dist = stack.dist
+        pairs = list(combinations(range(n), 2))
+        px, py = np.array(pairs).T
+        on, flags = geodesic_layers(dist[:, px], dist[:, py])
         cells, expected = [], []
         for gi, mask in enumerate(masks):
             g = _mask_instance(n, mask, (1 << n) - 1).graph()
             assert dist[gi].tolist() == hop_distance_matrix(g).tolist()
-            for x, y in combinations(range(n), 2):
+            for k, (x, y) in enumerate(pairs):
                 geodesics = all_geodesics(g, x, y)
-                unique = counts[gi, x, y] == 1
+                unique = flags[gi, k]
                 assert unique == (len(geodesics) == 1)
                 if unique:
-                    cells.append((gi, x, y))
+                    cells.append((gi, k))
                     expected.append(is_comb_over(g, geodesics[0]).is_comb)
-        gi, x, y = np.array(cells).T
-        cond_path, cond_comb = _geodesic_conditions(stack, gi, x, y)
+        gi, k = np.array(cells).T
+        cond_path, cond_comb = _geodesic_conditions(stack, gi, on[gi, k])
         assert cond_path.all()  # unit weights: every geodesic edge is w0
         assert cond_comb.tolist() == expected
         if n >= 3:
             assert any(expected) and not all(expected)
 
-    def test_capped_tables_on_200_vertices(self):
+    def test_distance_tables_on_200_vertices(self):
         """On a random graph with n = 200 the hop tables equal the per-graph
-        BFS, counts capped at 2, and nothing overflows."""
-        from steklov.graph import geodesic_counts
-
+        BFS, the layer flags equal the counting oracle, and nothing
+        overflows."""
         g = random_graph(200, 0.03, (0.5, 2.0), (0.5, 2.0), 2, seed=4)
         u, v, w = g.edge_arrays
         weights = np.zeros((1, g.n, g.n))
         weights[0, u, v] = weights[0, v, u] = w
         with np.errstate(all="raise"):
-            counts, dist = _geodesic_tables(weights)
+            dist = _distance_tables(weights)
         assert dist[0].tolist() == hop_distance_matrix(g).tolist()
         assert dist.max() >= 3
-        capped = [geodesic_counts(g, x)[1] for x in range(g.n)]
-        assert counts[0].tolist() == np.minimum(2, capped).tolist()
-        assert (counts == 2).any()
+        _, flags = geodesic_layers(dist[0][:, None], dist[0][None, :])  # cell (x, y)
+        oracle = [[c == 1 for c in geodesic_count_oracle(g, x)] for x in range(g.n)]
+        assert flags.tolist() == oracle
+        assert not flags.all()
+
+    def test_diamond_in_long_path_is_not_unique(self):
+        """A path of 40 edges with one diamond in its middle has two
+        boundary geodesics: neither engine may certify one."""
+        edges = [(i, i + 1, 1.0) for i in range(40)] + [(19, 41, 1.0), (41, 21, 1.0)]
+        g = graph_from_arrays([1.0] * 42, [0, 40], edges)
+        assert len(all_geodesics(g, 0, 40)) == 2
+        assert _unique_geodesic(g, 0, 40) is None
+        report = check_rigidity(g)
+        assert not report.cond_path and not report.certified_equality
+        q = _stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
+        assert q["cond_boundary"].tolist() == [[True]]
+        assert q["cond_path"].tolist() == [[False]]
+        assert q["certified_equality"].tolist() == [[False]]
 
 
 class TestCheckInstance:

@@ -19,10 +19,10 @@ from steklov import (
     make_graph,
     parse_graph,
 )
-from steklov.graph import boundary_diameter, geodesic_counts
+from steklov.graph import boundary_diameter, geodesic_layers, hop_distances
 from steklov.rigidity import _unique_geodesic, comb_graph
 
-from reference_graph import bfs_distances
+from reference_graph import bfs_distances, geodesic_count_oracle
 from strategies import connected_graphs
 
 K2_JSON = """
@@ -224,19 +224,6 @@ class TestDistances:
             assert list(d[src]) == bfs_distances(g, src)
 
 
-def _geodesic_count_oracle(g, x):
-    """Independent geodesic counts from x to every vertex: a dynamic program
-    over the edges of the BFS layering, taken in order of their layer."""
-    dist = bfs_distances(g, x)
-    count = [0] * g.n
-    count[x] = 1
-    steps = [(a, b) for u, v, _ in g.edges for a, b in ((u, v), (v, u))
-             if dist[b] == dist[a] + 1]
-    for a, b in sorted(steps, key=lambda step: dist[step[0]]):
-        count[b] += count[a]
-    return count
-
-
 class TestGeodesics:
     def test_path3_unique(self, path3):
         assert all_geodesics(path3, 0, 2) == [(0, 1, 2)]
@@ -283,7 +270,7 @@ class TestGeodesics:
             assert p[0] == x and p[-1] == y
             for a, b in zip(p, p[1:]):
                 assert (min(a, b), max(a, b)) in g.edge_rank
-        assert len(paths) == _geodesic_count_oracle(g, x)[y]
+        assert len(paths) == geodesic_count_oracle(g, x)[y]
 
     def test_order_follows_sorted_neighbour_lists(self):
         # vertex 2's CSR row must read 1 before 3 for the lexicographic order
@@ -302,15 +289,14 @@ class TestGeodesics:
 
 
 class TestGeodesicCounts:
-    """The scalar pass against the packed BFS and the counting oracle."""
+    """The layer test of uniqueness against the counting oracle."""
 
     @staticmethod
     def _check(g, sources):
         d = hop_distance_matrix(g)
         for x in sources:
-            dist, count = geodesic_counts(g, x)
-            assert dist == d[x].tolist()
-            assert count == [min(2, c) for c in _geodesic_count_oracle(g, x)]
+            _, unique = geodesic_layers(d[x], d)  # row y: the pair (x, y)
+            assert unique.tolist() == [c == 1 for c in geodesic_count_oracle(g, x)]
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=8))
@@ -323,7 +309,10 @@ class TestGeodesicCounts:
 
     def test_unreachable_vertices(self):
         g = graph_from_arrays([1.0] * 4, [0], [(0, 1, 1.0), (2, 3, 1.0)])
-        assert geodesic_counts(g, 0) == ([0, 1, -1, -1], [1, 1, 0, 0])
+        with pytest.raises(DisconnectedGraphError):
+            hop_distances(g, [0])
+        with pytest.raises(DisconnectedGraphError):
+            hop_distances(g, [0, 2])
 
 
 class TestCoercion:
