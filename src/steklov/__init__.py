@@ -12,7 +12,6 @@ from .bounds import (
     bound_extended,
     bound_general,
     bound_report,
-    bound_unit_weight,
     boundary_quantities,
     has_boundary_edge,
 )
@@ -40,7 +39,6 @@ from .graph import (
     is_connected,
     make_graph,
     parse_graph,
-    vertex_vector,
 )
 from .rigidity import (
     CombDecomposition,
@@ -54,16 +52,11 @@ from .rigidity import (
     report_json,
 )
 from .spectral import (
-    EdgeDifferential,
     NumericsError,
     Spectrum,
     SteklovSystem,
-    differential,
-    dirichlet_energy,
     harmonic_extension,
     laplacian,
-    normal_derivative,
-    rayleigh_quotient,
     steklov_spectrum,
     steklov_system,
 )
@@ -75,7 +68,6 @@ __all__ = [
     "CombDecomposition",
     "CorpusSpec",
     "DisconnectedGraphError",
-    "EdgeDifferential",
     "EmptyBoundaryError",
     "GeodesicLimitError",
     "GraphError",
@@ -91,15 +83,12 @@ __all__ = [
     "bound_extended",
     "bound_general",
     "bound_report",
-    "bound_unit_weight",
     "boundary_quantities",
     "boundary_vector",
     "check_instance",
     "check_rigidity",
     "comb_graph",
     "count_exhaustive_instances",
-    "differential",
-    "dirichlet_energy",
     "enumerate_small",
     "graph_from_arrays",
     "graph_to_json",
@@ -111,14 +100,11 @@ __all__ = [
     "is_connected",
     "laplacian",
     "make_graph",
-    "normal_derivative",
     "parse_graph",
     "random_comb",
     "random_graph",
-    "rayleigh_quotient",
     "report_json",
     "steklov_spectrum",
     "steklov_system",
     "verify_corpus",
-    "vertex_vector",
 ]

@@ -142,14 +142,3 @@ def bound_extended(g: WeightedBoundaryGraph) -> float:
 def bound_general(g: WeightedBoundaryGraph) -> float:
     """General lower bound  w0 / (d_B V_B);  +inf when |B| = 1."""
     return bound_report(g).bound_general
-
-
-def bound_unit_weight(g: WeightedBoundaryGraph) -> tuple[float, bool]:
-    """Unit-weight lower bound  |B| / ((|B|-1)^2 d_B)  plus applicability.
-
-    The formula value is always returned; the flag is True only under the
-    bound's hypotheses: unit measures and weights, and no edge joining two
-    boundary vertices.
-    """
-    r = bound_report(g)
-    return r.bound_unit, r.bound_unit_applicable

@@ -24,7 +24,6 @@ from .graph import (
     _first_fault,
     _json_columns,
     _number_column,
-    boundary_vector,
     graph_to_json,
     load_json,
     parse_graph,
@@ -196,7 +195,7 @@ def _cmd_rigidity(args) -> int:
 def _cmd_harmonic(args) -> int:
     g = _load_graph(args.graph)
     values = _parse_values_file(g, args.values)
-    u = harmonic_extension(g, boundary_vector(g, values))
+    u = harmonic_extension(g, values)
     _emit({lab: float(u[i]) for i, lab in enumerate(g.labels)})
     return 0
 

@@ -51,6 +51,9 @@ EIGVEC_ALIGN_TOL = 1e-8
 # generation and about 200 MB (2-core VM, one BLAS thread).
 RANDOM_N_MAX = 1000
 
+# Connectivity draws of one random instance before it gives up.
+RANDOM_RETRIES = 1000
+
 # Deliberate corruptions for mutation-sentinel tests: each must make the
 # verifier report violations, proving the assertions are not vacuous.
 MUTATION_BOUND_DB = "bound_db_plus_one"
@@ -168,12 +171,12 @@ def _check_ranges(weight_range, measure_range) -> None:
 
 def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
                  measure_range: tuple[float, float], boundary_size: int, seed,
-                 unit: bool = False, max_retries: int = 1000) -> WeightedBoundaryGraph:
+                 unit: bool = False) -> WeightedBoundaryGraph:
     """Uniform G(n, p) conditioned on connectivity, by rejection sampling.
 
     Weights and measures are uniform in the given ranges (or all 1 with
     ``unit=True``), the boundary is a uniform subset of the requested size.
-    Deterministic for a given seed; raises after ``max_retries`` failed
+    Deterministic for a given seed; raises after ``RANDOM_RETRIES`` failed
     connectivity draws.
     """
     if n < 2:
@@ -182,20 +185,20 @@ def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
         raise GraphError("boundary size must be between 1 and n")
     _check_ranges(weight_range, measure_range)
     return _random_instance(n, edge_prob, weight_range, measure_range, boundary_size,
-                            seeded_rng(seed), unit, max_retries).graph()
+                            seeded_rng(seed), unit).graph()
 
 
 def _random_instance(n, edge_prob, weight_range, measure_range, boundary_size, rng,
-                     unit, max_retries=1000) -> _Instance:
+                     unit) -> _Instance:
     """The draw of :func:`random_graph`, as an instance."""
     tails, heads = _pair_arrays(n)
-    for _ in range(max_retries):
+    for _ in range(RANDOM_RETRIES):
         keep = rng.random(len(tails)) < edge_prob
         u, v = tails[keep], heads[keep]
         if not component_labels(n, u, v).any():
             break
     else:
-        raise GraphError(f"no connected draw in {max_retries} tries (n={n}, p={edge_prob})")
+        raise GraphError(f"no connected draw in {RANDOM_RETRIES} tries (n={n}, p={edge_prob})")
     if unit:
         weights, measures = np.ones(len(u)), np.ones(n)
     else:

@@ -66,10 +66,6 @@ class WeightedBoundaryGraph:
         return len(self.labels)
 
     @cached_property
-    def boundary_set(self) -> frozenset[int]:
-        return frozenset(self.boundary)
-
-    @cached_property
     def boundary_mask(self) -> np.ndarray:
         """Boolean vertex mask of the boundary."""
         mask = np.zeros(self.n, dtype=bool)
@@ -343,20 +339,15 @@ def graph_from_arrays(
     measures: Sequence[float],
     boundary: Iterable[int],
     edges: Iterable[tuple[int, int, float]],
-    labels: Sequence[str] | None = None,
 ) -> WeightedBoundaryGraph:
     """Build a graph from 0-based vertex ids.
 
-    Default labels are zero-padded (``v00``, ``v01``, ...) so canonical label
+    The labels are zero-padded (``v00``, ``v01``, ...) so canonical label
     order preserves the given id order, and the ids need no relabelling.
     """
     n = len(measures)
-    row_labels = labels
-    if labels is None:
-        width = max(1, len(str(n - 1))) if n else 1
-        row_labels = [f"v{i:0{width}d}" for i in range(n)]
-    if len(row_labels) != n:
-        raise GraphError(f"expected {n} labels, got {len(row_labels)}")
+    width = max(1, len(str(n - 1))) if n else 1
+    labels = tuple(f"v{i:0{width}d}" for i in range(n))
     bcol = list(boundary)
     bids = _ids(bcol, n)
     _first_fault([((bids < 0) | (bids >= n),
@@ -366,19 +357,12 @@ def graph_from_arrays(
     _first_fault([((u < 0) | (u >= n) | (v < 0) | (v >= n),
                    lambda j: f"edges: unknown vertex reference in "
                              f"({tails[j]}, {heads[j]})")])
-    if labels is None:
-        order, ids = tuple(row_labels), None
-    else:
-        order, rank = _canonical_labels(row_labels)
-        ids = np.fromiter(map(rank.__getitem__, row_labels), np.intp, n)
-        u, v, bids = ids[u], ids[v], ids[bids]
     return WeightedBoundaryGraph(
-        labels=order,
-        measures=_measures(ids, measures),
+        labels=labels,
+        measures=_measures(None, measures),
         boundary=tuple(np.unique(bids).tolist()),
         edge_arrays=_edge_arrays(
-            n, u, v, weights,
-            lambda j: (row_labels[tails[j]], row_labels[heads[j]]),
+            n, u, v, weights, lambda j: (labels[tails[j]], labels[heads[j]]),
         ),
     )
 
@@ -661,7 +645,7 @@ def all_geodesics(
     return out
 
 
-# --- boundary / vertex function coercion -------------------------------------
+# --- boundary function coercion ---------------------------------------------
 
 
 def boundary_vector(g: WeightedBoundaryGraph, f) -> np.ndarray:
@@ -673,7 +657,7 @@ def boundary_vector(g: WeightedBoundaryGraph, f) -> np.ndarray:
     if len(g.boundary) == 0:
         raise EmptyBoundaryError("graph has an empty boundary")
     if isinstance(f, Mapping):
-        if set(f) != g.boundary_set:
+        if set(f) != set(g.boundary):
             raise GraphError("boundary function domain must equal the boundary")
         return np.array([float(f[b]) for b in g.boundary])
     vec = np.asarray(f, dtype=float)
@@ -682,16 +666,4 @@ def boundary_vector(g: WeightedBoundaryGraph, f) -> np.ndarray:
             f"boundary function must have length {len(g.boundary)}, "
             f"got shape {vec.shape}"
         )
-    return vec.copy()
-
-
-def vertex_vector(g: WeightedBoundaryGraph, u) -> np.ndarray:
-    """Coerce a vertex function to a float vector over all of V."""
-    if isinstance(u, Mapping):
-        if set(u) != set(range(g.n)):
-            raise GraphError("vertex function domain must equal the vertex set")
-        return np.array([float(u[v]) for v in range(g.n)])
-    vec = np.asarray(u, dtype=float)
-    if vec.shape != (g.n,):
-        raise GraphError(f"vertex function must have length {g.n}")
     return vec.copy()

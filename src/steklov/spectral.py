@@ -18,12 +18,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .graph import (
     EmptyBoundaryError,
-    GraphError,
     WeightedBoundaryGraph,
     boundary_diameter,
     boundary_vector,
     require_connected,
-    vertex_vector,
 )
 
 # Scale-free tolerances for the structural invariants of the Steklov matrix.
@@ -49,50 +47,6 @@ def laplacian(g: WeightedBoundaryGraph) -> tuple[np.ndarray, np.ndarray]:
     L[u, v] = L[v, u] = -w
     L[np.diag_indices(g.n)] = -L.sum(axis=1)
     return L, np.asarray(g.measures, dtype=float).copy()
-
-
-@dataclass(frozen=True)
-class EdgeDifferential:
-    """Skew-symmetric edge function, stored along canonical orientations.
-
-    ``values[k]`` is the value on edge ``g.edges[k] = (u, v, w)`` oriented
-    from u to v; the opposite orientation is its negative and non-edges are 0.
-    """
-
-    graph: WeightedBoundaryGraph
-    values: np.ndarray
-
-
-def differential(g: WeightedBoundaryGraph, u) -> EdgeDifferential:
-    """Differential du with du(x, y) = u(y) - u(x) on edges."""
-    uv = vertex_vector(g, u)
-    tails, heads, _ = g.edge_arrays
-    values = uv[heads] - uv[tails]
-    values.setflags(write=False)
-    return EdgeDifferential(graph=g, values=values)
-
-
-def dirichlet_energy(
-    g: WeightedBoundaryGraph, a: EdgeDifferential, b: EdgeDifferential
-) -> float:
-    """Edge inner product  sum over edges of a(x,y) b(x,y) w_xy."""
-    weights = g.edge_arrays[2]
-    if len(a.values) != len(weights) or len(b.values) != len(weights):
-        raise GraphError("edge differential does not match the graph")
-    return float(np.dot(a.values * weights, b.values))
-
-
-def normal_derivative(g: WeightedBoundaryGraph, u) -> np.ndarray:
-    """Outward normal derivative at each boundary vertex (boundary-id order).
-
-    At x in B this is ``(1/m_x) sum_y (u(x) - u(y)) w_xy``, i.e. minus the
-    Laplacian evaluated at x.
-    """
-    if len(g.boundary) == 0:
-        raise EmptyBoundaryError("graph has an empty boundary")
-    bidx = g.analysis.bidx
-    flux = g.analysis.laplacian_matrix[bidx] @ vertex_vector(g, u)
-    return flux / g.measures[bidx]
 
 
 def harmonic_extension(g: WeightedBoundaryGraph, f) -> np.ndarray:
@@ -271,8 +225,11 @@ class GraphAnalysis:
     def _eigensolve(self, with_vectors: bool) -> Spectrum:
         system = self.system
         inv_sqrt = 1.0 / np.sqrt(system.boundary_mass)
-        reduced = system.schur * inv_sqrt[:, None] * inv_sqrt[None, :]
-        reduced = 0.5 * (reduced + reduced.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            reduced = system.schur * inv_sqrt[:, None] * inv_sqrt[None, :]
+            reduced = 0.5 * (reduced + reduced.T)
+        if not np.isfinite(reduced).all():
+            raise NumericsError("mass-reduced Steklov matrix is not finite")
         if with_vectors:
             vals, vecs = np.linalg.eigh(reduced)
             vectors = vecs * inv_sqrt[:, None]
@@ -285,19 +242,3 @@ class GraphAnalysis:
             raise NumericsError(f"Steklov matrix not PSD: lowest eigenvalue {vals[0]:.3e}")
         vals.setflags(write=False)
         return Spectrum(vals, system.boundary_order, vectors)
-
-
-def rayleigh_quotient(g: WeightedBoundaryGraph, f) -> float:
-    """Dirichlet energy of the harmonic extension over the boundary norm.
-
-    ``<du_f, du_f> / <f, f>_B``; minimizing over boundary functions that are
-    m-orthogonal to constants yields sigma_2.
-    """
-    fvec = boundary_vector(g, f)
-    if not np.any(fvec):
-        raise GraphError("zero boundary function")
-    u = harmonic_extension(g, fvec)
-    du = differential(g, u)
-    energy = dirichlet_energy(g, du, du)
-    denom = float(np.dot(fvec * fvec, g.measures[g.analysis.bidx]))
-    return energy / denom

@@ -9,7 +9,6 @@ from steklov import (
     bound_extended,
     bound_general,
     bound_report,
-    bound_unit_weight,
     boundary_quantities,
     graph_from_arrays,
     steklov_spectrum,
@@ -63,26 +62,27 @@ class TestBoundFormulas:
         assert bound_general(k2) == 0.5
 
     def test_unit_form_path3(self, path3):
-        value, applicable = bound_unit_weight(path3)
-        assert value == 1.0
-        assert applicable
+        rep = bound_report(path3)
+        assert rep.bound_unit == 1.0
+        assert rep.bound_unit_applicable
 
     def test_unit_form_k2_inapplicable(self, k2):
-        value, applicable = bound_unit_weight(k2)
-        assert value == 2.0
-        assert not applicable  # boundary-boundary edge
+        rep = bound_report(k2)
+        assert rep.bound_unit == 2.0
+        assert not rep.bound_unit_applicable  # boundary-boundary edge
 
     def test_unit_form_weighted_inapplicable(self):
         g = graph_from_arrays([1.0] * 3, [0, 2], [(0, 1, 2.0), (1, 2, 2.0)])
-        value, applicable = bound_unit_weight(g)
-        assert value == 1.0
-        assert not applicable
+        rep = bound_report(g)
+        assert rep.bound_unit == 1.0
+        assert not rep.bound_unit_applicable
 
     def test_single_boundary_vertex_is_vacuous(self):
         g = graph_from_arrays([1.0] * 3, [1], [(0, 1, 1.0), (1, 2, 1.0)])
         assert bound_extended(g) == math.inf
         assert bound_general(g) == math.inf
-        assert bound_unit_weight(g) == (math.inf, False)
+        rep = bound_report(g)
+        assert (rep.bound_unit, rep.bound_unit_applicable) == (math.inf, False)
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=8, min_boundary=2))
@@ -92,8 +92,7 @@ class TestBoundFormulas:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=8, min_boundary=2, unit=True))
     def test_unit_specialization_exact(self, g):
-        value, applicable = bound_unit_weight(g)
-        assert abs(bound_extended(g) - value) <= 1e-15
+        assert abs(bound_extended(g) - bound_report(g).bound_unit) <= 1e-15
 
 
 class TestBoundReport:

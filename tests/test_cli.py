@@ -481,6 +481,8 @@ class TestNumbersOutOfRange:
         (1e308, 1.0, ("bounds", "rigidity"), "VB = inf is out of binary64 range"),
         (1e-308, 1.0, ("bounds", "rigidity"),
          "(V_B - m0)^2 = 0.0 is out of binary64 range"),
+        (5e-324, 1.0, ("spectrum", "bounds", "rigidity"),
+         "mass-reduced Steklov matrix is not finite"),
     ])
     def test_values_beyond_binary64(self, capsys, tmp_path, m, w, commands, message):
         """On the path a-b-c with B = {a, c}, every measure m and every

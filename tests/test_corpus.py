@@ -102,7 +102,7 @@ class TestRandomGraph:
 
     def test_retry_budget(self):
         with pytest.raises(GraphError, match="no connected draw"):
-            random_graph(8, 1e-9, (0.5, 2.0), (0.5, 2.0), 2, seed=0, max_retries=5)
+            random_graph(8, 1e-9, (0.5, 2.0), (0.5, 2.0), 2, seed=0)
 
     def test_validates_arguments(self):
         with pytest.raises(GraphError):

@@ -109,14 +109,6 @@ class TestAgainstReference:
             [(labels[u], labels[v], w) for u, v, w in edges],
         )
         assert_same_graph(canonical(graph_from_arrays(measures, boundary, edges)), want)
-        custom = [r["id"] for r in doc["vertices"]]
-        assert_same_graph(
-            canonical(graph_from_arrays(measures, boundary, edges, labels=custom)),
-            reference_make_graph(
-                [(custom[i], m, i in boundary) for i, m in enumerate(measures)],
-                [(custom[u], custom[v], w) for u, v, w in edges],
-            ),
-        )
 
 
 def _faults(doc):
