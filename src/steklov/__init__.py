@@ -9,8 +9,6 @@ graphs attaining equality (combs over a unique minimum-weight geodesic).
 
 from .bounds import (
     BoundReport,
-    bound_extended,
-    bound_general,
     bound_report,
     boundary_quantities,
     has_boundary_edge,
@@ -20,7 +18,6 @@ from .corpus import (
     ViolationRecord,
     check_instance,
     count_exhaustive_instances,
-    enumerate_small,
     random_graph,
     verify_corpus,
 )
@@ -80,8 +77,6 @@ __all__ = [
     "ViolationRecord",
     "WeightedBoundaryGraph",
     "all_geodesics",
-    "bound_extended",
-    "bound_general",
     "bound_report",
     "boundary_quantities",
     "boundary_vector",
@@ -89,7 +84,6 @@ __all__ = [
     "check_rigidity",
     "comb_graph",
     "count_exhaustive_instances",
-    "enumerate_small",
     "graph_from_arrays",
     "graph_to_json",
     "graph_to_json_dict",

@@ -83,7 +83,7 @@ def compute_bound_report(g: WeightedBoundaryGraph) -> BoundReport:
     sigma2 = steklov_spectrum(g).sigma(2)
     nb = len(g.boundary)
     if nb >= 2:
-        _require_in_range(VB=VB, **{"(V_B - m0)^2": (VB - m0) ** 2})
+        _require_in_range(VB=VB, **{"(V_B - m0)^2": (VB - m0) * (VB - m0)})
     b_unit, b_general, b_extended = bound_formulas(w0, m0, VB, dB, nb)
     if nb >= 2:
         _require_in_range(bound_unit=b_unit, bound_general=b_general,
@@ -133,12 +133,3 @@ def has_boundary_edge(g: WeightedBoundaryGraph) -> bool:
 def _unit_applicable(g: WeightedBoundaryGraph) -> bool:
     return len(g.boundary) >= 2 and g.is_unit_weighted() and not has_boundary_edge(g)
 
-
-def bound_extended(g: WeightedBoundaryGraph) -> float:
-    """Extended lower bound  w0 V_B / ((V_B - m0)^2 d_B);  +inf when |B| = 1."""
-    return bound_report(g).bound_extended
-
-
-def bound_general(g: WeightedBoundaryGraph) -> float:
-    """General lower bound  w0 / (d_B V_B);  +inf when |B| = 1."""
-    return bound_report(g).bound_general

@@ -37,7 +37,7 @@ from .graph import (
     seeded_rng,
 )
 from .rigidity import bound_attained
-from .spectral import KERNEL_TOL, PSD_TOL, SIGMA1_TOL, SYMMETRY_TOL
+from .spectral import OPERATOR_CHECKS, steklov_operator
 
 # The bound tolerances are relative to the bound, so their verdicts do not
 # change when weights or measures are scaled.
@@ -61,21 +61,16 @@ MUTATION_COMB_SKIP = "comb_skip_disjointness"
 KNOWN_MUTATIONS = frozenset({MUTATION_BOUND_DB, MUTATION_COMB_SKIP})
 
 # The check table: (check, predicate over the named quantities, quantities a
-# violation reports).  A row runs only when every quantity it reports is
-# present: sigma_2, the bounds and the certificate need |B| >= 2,
-# unit_formula unit weights, misalignment eigenvectors, and a failed solve or
-# eigensolve leaves only its error.  Predicates also work elementwise.
+# violation reports); the Steklov matrix's own rows are ``OPERATOR_CHECKS``.
+# A row runs only when every quantity it reports is present: sigma_2, the
+# bounds and the certificate need |B| >= 2, unit_formula unit weights,
+# misalignment eigenvectors, and a failed solve or eigensolve leaves only its
+# error.  Predicates also work elementwise.
 _CHECKS = (
     ("numerics_failure", lambda q: q["error"] == "", ("error",)),
-    ("schur_symmetry",
-     lambda q: q["asymmetry"] <= SYMMETRY_TOL * q["schur_scale"], ("asymmetry",)),
-    ("psd", lambda q: q["sigma1"] >= -PSD_TOL * q["eig_scale"], ("sigma1",)),
-    ("sigma1_zero", lambda q: abs(q["sigma1"]) <= SIGMA1_TOL * q["eig_scale"],
-     ("sigma1",)),
+    *OPERATOR_CHECKS,
     ("sigma1_constant_vector", lambda q: q["misalignment"] <= EIGVEC_ALIGN_TOL,
      ("misalignment",)),
-    ("kernel_constants", lambda q: q["residual"] <= KERNEL_TOL * q["schur_scale"],
-     ("residual",)),
     ("green_symmetry",
      lambda q: abs(q["schur_form"] - q["energy"]) <= GREEN_TOL * np.maximum(
          1.0, np.maximum(abs(q["schur_form"]), abs(q["energy"]))),
@@ -266,33 +261,16 @@ def _mask_instance(n: int, edge_mask: int, boundary_mask: int,
 
 
 def _small_instances(n_max: int, *draw) -> Iterator[_Instance]:
-    """The instances of :func:`enumerate_small`, by ``_mask_instance(..., *draw)``."""
+    """Every connected labeled graph on 2..n_max vertices, crossed with every
+    boundary subset of size >= 2, by ``_mask_instance(..., *draw)``: n
+    ascending, then edge bitmask, then boundary bitmask."""
     return (_mask_instance(n, edge_mask, boundary_mask, *draw)
             for n in range(2, n_max + 1) for edge_mask in _connected_edge_masks(n)
             for boundary_mask in _boundary_masks(n))
 
 
-def enumerate_small(n_max: int, unit_only: bool = True, rng=None,
-                    weight_range: tuple[float, float] = (0.5, 2.0),
-                    measure_range: tuple[float, float] = (0.5, 2.0)
-                    ) -> Iterator[WeightedBoundaryGraph]:
-    """Every connected labeled graph on 2..n_max vertices, crossed with every
-    boundary subset of size >= 2.
-
-    Order is deterministic: n ascending, then edge bitmask, then boundary
-    bitmask.  With ``unit_only`` all weights and measures are 1; otherwise
-    they are drawn per instance from ``rng`` (seeded 0 when omitted) in the
-    given ranges.
-    """
-    if not 2 <= n_max <= 7:
-        raise GraphError("exhaustive enumeration requires 2 <= n_max <= 7")
-    _check_ranges(weight_range, measure_range)
-    draw = () if unit_only else (rng or np.random.default_rng(0), weight_range, measure_range)
-    return map(_Instance.graph, _small_instances(n_max, *draw))
-
-
 def count_exhaustive_instances(n_max: int) -> int:
-    """Number of (graph, boundary) instances enumerate_small would yield."""
+    """Number of (graph, boundary) instances of the exhaustive corpus."""
     if not 2 <= n_max <= 7:
         raise GraphError("exhaustive enumeration requires 2 <= n_max <= 7")
     return sum(len(_connected_edge_masks(n)) * len(_boundary_masks(n))
@@ -313,16 +291,6 @@ def _evaluate(q: dict) -> Iterator[tuple[str, tuple[str, ...], object]]:
 def _details(q: dict, keys: tuple[str, ...], at: tuple = ()) -> dict:
     """The reported quantities of one instance (cell ``at`` of a stack)."""
     return {key: np.asarray(q[key])[at].item() for key in keys}
-
-
-def _operator_quantities(eig: np.ndarray, schur: np.ndarray) -> dict:
-    """sigma_1, the kernel residual and their scales, over any leading axes."""
-    return {
-        "sigma1": eig[..., 0],
-        "eig_scale": np.abs(eig).max(axis=-1, initial=1.0),
-        "residual": np.abs(schur.sum(axis=-1)).max(axis=-1),
-        "schur_scale": np.abs(schur).max(axis=(-1, -2), initial=1.0),
-    }
 
 
 def _bound_quantities(sigma2, w0, m0, v_b, d_b, nb: int, mutations) -> dict:
@@ -394,30 +362,19 @@ def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dic
     over ``eigvalsh``.  Unit stacks skip the mass reduction: m0 = 1 exactly.
     """
     lap, (count, n), size = stack.lap, stack.lap.shape[:2], bidx.shape[1]
-    raw = lap[:, bidx[:, :, None], bidx[:, None, :]]
     mass = np.ones(size) if stack.measures is None else stack.measures[:, bidx]
-    inv_sqrt = 1.0 / np.sqrt(mass)
-    interior_map = None
+    l_ob = interior_map = None
     try:
         if n > size:
             l_ob = lap[:, iidx[:, :, None], bidx[:, None, :]]
             interior_map = np.linalg.solve(lap[:, iidx[:, :, None], iidx[:, None, :]], l_ob)
-            raw = raw - np.swapaxes(l_ob, -1, -2) @ interior_map
-        schur = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-        reduced = schur
-        if stack.measures is not None:  # the M^-1/2 S M^-1/2 reduction
-            reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
-            reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
-        if vectors:
-            eig, vecs = np.linalg.eigh(reduced)
-        else:
-            eig = np.linalg.eigvalsh(reduced)
+        schur, eig, vecs, q = steklov_operator(
+            lap[:, bidx[:, :, None], bidx[:, None, :]], l_ob, interior_map,
+            None if stack.measures is None else mass, vectors)
     except np.linalg.LinAlgError as exc:
         return {"error": np.full((count, len(bidx)), str(exc))}
-    q = {"asymmetry": np.abs(raw - np.swapaxes(raw, -1, -2)).max(axis=(-1, -2)),
-         **_operator_quantities(eig, schur)}
     if vectors:  # v1 is m-normalized; its residual off the constants:
-        v1 = vecs[..., 0] * inv_sqrt
+        v1 = vecs[..., 0] / np.sqrt(mass)
         resid = v1 - (v1 * mass).sum(-1, keepdims=True) / mass.sum(-1, keepdims=True)
         q["misalignment"] = np.sqrt((resid * resid * mass).sum(-1))
 

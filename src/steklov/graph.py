@@ -74,11 +74,6 @@ class WeightedBoundaryGraph:
         return mask
 
     @cached_property
-    def interior(self) -> tuple[int, ...]:
-        """Interior vertex ids (complement of the boundary), ascending."""
-        return tuple(np.flatnonzero(~self.boundary_mask).tolist())
-
-    @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """``(u, v, w)`` per edge in edge order: a view of ``edge_arrays``."""
         return tuple(zip(*(a.tolist() for a in self.edge_arrays)))

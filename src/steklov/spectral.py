@@ -10,7 +10,7 @@ solved through the diagonal mass reduction.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +29,19 @@ SYMMETRY_TOL = 1e-12
 KERNEL_TOL = 1e-10
 PSD_TOL = 1e-10
 SIGMA1_TOL = 1e-10
+
+# The invariant rows of the Steklov matrix in the format of the corpus check
+# table: (check, predicate over the quantities of :func:`steklov_operator`,
+# quantities a failure reports).  Predicates also work elementwise.
+OPERATOR_CHECKS = (
+    ("schur_symmetry",
+     lambda q: q["asymmetry"] <= SYMMETRY_TOL * q["schur_scale"], ("asymmetry",)),
+    ("kernel_constants", lambda q: q["residual"] <= KERNEL_TOL * q["schur_scale"],
+     ("residual",)),
+    ("psd", lambda q: q["sigma1"] >= -PSD_TOL * q["eig_scale"], ("sigma1",)),
+    ("sigma1_zero", lambda q: abs(q["sigma1"]) <= SIGMA1_TOL * q["eig_scale"],
+     ("sigma1",)),
+)
 
 
 class NumericsError(RuntimeError):
@@ -62,8 +75,11 @@ def harmonic_extension(g: WeightedBoundaryGraph, f) -> np.ndarray:
     bidx, iidx = analysis.bidx, analysis.iidx
     u[bidx] = fvec
     if analysis.interior_factor is not None:
-        L_ob = analysis.laplacian_matrix[np.ix_(iidx, bidx)]
-        u[iidx] = cho_solve(analysis.interior_factor, -L_ob @ fvec)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            rhs = -analysis.laplacian_matrix[np.ix_(iidx, bidx)] @ fvec
+        if not np.isfinite(rhs).all():
+            raise NumericsError("interior right-hand side L_OB f is not finite")
+        u[iidx] = cho_solve(analysis.interior_factor, rhs)
     return u
 
 
@@ -73,8 +89,7 @@ class SteklovSystem:
 
     S represents ``f -> M_B (Lambda f)`` in boundary order; the Steklov
     operator itself is ``diag(boundary_mass)^-1 S``.  The matrix stored here
-    is exactly symmetrized; construction verifies that the raw asymmetry and
-    the residual of S applied to constants stay within tolerance.
+    is exactly symmetrized, and every row of ``OPERATOR_CHECKS`` held on it.
     """
 
     schur: np.ndarray
@@ -82,24 +97,37 @@ class SteklovSystem:
     boundary_order: tuple[int, ...]
 
 
-def _validated_system(
-    raw: np.ndarray, mass: np.ndarray, order: tuple[int, ...]
-) -> SteklovSystem:
-    scale = max(1.0, float(np.abs(raw).max(initial=0.0)))
-    asym = float(np.abs(raw - raw.T).max(initial=0.0))
-    if asym > SYMMETRY_TOL * scale:
-        raise NumericsError(f"Steklov matrix asymmetry {asym:.3e} exceeds tolerance")
-    sym = 0.5 * (raw + raw.T)
-    kernel_residual = float(np.abs(sym @ np.ones(len(order))).max(initial=0.0))
-    if kernel_residual > KERNEL_TOL * scale:
-        raise NumericsError(
-            f"Steklov matrix does not annihilate constants "
-            f"(residual {kernel_residual:.3e})"
-        )
-    sym.setflags(write=False)
-    mass = np.asarray(mass, dtype=float).copy()
-    mass.setflags(write=False)
-    return SteklovSystem(schur=sym, boundary_mass=mass, boundary_order=order)
+def steklov_operator(l_bb, l_ob, interior_map, mass, vectors: bool = False):
+    """The Steklov matrix, its spectrum and its invariant quantities, over any
+    leading axes: the algebra after the interior solve, shared by the
+    per-graph analysis and the corpus kernel.
+
+    ``l_bb`` and ``l_ob`` are the L_BB and L_OB blocks, ``interior_map`` is
+    X = L_OO^-1 L_OB (None without an interior) and ``mass`` holds the
+    boundary masses (None when all are 1).  Returns
+    ``(S, eigenvalues, eigenvectors, quantities)``: the symmetrized S, the
+    ascending eigenvalues of ``M^-1/2 S M^-1/2``, its eigenvectors when
+    ``vectors`` (else None), and the quantities that ``OPERATOR_CHECKS``
+    reads.
+    """
+    if interior_map is not None:  # rebound, so the L_BB slice is freed
+        l_bb = l_bb - np.swapaxes(l_ob, -1, -2) @ interior_map
+    transpose = np.swapaxes(l_bb, -1, -2)
+    asymmetry = np.abs(l_bb - transpose).max(axis=(-1, -2))
+    schur = 0.5 * (l_bb + transpose)
+    reduced = schur
+    if mass is not None:
+        inv_sqrt = 1.0 / np.sqrt(mass)
+        reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+        reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
+    eig, vecs = np.linalg.eigh(reduced) if vectors else (np.linalg.eigvalsh(reduced), None)
+    return schur, eig, vecs, {
+        "asymmetry": asymmetry,
+        "residual": np.abs(schur.sum(axis=-1)).max(axis=-1),
+        "schur_scale": np.abs(schur).max(axis=(-1, -2), initial=1.0),
+        "sigma1": eig[..., 0],
+        "eig_scale": np.abs(eig).max(axis=-1, initial=1.0),
+    }
 
 
 def steklov_system(g: WeightedBoundaryGraph) -> SteklovSystem:
@@ -108,21 +136,19 @@ def steklov_system(g: WeightedBoundaryGraph) -> SteklovSystem:
     ``S = L_BB - L_BO L_OO^-1 L_OB``; with an empty interior S is just
     ``L_BB``.  Requires a connected graph and a nonempty boundary.
     """
-    return g.analysis.system
+    return g.analysis.operator[0]
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending Steklov eigenvalues, optionally with m-orthonormal vectors.
+    """Ascending Steklov eigenvalues in boundary order.
 
-    ``eigenvectors[:, i]`` (when requested) is the eigenfunction of
-    ``eigenvalues[i]`` in original boundary coordinates.  Indices beyond
-    ``|B|`` follow the +infinity convention through :meth:`sigma`.
+    Indices beyond ``|B|`` follow the +infinity convention through
+    :meth:`sigma`.
     """
 
     eigenvalues: np.ndarray
     boundary_order: tuple[int, ...]
-    eigenvectors: np.ndarray | None = None
 
     def sigma(self, i: int) -> float:
         """i-th eigenvalue, 1-based; +inf past the end of the spectrum."""
@@ -139,17 +165,10 @@ class Spectrum:
         }
 
 
-def steklov_spectrum(
-    g: WeightedBoundaryGraph, with_vectors: bool = False
-) -> Spectrum:
-    """Solve ``S v = sigma M_B v`` via the diagonal mass reduction.
-
-    The symmetric problem is ``M^-1/2 S M^-1/2``; eigenvectors are mapped
-    back to original coordinates, where they are orthonormal in the
-    m-weighted boundary inner product.
-    """
-    analysis = g.analysis
-    return analysis.eigenpairs if with_vectors else analysis.eigenvalues
+def steklov_spectrum(g: WeightedBoundaryGraph) -> Spectrum:
+    """Solve ``S v = sigma M_B v`` via the diagonal mass reduction: the
+    eigenvalues of the symmetric ``M^-1/2 S M^-1/2``."""
+    return g.analysis.operator[1]
 
 
 class GraphAnalysis:
@@ -190,26 +209,33 @@ class GraphAnalysis:
             raise NumericsError(f"interior block factorization failed: {exc}") from exc
 
     @cached_property
-    def system(self) -> SteklovSystem:
+    def operator(self) -> tuple[SteklovSystem, Spectrum, dict]:
+        """The Steklov system, its spectrum and the quantities of
+        :func:`steklov_operator`; raises :class:`NumericsError` naming the
+        first row of ``OPERATOR_CHECKS`` that fails."""
         if len(self.bidx) == 0:
             raise EmptyBoundaryError("graph has an empty boundary")
         L, b, o = self.laplacian_matrix, self.bidx, self.iidx
-        raw = L[np.ix_(b, b)]
+        l_ob = interior_map = None
         if self.interior_factor is not None:
-            L_ob = L[np.ix_(o, b)]
-            raw = raw - L_ob.T @ cho_solve(self.interior_factor, L_ob)
-        return _validated_system(raw, self.graph.measures[b], self.graph.boundary)
-
-    @cached_property
-    def eigenpairs(self) -> Spectrum:
-        return self._eigensolve(with_vectors=True)
-
-    @cached_property
-    def eigenvalues(self) -> Spectrum:
-        """Eigenvalues alone, taken from :attr:`eigenpairs` when those exist."""
-        if "eigenpairs" in self.__dict__:
-            return replace(self.eigenpairs, eigenvectors=None)
-        return self._eigensolve(with_vectors=False)
+            l_ob = L[np.ix_(o, b)]
+            interior_map = cho_solve(self.interior_factor, l_ob)
+        mass = self.graph.measures[b]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                schur, eig, _, q = steklov_operator(L[np.ix_(b, b)], l_ob, interior_map, mass)
+            if not np.isfinite(eig).all():  # LAPACK gives nan or raises on such input
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            raise NumericsError("mass-reduced Steklov matrix is not finite") from None
+        for check, holds, keys in OPERATOR_CHECKS:
+            if not holds(q):
+                raise NumericsError(f"Steklov matrix fails {check}: "
+                                    + ", ".join(f"{key} = {q[key]:.3e}" for key in keys))
+        for array in (schur, eig, mass):
+            array.setflags(write=False)
+        order = self.graph.boundary
+        return SteklovSystem(schur, mass, order), Spectrum(eig, order), q
 
     @cached_property
     def boundary_diameter(self) -> int:
@@ -221,24 +247,3 @@ class GraphAnalysis:
         from .bounds import compute_bound_report  # bounds imports this module
 
         return compute_bound_report(self.graph)
-
-    def _eigensolve(self, with_vectors: bool) -> Spectrum:
-        system = self.system
-        inv_sqrt = 1.0 / np.sqrt(system.boundary_mass)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            reduced = system.schur * inv_sqrt[:, None] * inv_sqrt[None, :]
-            reduced = 0.5 * (reduced + reduced.T)
-        if not np.isfinite(reduced).all():
-            raise NumericsError("mass-reduced Steklov matrix is not finite")
-        if with_vectors:
-            vals, vecs = np.linalg.eigh(reduced)
-            vectors = vecs * inv_sqrt[:, None]
-            vectors.setflags(write=False)
-        else:
-            vals = np.linalg.eigvalsh(reduced)
-            vectors = None
-        scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-        if vals[0] < -PSD_TOL * scale:
-            raise NumericsError(f"Steklov matrix not PSD: lowest eigenvalue {vals[0]:.3e}")
-        vals.setflags(write=False)
-        return Spectrum(vals, system.boundary_order, vectors)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from steklov import graph_from_arrays
+from steklov.corpus import _Instance, _small_instances
 
 
 @pytest.fixture
@@ -30,6 +31,13 @@ def star():
     return graph_from_arrays(
         [1.0] * 4, [0, 2], [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0)]
     )
+
+
+def enumerate_small(n_max: int, *draw):
+    """The exhaustive corpus on 2..n_max vertices as validated graphs, in
+    stream order; ``draw`` is ``(rng, weight_range, measure_range)`` for
+    drawn weights and measures, else all are 1."""
+    return map(_Instance.graph, _small_instances(n_max, *draw))
 
 
 def unit_path(n: int):

@@ -8,25 +8,20 @@ record by record, in every corpus mode.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve
+import scipy.linalg
 
-from steklov import bound_report, check_rigidity, enumerate_small, graph_to_json_dict
+from steklov import bound_report, check_rigidity, graph_to_json_dict
 from steklov.corpus import (
     ViolationRecord,
     _bound_quantities,
     _certificate,
     _details,
     _evaluate,
-    _operator_quantities,
     _random_instances,
 )
-from steklov.spectral import (
-    NumericsError,
-    harmonic_extension,
-    steklov_spectrum,
-    steklov_system,
-)
+from steklov.spectral import NumericsError, harmonic_extension
 
+from conftest import enumerate_small
 from reference_spectral import edge_energy
 
 
@@ -35,22 +30,13 @@ def reference_quantities(g, rng, mutations=frozenset()) -> dict:
 
     Raises :class:`NumericsError` where the per-graph analysis does.
     """
-    system = steklov_system(g)
-    spectrum = steklov_spectrum(g, with_vectors=True)
-    q = _operator_quantities(spectrum.eigenvalues, system.schur)
-
-    # the raw Schur complement, before the system symmetrizes it
-    analysis = g.analysis
-    L, b, o = analysis.laplacian_matrix, analysis.bidx, analysis.iidx
-    raw = L[np.ix_(b, b)]
-    if analysis.interior_factor is not None:
-        raw = raw - L[np.ix_(o, b)].T @ cho_solve(analysis.interior_factor, L[np.ix_(o, b)])
-    q["asymmetry"] = float(np.abs(raw - raw.T).max())
+    system, _, operator = g.analysis.operator
+    q = dict(operator)
 
     # lowest eigenvector must be constant: residual after projecting onto 1
-    # in the m-inner product (v1 is m-normalized already)
-    v1 = spectrum.eigenvectors[:, 0]
+    # in the m-inner product (scipy's v1 is m-normalized already)
     mass = system.boundary_mass
+    v1 = scipy.linalg.eigh(system.schur, np.diag(mass))[1][:, 0]
     resid = v1 - float(np.dot(v1, mass)) / float(mass.sum())
     q["misalignment"] = float(np.sqrt(np.dot(resid * resid, mass)))
 
@@ -89,13 +75,9 @@ def reference_verify(spec, mutations=frozenset()) -> list:
     if spec.mode == "random":
         graphs = (instance.graph() for instance in _random_instances(spec))
     else:
-        graphs = enumerate_small(
-            spec.n_max,
-            unit_only=spec.unit_only,
-            rng=np.random.default_rng([spec.seed, 0]),
-            weight_range=spec.weight_range,
-            measure_range=spec.measure_range,
-        )
+        draw = (np.random.default_rng([spec.seed, 0]), spec.weight_range,
+                spec.measure_range)
+        graphs = enumerate_small(spec.n_max, *(() if spec.unit_only else draw))
     rng = np.random.default_rng([spec.seed, 1])
     records = []
     for index, g in enumerate(graphs):

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 
 from steklov import (
     GraphError,
-    bound_extended,
-    bound_general,
     bound_report,
     boundary_quantities,
     graph_from_arrays,
@@ -41,10 +39,10 @@ class TestBoundaryQuantities:
 class TestBoundFormulas:
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 23])
     def test_extended_on_paths(self, n):
-        assert bound_extended(unit_path(n)) == 2.0 / (n - 1)
+        assert bound_report(unit_path(n)).bound_extended == 2.0 / (n - 1)
 
     def test_extended_on_c4(self, c4):
-        assert bound_extended(c4) == 1.0
+        assert bound_report(c4).bound_extended == 1.0
 
     def test_extended_arithmetic(self):
         # w0=0.5, m0=2, VB=5, dB=3 -> 0.5*5/(9*3) = 5/54
@@ -53,13 +51,13 @@ class TestBoundFormulas:
             [0, 3],
             [(0, 1, 0.5), (1, 2, 1.0), (2, 3, 2.0)],
         )
-        assert bound_extended(g) == pytest.approx(5.0 / 54.0, abs=1e-15)
+        assert bound_report(g).bound_extended == pytest.approx(5.0 / 54.0, abs=1e-15)
 
     def test_general_path3(self, path3):
-        assert bound_general(path3) == 0.25
+        assert bound_report(path3).bound_general == 0.25
 
     def test_general_k2(self, k2):
-        assert bound_general(k2) == 0.5
+        assert bound_report(k2).bound_general == 0.5
 
     def test_unit_form_path3(self, path3):
         rep = bound_report(path3)
@@ -79,20 +77,21 @@ class TestBoundFormulas:
 
     def test_single_boundary_vertex_is_vacuous(self):
         g = graph_from_arrays([1.0] * 3, [1], [(0, 1, 1.0), (1, 2, 1.0)])
-        assert bound_extended(g) == math.inf
-        assert bound_general(g) == math.inf
         rep = bound_report(g)
+        assert rep.bound_extended == rep.bound_general == math.inf
         assert (rep.bound_unit, rep.bound_unit_applicable) == (math.inf, False)
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=8, min_boundary=2))
     def test_dominance(self, g):
-        assert bound_extended(g) >= bound_general(g) - 1e-15
+        rep = bound_report(g)
+        assert rep.bound_extended >= rep.bound_general - 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=8, min_boundary=2, unit=True))
     def test_unit_specialization_exact(self, g):
-        assert abs(bound_extended(g) - bound_report(g).bound_unit) <= 1e-15
+        rep = bound_report(g)
+        assert abs(rep.bound_extended - rep.bound_unit) <= 1e-15
 
 
 class TestBoundReport:

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steklov import comb_graph, graph_to_json, parse_graph
+from steklov import check_instance, comb_graph, graph_to_json, parse_graph, spectral
 from steklov.cli import main
 from conftest import unit_path
+from strategies import cli_documents
 
 
 @pytest.fixture
@@ -481,6 +488,8 @@ class TestNumbersOutOfRange:
         (1e308, 1.0, ("bounds", "rigidity"), "VB = inf is out of binary64 range"),
         (1e-308, 1.0, ("bounds", "rigidity"),
          "(V_B - m0)^2 = 0.0 is out of binary64 range"),
+        (1e200, 1.0, ("bounds", "rigidity"),
+         "(V_B - m0)^2 = inf is out of binary64 range"),
         (5e-324, 1.0, ("spectrum", "bounds", "rigidity"),
          "mass-reduced Steklov matrix is not finite"),
     ])
@@ -494,3 +503,64 @@ class TestNumbersOutOfRange:
         p.write_text(json.dumps(doc))
         for command in commands:
             self.assert_one_line_exit_2(*run(capsys, command, str(p)), message)
+
+    def test_harmonic_right_hand_side_beyond_binary64(self, capsys, tmp_path):
+        """Weights 6e307 on the path a-b-c keep every degree finite, but the
+        boundary values 4 and 0 make L_OB f overflow."""
+        doc = {"vertices": [{"id": v, "m": 1, "boundary": v != "b"} for v in "abc"],
+               "edges": [{"u": "a", "v": "b", "w": 6e307}, {"u": "b", "v": "c", "w": 6e307}]}
+        graph, values = tmp_path / "graph.json", tmp_path / "values.json"
+        graph.write_text(json.dumps(doc))
+        values.write_text(json.dumps({"a": 4, "c": 0}))
+        self.assert_one_line_exit_2(
+            *run(capsys, "harmonic", str(graph), "--values", str(values)),
+            "interior right-hand side L_OB f is not finite")
+
+
+@pytest.mark.parametrize("check, tolerance", [
+    ("schur_symmetry", "SYMMETRY_TOL"),
+    ("kernel_constants", "KERNEL_TOL"),
+    ("psd", "PSD_TOL"),
+    ("sigma1_zero", "SIGMA1_TOL"),
+])
+def test_failed_operator_row_is_named_by_both_engines(capsys, monkeypatch, path3, path3_file,
+                                                      check, tolerance):
+    """With its tolerance at -1 an invariant row of the Steklov matrix fails
+    on any graph: the per-graph route exits 2 with one line naming it, and the
+    corpus kernel reports it, so both read the one table."""
+    monkeypatch.setattr(spectral, tolerance, -1.0)
+    code, out, err = run(capsys, "bounds", path3_file)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"steklov: Steklov matrix fails {check}: ")
+    assert check in [name for name, _ in check_instance(path3)]
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_documents(), st.sampled_from(["spectrum", "bounds", "rigidity", "harmonic"]))
+def test_every_document_ends_in_json_or_one_line(docs, command):
+    """Valid graphs with values anywhere in binary64, and documents with
+    malformed values: exit 0 with strict JSON, or exit 2 with one line."""
+    doc, values = docs
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp, "graph.json")
+        graph.write_text(json.dumps(doc))
+        argv = [command, str(graph)]
+        if command == "harmonic":
+            argv += ["--values", str(Path(tmp, "values.json"))]
+            Path(argv[-1]).write_text(json.dumps(values))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("steklov: ")

@@ -11,7 +11,6 @@ from steklov import (
     all_geodesics,
     check_instance,
     count_exhaustive_instances,
-    enumerate_small,
     graph_from_arrays,
     hop_distance_matrix,
     is_comb_over,
@@ -40,7 +39,7 @@ from steklov.corpus import (
 )
 from steklov.graph import geodesic_layers
 from steklov.rigidity import _unique_geodesic, check_rigidity
-from conftest import unit_path
+from conftest import enumerate_small, unit_path
 from reference_graph import geodesic_count_oracle
 from reference_corpus import (
     reference_check_instance,
@@ -141,11 +140,6 @@ class TestValueRanges:
             random_graph(12, 0.5, r["weight_range"], r["measure_range"], 3, seed=0)
         self.assert_one_line(excinfo, name)
 
-    def test_enumerate_small(self, name, bad):
-        with pytest.raises(GraphError) as excinfo:
-            enumerate_small(3, unit_only=False, **self.ranges(name, bad))
-        self.assert_one_line(excinfo, name)
-
     @pytest.mark.parametrize("mode", ["random", "exhaustive"])
     def test_corpus_spec(self, name, bad, mode):
         with pytest.raises(GraphError) as excinfo:
@@ -193,20 +187,20 @@ class TestEnumeration:
     def test_weighted_stream_deterministic(self):
         a = [
             (g.edges, tuple(g.measures))
-            for g in enumerate_small(3, unit_only=False, rng=np.random.default_rng(5))
+            for g in enumerate_small(3, np.random.default_rng(5), (0.5, 2.0), (0.5, 2.0))
         ]
         b = [
             (g.edges, tuple(g.measures))
-            for g in enumerate_small(3, unit_only=False, rng=np.random.default_rng(5))
+            for g in enumerate_small(3, np.random.default_rng(5), (0.5, 2.0), (0.5, 2.0))
         ]
         assert a == b
         assert any(w != 1.0 for edges, _ in a for _, _, w in edges)
 
     def test_out_of_range(self):
-        with pytest.raises(GraphError):
-            list(enumerate_small(8))
-        with pytest.raises(GraphError):
-            list(enumerate_small(1))
+        with pytest.raises(GraphError, match="2 <= n_max <= 7"):
+            CorpusSpec(mode="exhaustive", n_max=8)
+        with pytest.raises(GraphError, match="2 <= n_max <= 7"):
+            CorpusSpec(mode="exhaustive", n_max=1)
 
     @pytest.mark.parametrize("n_max", [1, 8, 40])
     def test_count_out_of_range(self, monkeypatch, n_max):
@@ -245,8 +239,7 @@ class TestInstanceStreams:
     def test_weighted_stream_is_enumerate_small(self):
         ranges = (0.25, 4.0), (0.5, 2.0)
         stream = _small_instances(4, np.random.default_rng(13), *ranges)
-        graphs = enumerate_small(4, unit_only=False, rng=np.random.default_rng(13),
-                                 weight_range=ranges[0], measure_range=ranges[1])
+        graphs = enumerate_small(4, np.random.default_rng(13), *ranges)
         count = 0
         for inst, g in zip(stream, graphs, strict=True):
             self.assert_instance_is_graph(inst, g)
@@ -495,7 +488,7 @@ class TestCheckInstance:
             g = random_comb(6, 1.5, 2.0, seed=rng)
         else:
             g = rng_graph(rng, 12, boundary_size=3)
-        assert len(g.interior) > 0
+        assert not g.boundary_mask.all()
         assert reference_check_instance(g, rng=rng) == []
         assert calls == {"laplacian": 1, "cho_factor": 1}
 

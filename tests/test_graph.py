@@ -63,7 +63,7 @@ class TestParse:
         g = parse_graph(C4_JSON)
         assert g.n == 4
         assert g.boundary == (0, 2)
-        assert g.interior == (1, 3)
+        assert np.flatnonzero(~g.boundary_mask).tolist() == [1, 3]
         assert len(g.edges) == 4
 
     def test_loop_rejected(self):

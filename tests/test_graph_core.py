@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from steklov import (
     GraphError,
-    enumerate_small,
     graph_from_arrays,
     graph_to_json,
     make_graph,
@@ -25,6 +24,7 @@ from steklov import (
 )
 from steklov.graph import component_labels, is_connected
 
+from conftest import enumerate_small
 from reference_graph import reference_make_graph, reference_parse_graph
 
 labels_st = st.one_of(
@@ -275,7 +275,7 @@ class TestPinnedGenerators:
             "8f1a1992a6c0a6afad021c293cff6bd84d13e202c5a401290dac6a47b9822ce6")
 
     def test_weighted_enumeration(self):
-        graphs = enumerate_small(4, unit_only=False, rng=np.random.default_rng(13))
+        graphs = enumerate_small(4, np.random.default_rng(13), (0.5, 2.0), (0.5, 2.0))
         assert self.digest(graphs) == (
             "959ce438657433e42498c80bf693c1d556bb48f37a2b3460d32e0a2e0245db1c")
 

@@ -22,7 +22,7 @@ def oracle_sigma2(g):
     symmetric eigensolver (independent of the production path)."""
     L, m = laplacian(g)
     b = np.asarray(g.boundary, dtype=np.intp)
-    o = np.asarray(g.interior, dtype=np.intp)
+    o = np.flatnonzero(~g.boundary_mask)
     S = L[np.ix_(b, b)]
     if len(o):
         S = S - L[np.ix_(b, o)] @ np.linalg.inv(L[np.ix_(o, o)]) @ L[np.ix_(o, b)]

@@ -21,7 +21,7 @@ def oracle_schur(g):
     """Schur complement by explicit inverse (independent of the solver path)."""
     L, _ = laplacian(g)
     b = np.asarray(g.boundary, dtype=np.intp)
-    o = np.asarray(g.interior, dtype=np.intp)
+    o = np.flatnonzero(~g.boundary_mask)
     if len(o) == 0:
         return L[np.ix_(b, b)]
     return L[np.ix_(b, b)] - L[np.ix_(b, o)] @ np.linalg.inv(
@@ -107,7 +107,7 @@ class TestDirichletEnergy:
         v = rng.standard_normal(g.n)
         L, m = laplacian(g)
         delta_u = -(L @ u) / m
-        iidx = np.asarray(g.interior, dtype=np.intp)
+        iidx = np.flatnonzero(~g.boundary_mask)
         bidx = np.asarray(g.boundary, dtype=np.intp)
         lhs = float(np.dot(delta_u[iidx] * m[iidx], v[iidx]))
         flux = normal_derivative(g, u)
@@ -151,7 +151,7 @@ class TestHarmonicExtension:
         f = rng.standard_normal(len(g.boundary))
         u = harmonic_extension(g, f)
         L, m = laplacian(g)
-        residual = np.abs((L @ u)[np.asarray(g.interior, dtype=np.intp)])
+        residual = np.abs((L @ u)[np.flatnonzero(~g.boundary_mask)])
         degw = max((L[i, i] for i in range(g.n)), default=0.0)
         bound = 1e-10 * max(1.0, float(np.abs(f).max())) * max(1.0, degw)
         assert np.all(residual <= bound)
@@ -244,14 +244,10 @@ class TestSpectrum:
     @settings(max_examples=50, deadline=None)
     @given(connected_graphs(max_n=8, min_boundary=2))
     def test_kernel_and_positivity(self, g):
-        s = steklov_spectrum(g, with_vectors=True)
+        s = steklov_spectrum(g)
         scale = max(1.0, float(s.eigenvalues[-1]))
         assert abs(s.eigenvalues[0]) <= 1e-10 * scale
         assert s.eigenvalues[1] > 0
-        # m-orthonormality of returned eigenvectors
-        mass = g.measures[np.asarray(g.boundary, dtype=np.intp)]
-        gram = s.eigenvectors.T @ (mass[:, None] * s.eigenvectors)
-        assert np.allclose(gram, np.eye(len(g.boundary)), atol=1e-9)
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(5)
@@ -277,9 +273,10 @@ class TestRayleigh:
         assert rayleigh_quotient(k2, [1.0, -1.0]) == pytest.approx(2.0, abs=1e-13)
 
     def test_eigenfunction_recovers_sigma2(self, star):
-        s = steklov_spectrum(star, with_vectors=True)
-        sigma2 = s.eigenvalues[1]
-        value = rayleigh_quotient(star, s.eigenvectors[:, 1])
+        sigma2 = steklov_spectrum(star).eigenvalues[1]
+        mass = star.measures[np.asarray(star.boundary, dtype=np.intp)]
+        _, vecs = scipy.linalg.eigh(steklov_system(star).schur, np.diag(mass))
+        value = rayleigh_quotient(star, vecs[:, 1])
         assert value == pytest.approx(sigma2, rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
