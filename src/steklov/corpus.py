@@ -9,8 +9,10 @@ One kernel, ``_quantities``, computes every quantity the table reads for a
 stack of graphs crossed with shared boundary index tables.  Unit-weight
 exhaustive mode feeds it chunks of edge masks; every other stream (random
 mode, weighted exhaustive mode and ``check_instance``, a stream of one) is a
-stream of array instances, relabelled boundary-first and stacked by (n, |B|,
-unit weights).  A validated graph is built only for a violation record.
+stream of array instances, relabelled boundary-first, stacked by (|B|, unit
+weights) and padded to the stack's largest n with edgeless interior vertices,
+which leave every quantity unchanged.  A validated graph is built only for a
+violation record.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ EIGVEC_ALIGN_TOL = 1e-8
 # Largest n of random mode: one instance at n = 1000 takes 0.4-0.9 s with its
 # generation and about 200 MB (2-core VM, one BLAS thread).
 RANDOM_N_MAX = 1000
+
+# Largest n_max of each mode; exhaustive n = 8 alone would be 2^28 edge masks.
+_N_MAX = {"random": RANDOM_N_MAX, "exhaustive": 7}
 
 # Connectivity draws of one random instance before it gives up.
 RANDOM_RETRIES = 1000
@@ -105,12 +110,9 @@ class CorpusSpec:
     unit_only: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("random", "exhaustive"):
+        if self.mode not in _N_MAX:
             raise GraphError(f"unknown corpus mode {self.mode!r}")
-        if self.mode == "exhaustive" and not 2 <= self.n_max <= 7:
-            raise GraphError("exhaustive mode requires 2 <= n_max <= 7")
-        if self.mode == "random" and not 2 <= self.n_max <= RANDOM_N_MAX:
-            raise GraphError(f"random mode requires 2 <= n_max <= {RANDOM_N_MAX}")
+        _check_n_max(self.mode, self.n_max)
         if self.samples < 0:
             raise GraphError("samples must be nonnegative")
         if self.seed < 0:
@@ -155,6 +157,12 @@ class _Instance(namedtuple("_Instance", "n u v w m boundary unit")):
         """The validated graph, built only for a violation record."""
         return graph_from_arrays(self.m, self.boundary.tolist(),
                                  zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
+
+
+def _check_n_max(mode: str, n_max: int) -> None:
+    """The n_max range of a mode, for the spec and for the exhaustive count."""
+    if not 2 <= n_max <= _N_MAX[mode]:
+        raise GraphError(f"{mode} mode requires 2 <= n_max <= {_N_MAX[mode]}")
 
 
 def _check_ranges(weight_range, measure_range) -> None:
@@ -271,8 +279,7 @@ def _small_instances(n_max: int, *draw) -> Iterator[_Instance]:
 
 def count_exhaustive_instances(n_max: int) -> int:
     """Number of (graph, boundary) instances of the exhaustive corpus."""
-    if not 2 <= n_max <= 7:
-        raise GraphError("exhaustive enumeration requires 2 <= n_max <= 7")
+    _check_n_max("exhaustive", n_max)
     return sum(len(_connected_edge_masks(n)) * len(_boundary_masks(n))
                for n in range(2, n_max + 1))
 
@@ -324,16 +331,21 @@ def _certificate(cond_boundary, cond_path, cond_comb, mutations) -> dict:
 # --- the kernel -----------------------------------------------------------------
 
 
-def _distance_tables(weights: np.ndarray) -> np.ndarray:
+def _distance_tables(weights: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:
     """Hop distances of connected graphs from their (G, n, n) weights.
 
     d(x, y) counts the hop counts at which y is still out of x's reach, by
     boolean reach powers reach <- min(reach (A + I), 1): they cannot
-    overflow and cost one product per hop, at most n - 1 of them.
+    overflow and cost one product per hop, at most n - 1 of them.  Pairs
+    with a padding vertex (``pad``, (G, n)) start in reach, so they never
+    keep the loop running, and end at distance n: off every geodesic.
     """
     n = weights.shape[-1]
     step = (weights > 0) + np.eye(n)
     reach = np.broadcast_to(np.eye(n), weights.shape)
+    if pad is not None:
+        padded = pad[:, :, None] | pad[:, None, :]
+        reach = reach + padded
     dist = np.zeros(weights.shape, dtype=np.int64)
     for _ in range(n - 1):
         apart = reach == 0
@@ -341,18 +353,30 @@ def _distance_tables(weights: np.ndarray) -> np.ndarray:
             break
         dist += apart
         reach = np.minimum(reach @ step, 1.0)
+    if pad is not None:
+        dist[padded] = n
     return dist
 
 
 class _Stack:
     """G graphs on n vertices: (G, n, n) weights, zero off the edges, and
-    (G, n) measures, or None when every weight and measure is 1."""
+    (G, n) measures, or None when every weight and measure is 1.
 
-    def __init__(self, weights: np.ndarray, measures: np.ndarray | None = None):
+    ``pad`` (G, n), or None, marks padding: interior vertices with no edge
+    and Laplacian diagonal 1.  L_OO is then block diagonal with an identity
+    block and the padded rows of L_OB are 0, so the padded rows of
+    X = L_OO^-1 L_OB are 0 and S, the Green energy and d_B do not change.
+    """
+
+    def __init__(self, weights: np.ndarray, measures: np.ndarray | None = None,
+                 pad: np.ndarray | None = None):
+        n = weights.shape[-1]
         self.weights, self.measures = weights, measures
-        self.lap = weights.sum(axis=2)[:, :, None] * np.eye(weights.shape[-1]) - weights
+        self.lap = weights.sum(axis=2)[:, :, None] * np.eye(n) - weights
+        if pad is not None:
+            self.lap[:, np.arange(n), np.arange(n)] += pad
         self.w0 = np.where(weights > 0, weights, np.inf).min(axis=(1, 2))
-        self.dist = _distance_tables(weights)
+        self.dist = _distance_tables(weights, pad)
 
 
 def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dict:
@@ -486,10 +510,17 @@ def _verify_unit_masks(spec, mutations, max_violations) -> list[ViolationRecord]
 
 
 def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
-    """The kernel's quantities for instances that share (n, |B|, unit weights),
-    each relabelled boundary-first so that they share ``bidx = arange(|B|)``;
-    one fancy assignment scatters every edge of the stack."""
-    count, n, nb = len(stack), stack[0].n, len(stack[0].boundary)
+    """The kernel's quantities for instances that share |B| and unit weights.
+
+    Each is relabelled boundary-first, so that they share
+    ``bidx = arange(|B|)``, and padded after its interior to the stack's
+    largest n (see :class:`_Stack`).  One fancy assignment scatters every
+    edge of the stack.
+    """
+    count, nb = len(stack), len(stack[0].boundary)
+    sizes = np.array([inst.n for inst in stack])
+    n = int(sizes.max())
+    pad = np.arange(n) >= sizes[:, None]
     on_b = np.zeros((count, n), dtype=bool)
     on_b[np.arange(count)[:, None], [inst.boundary for inst in stack]] = True
     label = np.where(on_b, on_b.cumsum(axis=1) - 1, nb - 1 + (~on_b).cumsum(axis=1))
@@ -498,36 +529,51 @@ def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
     v = label[gi, np.concatenate([inst.v for inst in stack])]
     weights = np.zeros((count, n, n))
     weights[gi, u, v] = weights[gi, v, u] = np.concatenate([inst.w for inst in stack])
-    measures = np.empty((count, n))
-    measures[np.arange(count)[:, None], label] = [inst.m for inst in stack]
-    return _quantities(_Stack(weights, None if stack[0].unit else measures),
+    measures = None
+    if not stack[0].unit:
+        measures = np.ones((count, n))
+        measures[np.nonzero(~pad)[0], label[~pad]] = np.concatenate([inst.m for inst in stack])
+    return _quantities(_Stack(weights, measures, pad if pad.any() else None),
                        np.arange(nb)[None], np.arange(nb, n)[None], rng, mutations,
                        vectors=True)
 
 
-# Matrix cells (n^2 summed over the graphs) per window of a graph stream.
-_WINDOW_CELLS = 1 << 20
+# Padded matrix cells, instances x (largest n)^2, per window of a graph
+# stream, so every padded stack of a window fits in it.  2^17 holds 145
+# instances at n = 30; a larger window adds peak memory there, not speed.
+_WINDOW_CELLS = 1 << 17
+
+
+def _windows(instances) -> Iterator[list[tuple[int, _Instance]]]:
+    """The (index, instance) stream cut into windows of at most
+    ``_WINDOW_CELLS`` padded cells; a larger instance is a window alone."""
+    window: list[tuple[int, _Instance]] = []
+    side = 0
+    for index, inst in enumerate(instances):
+        if window and (len(window) + 1) * max(side, inst.n) ** 2 > _WINDOW_CELLS:
+            yield window
+            window, side = [], 0
+        window.append((index, inst))
+        side = max(side, inst.n)
+    if window:
+        yield window
 
 
 def _verify_instances(instances, rng, mutations, max_violations) -> list[ViolationRecord]:
     """Verify an instance stream window by window, each window stacked by
-    (n, |B|, unit weights); Green-check vectors are drawn per stack."""
+    (|B|, unit weights) and padded; Green-check vectors are drawn per stack."""
     records: list[ViolationRecord] = []
-    stream = enumerate(instances)
-    while True:
+    for window in _windows(instances):
         stacks: dict[tuple, list] = {}
-        cells = 0
-        for index, inst in stream:
-            stacks.setdefault((inst.n, len(inst.boundary), inst.unit), []).append((index, inst))
-            cells += inst.n * inst.n
-            if cells >= _WINDOW_CELLS:
-                break
+        for index, inst in window:
+            stacks.setdefault((len(inst.boundary), inst.unit), []).append((index, inst))
         for members in stacks.values():
             indices, group = zip(*members)
             q = _stack_quantities(group, rng, mutations)
             records += _violations(q, lambda gi, ci: (indices[gi], group[gi].graph()))
-        if not stacks or (max_violations is not None and len(records) >= max_violations):
-            return sorted(records, key=_record_key)
+        if max_violations is not None and len(records) >= max_violations:
+            break
+    return sorted(records, key=_record_key)
 
 
 def check_instance(g: WeightedBoundaryGraph, rng=None,

@@ -197,12 +197,17 @@ class TestEnumeration:
         assert any(w != 1.0 for edges, _ in a for _, _, w in edges)
 
     def test_out_of_range(self):
-        with pytest.raises(GraphError, match="2 <= n_max <= 7"):
-            CorpusSpec(mode="exhaustive", n_max=8)
-        with pytest.raises(GraphError, match="2 <= n_max <= 7"):
-            CorpusSpec(mode="exhaustive", n_max=1)
+        """The spec and the count refuse the same n_max with the same message."""
+        for n_max in (1, 8, 9):
+            messages = []
+            for refuse in (lambda: CorpusSpec(mode="exhaustive", n_max=n_max),
+                           lambda: count_exhaustive_instances(n_max)):
+                with pytest.raises(GraphError, match="2 <= n_max <= 7") as info:
+                    refuse()
+                messages.append(str(info.value))
+            assert messages == ["exhaustive mode requires 2 <= n_max <= 7"] * 2
 
-    @pytest.mark.parametrize("n_max", [1, 8, 40])
+    @pytest.mark.parametrize("n_max", [1, 8, 9, 40])
     def test_count_out_of_range(self, monkeypatch, n_max):
         # rejected before any enumeration: n_max = 8 alone means 2^28 masks
         def no_enumeration(n):
@@ -597,3 +602,84 @@ class TestVerifyCorpus:
             )
         }
         assert record.check in names
+
+
+@pytest.fixture
+def built_stacks(monkeypatch):
+    """Every ``_Stack`` the kernel builds, in order."""
+    stacks = []
+
+    class Recorded(_Stack):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stacks.append(self)
+
+    monkeypatch.setattr(corpus, "_Stack", Recorded)
+    return stacks
+
+
+# Quantities that are 0 in exact arithmetic, with the scale of their rounding.
+_RESIDUES = {"asymmetry": "schur_scale", "residual": "schur_scale",
+             "sigma1": "eig_scale", "misalignment": None}
+
+
+@pytest.mark.parametrize("nb, sizes, unit", [
+    (1, [1, 4, 9, 2, 9], False),
+    (3, [3, 5, 12, 20, 12, 7, 4], False),
+    (3, [3, 5, 12, 20, 12, 7, 4], True),
+], ids=["one-vertex", "weighted", "unit"])
+def test_padded_stack_matches_single_stacks(built_stacks, nb, sizes, unit):
+    """A |B| group of mixed n, padded to its largest n, gives each instance
+    the quantities, verdicts and hop distances it gets stacked alone.  The
+    member with n = |B| has no interior; with |B| = 1 it is a one-vertex
+    graph, whose degree is 0 like a padding vertex's."""
+    rng = np.random.default_rng(2)
+    group = [corpus._random_instance(n, 0.5, (0.5, 2.0), (0.5, 2.0), nb, rng, unit)
+             for n in sizes]
+    padded = _stack_quantities(group, np.random.default_rng(0), frozenset())
+    stack = built_stacks[-1]
+    top = max(sizes)
+    assert stack.weights.shape == (len(sizes), top, top)
+    verdicts = {check: ok for check, _, ok in corpus._evaluate(padded)}
+    for gi, inst in enumerate(group):
+        alone = _stack_quantities([inst], np.random.default_rng(0), frozenset())
+        lone = built_stacks[-1]
+        assert np.array_equal(stack.dist[gi, :inst.n, :inst.n], lone.dist[0])
+        assert (stack.dist[gi, inst.n:] == top).all() and (stack.dist[gi, :, inst.n:] == top).all()
+        assert alone.keys() == padded.keys()
+        for name, value in alone.items():
+            if name in ("schur_form", "energy"):
+                continue
+            want, got = value[0, 0], padded[name][gi, 0]
+            if want.dtype == bool:
+                assert got == want, name
+            elif name in _RESIDUES:
+                scale = 1.0 if _RESIDUES[name] is None else alone[_RESIDUES[name]][0, 0]
+                assert abs(got - want) <= 1e-12 * scale, name
+            else:
+                assert got == pytest.approx(want, rel=1e-12), name
+        for check, _, ok in corpus._evaluate(alone):
+            assert verdicts[check][gi, 0] == ok[0, 0], check
+    assert "green_symmetry" in verdicts and verdicts["green_symmetry"].all()
+
+
+def test_padded_stacks_fit_the_window(monkeypatch, built_stacks):
+    """Random mode pads its stacks, and no window or stack of more than one
+    graph exceeds ``_WINDOW_CELLS`` padded cells, instances x (largest n)^2."""
+    windows, cut = [], corpus._windows
+
+    def recorded(instances):
+        for window in cut(instances):
+            windows.append((len(window), max(inst.n for _, inst in window)))
+            yield window
+
+    monkeypatch.setattr(corpus, "_windows", recorded)
+    assert verify_corpus(CorpusSpec(mode="random", n_max=30, samples=1000)) == []
+    shapes = [stack.weights.shape[:2] for stack in built_stacks]
+    assert sum(count for count, _ in shapes) == sum(count for count, _ in windows) == 1000
+    assert len(windows) > 1
+    # a distance of n marks a padding vertex
+    assert any(stack.weights.shape[0] > 1 and (stack.dist == stack.weights.shape[1]).any()
+               for stack in built_stacks)
+    for count, n in windows + shapes:
+        assert count == 1 or count * n * n <= corpus._WINDOW_CELLS
