@@ -9,10 +9,10 @@ One kernel, ``_quantities``, computes every quantity the table reads for a
 stack of graphs crossed with shared boundary index tables.  Unit-weight
 exhaustive mode feeds it chunks of edge masks; every other stream (random
 mode, weighted exhaustive mode and ``check_instance``, a stream of one) is a
-stream of array instances, relabelled boundary-first, stacked by (|B|, unit
-weights) and padded to the stack's largest n with edgeless interior vertices,
-which leave every quantity unchanged.  A validated graph is built only for a
-violation record.
+stream of array instances, relabelled boundary-first, stacked by |B| and
+padded to the stack's largest n with edgeless interior vertices, which leave
+every quantity unchanged.  Whether a graph has unit weights is read off its
+stack.  A validated graph is built only for a violation record.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .graph import (
     EmptyBoundaryError,
     GraphError,
     WeightedBoundaryGraph,
-    all_unit,
     component_labels,
     geodesic_layers,
     graph_from_arrays,
@@ -68,9 +67,10 @@ KNOWN_MUTATIONS = frozenset({MUTATION_BOUND_DB, MUTATION_COMB_SKIP})
 # The check table: (check, predicate over the named quantities, quantities a
 # violation reports); the Steklov matrix's own rows are ``OPERATOR_CHECKS``.
 # A row runs only when every quantity it reports is present: sigma_2, the
-# bounds and the certificate need |B| >= 2, unit_formula unit weights,
-# misalignment eigenvectors, and a failed solve or eigensolve leaves only its
-# error.  Predicates also work elementwise.
+# bounds and the certificate need |B| >= 2, misalignment eigenvectors, and a
+# failed solve or eigensolve leaves only its error.  Predicates also work
+# elementwise; ``unit`` may be a Python bool, so it is negated by
+# ``np.logical_not``, not ``~``.
 _CHECKS = (
     ("numerics_failure", lambda q: q["error"] == "", ("error",)),
     *OPERATOR_CHECKS,
@@ -87,8 +87,8 @@ _CHECKS = (
      lambda q: q["bound_extended"] >= q["bound_general"] * (1.0 - DOMINANCE_SLACK),
      ("bound_extended", "bound_general")),
     ("unit_specialization",
-     lambda q: abs(q["bound_extended"] - q["unit_formula"])
-     <= UNIT_SPECIALIZATION_TOL * q["unit_formula"],
+     lambda q: np.logical_not(q["unit"]) | (abs(q["bound_extended"] - q["unit_formula"])
+                                             <= UNIT_SPECIALIZATION_TOL * q["unit_formula"]),
      ("bound_extended", "unit_formula")),
     ("equality_iff_certified", lambda q: q["equality"] == q["certified_equality"],
      ("sigma2", "bound_extended", "equality", "certified_equality",
@@ -142,16 +142,15 @@ class ViolationRecord:
 # --- instances -------------------------------------------------------------------
 
 
-class _Instance(namedtuple("_Instance", "n u v w m boundary unit")):
+class _Instance(namedtuple("_Instance", "n u v w m boundary")):
     """A corpus instance as the kernel reads it: the edges u < v, sorted by
-    (u, v), with weights w, the measures m, the sorted boundary ids and
-    whether every weight and measure is 1 (:func:`all_unit`)."""
+    (u, v), with weights w, the measures m and the sorted boundary ids."""
 
     __slots__ = ()
 
     @classmethod
     def of(cls, g: WeightedBoundaryGraph) -> _Instance:
-        return cls(g.n, *g.edge_arrays, g.measures, np.asarray(g.boundary), g.is_unit_weighted())
+        return cls(g.n, *g.edge_arrays, g.measures, np.asarray(g.boundary))
 
     def graph(self) -> WeightedBoundaryGraph:
         """The validated graph, built only for a violation record."""
@@ -208,7 +207,7 @@ def _random_instance(n, edge_prob, weight_range, measure_range, boundary_size, r
         weights = rng.uniform(*weight_range, size=len(u))
         measures = rng.uniform(*measure_range, size=n)
     boundary = np.sort(rng.choice(n, size=boundary_size, replace=False))
-    return _Instance(n, u, v, weights, measures, boundary, all_unit(measures, weights))
+    return _Instance(n, u, v, weights, measures, boundary)
 
 
 @lru_cache(maxsize=64)
@@ -264,8 +263,7 @@ def _mask_instance(n: int, edge_mask: int, boundary_mask: int,
     w, m = np.ones(len(on)), np.ones(n)
     if rng is not None:
         w, m = rng.uniform(*weight_range, size=len(on)), rng.uniform(*measure_range, size=n)
-    return _Instance(n, tails[on], heads[on], w, m, np.flatnonzero(_bits(boundary_mask, n)),
-                     all_unit(m, w))
+    return _Instance(n, tails[on], heads[on], w, m, np.flatnonzero(_bits(boundary_mask, n)))
 
 
 def _small_instances(n_max: int, *draw) -> Iterator[_Instance]:
@@ -331,70 +329,69 @@ def _certificate(cond_boundary, cond_path, cond_comb, mutations) -> dict:
 # --- the kernel -----------------------------------------------------------------
 
 
-def _distance_tables(weights: np.ndarray, pad: np.ndarray | None = None) -> np.ndarray:
-    """Hop distances of connected graphs from their (G, n, n) weights.
+def _distance_tables(lap: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Hop distances of connected graphs from their (G, n, n) Laplacians.
 
     d(x, y) counts the hop counts at which y is still out of x's reach, by
-    boolean reach powers reach <- min(reach (A + I), 1): they cannot
-    overflow and cost one product per hop, at most n - 1 of them.  Pairs
-    with a padding vertex (``pad``, (G, n)) start in reach, so they never
-    keep the loop running, and end at distance n: off every geodesic.
+    boolean reach powers reach <- min(reach (A + I), 1), held in float32:
+    exact, since no count exceeds n < 2^24, and one product per hop, at most
+    n - 1 of them.  Pairs with a padding vertex (``pad``, (G, n)) start in
+    reach, so they never keep the loop running, and end at distance n: off
+    every geodesic.
     """
-    n = weights.shape[-1]
-    step = (weights > 0) + np.eye(n)
-    reach = np.broadcast_to(np.eye(n), weights.shape)
-    if pad is not None:
-        padded = pad[:, :, None] | pad[:, None, :]
-        reach = reach + padded
-    dist = np.zeros(weights.shape, dtype=np.int64)
+    n = lap.shape[-1]
+    eye = np.eye(n, dtype=bool)
+    step = ((lap < 0) | eye).astype(np.float32)
+    padded = pad[:, :, None] | pad[:, None, :]
+    reach = (padded | eye).astype(np.float32)
+    dist = np.zeros(lap.shape, dtype=np.int64)
     for _ in range(n - 1):
         apart = reach == 0
         if not apart.any():
             break
         dist += apart
-        reach = np.minimum(reach @ step, 1.0)
-    if pad is not None:
-        dist[padded] = n
+        reach = np.minimum(reach @ step, 1)
+    dist[padded] = n
     return dist
 
 
 class _Stack:
-    """G graphs on n vertices: (G, n, n) weights, zero off the edges, and
-    (G, n) measures, or None when every weight and measure is 1.
+    """G graphs on n vertices: the (G, n, n) Laplacians, the (G, n) measures
+    (or one (1, n) row shared by every graph) and the (G, n) padding mask.
 
-    ``pad`` (G, n), or None, marks padding: interior vertices with no edge
-    and Laplacian diagonal 1.  L_OO is then block diagonal with an identity
-    block and the padded rows of L_OB are 0, so the padded rows of
-    X = L_OO^-1 L_OB are 0 and S, the Green energy and d_B do not change.
+    ``lap`` comes holding -w on each edge and 0 elsewhere; its diagonal is
+    set here, in place, to the weighted degree plus ``pad``.  Padding
+    vertices are interior, with no edge and Laplacian diagonal 1.  L_OO is
+    then block diagonal with an identity block and the padded rows of L_OB
+    are 0, so the padded rows of X = L_OO^-1 L_OB are 0 and S, the Green
+    energy and d_B do not change.  ``unit`` marks the graphs whose weights
+    and measures are all 1.
     """
 
-    def __init__(self, weights: np.ndarray, measures: np.ndarray | None = None,
-                 pad: np.ndarray | None = None):
-        n = weights.shape[-1]
-        self.weights, self.measures = weights, measures
-        self.lap = weights.sum(axis=2)[:, :, None] * np.eye(n) - weights
-        if pad is not None:
-            self.lap[:, np.arange(n), np.arange(n)] += pad
-        self.w0 = np.where(weights > 0, weights, np.inf).min(axis=(1, 2))
-        self.dist = _distance_tables(weights, pad)
+    def __init__(self, lap: np.ndarray, measures: np.ndarray, pad: np.ndarray):
+        n = lap.shape[-1]
+        lap[:, np.arange(n), np.arange(n)] = pad - lap.sum(axis=2)
+        self.lap, self.measures = lap, measures
+        self.w0 = -np.where(lap < 0, lap, -np.inf).max(axis=(1, 2))
+        self.unit = (measures == 1).all(1) & ((lap >= 0) | (lap == -1)).all((1, 2))
+        self.dist = _distance_tables(lap, pad)
 
 
 def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dict:
     """Every quantity the check table reads, as (G, C) arrays: the graphs of
     ``stack`` crossed with the boundary index tables ``bidx`` (C, |B|) and
     ``iidx`` (C, n - |B|).  ``vectors`` takes ``eigh`` and the misalignment
-    over ``eigvalsh``.  Unit stacks skip the mass reduction: m0 = 1 exactly.
+    over ``eigvalsh``.
     """
     lap, (count, n), size = stack.lap, stack.lap.shape[:2], bidx.shape[1]
-    mass = np.ones(size) if stack.measures is None else stack.measures[:, bidx]
+    mass = stack.measures[:, bidx]
     l_ob = interior_map = None
     try:
         if n > size:
             l_ob = lap[:, iidx[:, :, None], bidx[:, None, :]]
             interior_map = np.linalg.solve(lap[:, iidx[:, :, None], iidx[:, None, :]], l_ob)
         schur, eig, vecs, q = steklov_operator(
-            lap[:, bidx[:, :, None], bidx[:, None, :]], l_ob, interior_map,
-            None if stack.measures is None else mass, vectors)
+            lap[:, bidx[:, :, None], bidx[:, None, :]], l_ob, interior_map, mass, vectors)
     except np.linalg.LinAlgError as exc:
         return {"error": np.full((count, len(bidx)), str(exc))}
     if vectors:  # v1 is m-normalized; its residual off the constants:
@@ -421,8 +418,7 @@ def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dic
         d_b = stack.dist[:, bidx[:, :, None], bidx[:, None, :]].max(axis=(-1, -2))
         q.update(_bound_quantities(eig[..., 1], stack.w0[:, None], mass.min(-1),
                                    mass.sum(-1), d_b, size, mutations))
-        if stack.measures is not None:
-            del q["unit_formula"]
+        q["unit"] = np.broadcast_to(stack.unit[:, None], (count, len(bidx)))
         cond = np.zeros((3, count, len(bidx)), dtype=bool)
         if size == 2:
             x, y = bidx.T
@@ -445,9 +441,9 @@ def _geodesic_conditions(stack: _Stack, gi, on) -> tuple[np.ndarray, np.ndarray]
     """
     n = on.shape[-1]
     on_pairs = on[:, :, None] & on[:, None, :]
-    weights = stack.weights[gi]
-    edge = weights > 0
-    cond_path = ~(edge & on_pairs & (weights != stack.w0[gi, None, None])).any(axis=(1, 2))
+    lap = stack.lap[gi]
+    edge = lap < 0
+    cond_path = ~(edge & on_pairs & (lap != -stack.w0[gi, None, None])).any(axis=(1, 2))
     eye = np.eye(n, dtype=bool)
     reach = edge & ~on_pairs | eye
     for _ in range((n - 2).bit_length()):
@@ -493,9 +489,9 @@ def _verify_unit_masks(spec, mutations, max_violations) -> list[ViolationRecord]
         u, v = _pair_arrays(n)
         for start in range(0, len(masks), _CHUNK):
             sub = masks[start : start + _CHUNK]
-            adj = np.zeros((len(sub), n, n))
-            adj[:, u, v] = adj[:, v, u] = _bits(sub, len(u))
-            stack = _Stack(adj)
+            lap = np.zeros((len(sub), n, n))
+            lap[:, u, v] = lap[:, v, u] = -_bits(sub, len(u))
+            stack = _Stack(lap, np.ones((1, n)), np.zeros((len(sub), n), dtype=bool))
             rng = np.random.default_rng([spec.seed, n, start])
             for ranks, bidx, iidx in tables:
                 q = _quantities(stack, bidx, iidx, rng, mutations, vectors=False)
@@ -510,7 +506,7 @@ def _verify_unit_masks(spec, mutations, max_violations) -> list[ViolationRecord]
 
 
 def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
-    """The kernel's quantities for instances that share |B| and unit weights.
+    """The kernel's quantities for instances that share |B|.
 
     Each is relabelled boundary-first, so that they share
     ``bidx = arange(|B|)``, and padded after its interior to the stack's
@@ -527,13 +523,11 @@ def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
     gi = np.repeat(np.arange(count), [len(inst.u) for inst in stack])
     u = label[gi, np.concatenate([inst.u for inst in stack])]
     v = label[gi, np.concatenate([inst.v for inst in stack])]
-    weights = np.zeros((count, n, n))
-    weights[gi, u, v] = weights[gi, v, u] = np.concatenate([inst.w for inst in stack])
-    measures = None
-    if not stack[0].unit:
-        measures = np.ones((count, n))
-        measures[np.nonzero(~pad)[0], label[~pad]] = np.concatenate([inst.m for inst in stack])
-    return _quantities(_Stack(weights, measures, pad if pad.any() else None),
+    lap = np.zeros((count, n, n))
+    lap[gi, u, v] = lap[gi, v, u] = -np.concatenate([inst.w for inst in stack])
+    measures = np.ones((count, n))
+    measures[np.nonzero(~pad)[0], label[~pad]] = np.concatenate([inst.m for inst in stack])
+    return _quantities(_Stack(lap, measures, pad),
                        np.arange(nb)[None], np.arange(nb, n)[None], rng, mutations,
                        vectors=True)
 
@@ -561,12 +555,12 @@ def _windows(instances) -> Iterator[list[tuple[int, _Instance]]]:
 
 def _verify_instances(instances, rng, mutations, max_violations) -> list[ViolationRecord]:
     """Verify an instance stream window by window, each window stacked by
-    (|B|, unit weights) and padded; Green-check vectors are drawn per stack."""
+    |B| and padded; Green-check vectors are drawn per stack."""
     records: list[ViolationRecord] = []
     for window in _windows(instances):
-        stacks: dict[tuple, list] = {}
+        stacks: dict[int, list] = {}
         for index, inst in window:
-            stacks.setdefault((len(inst.boundary), inst.unit), []).append((index, inst))
+            stacks.setdefault(len(inst.boundary), []).append((index, inst))
         for members in stacks.values():
             indices, group = zip(*members)
             q = _stack_quantities(group, rng, mutations)

@@ -106,7 +106,7 @@ class WeightedBoundaryGraph:
 
     def is_unit_weighted(self) -> bool:
         """True iff every vertex measure and every edge weight equals 1."""
-        return all_unit(self.measures, self.edge_arrays[2])
+        return bool((self.measures == 1.0).all() and (self.edge_arrays[2] == 1.0).all())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedBoundaryGraph):
@@ -131,11 +131,6 @@ def seeded_rng(seed) -> np.random.Generator:
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise GraphError(f"seed must be nonnegative, got {seed}")
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def all_unit(measures: np.ndarray, weights: np.ndarray) -> bool:
-    """True iff every measure and every weight equals 1."""
-    return bool((measures == 1.0).all() and (weights == 1.0).all())
 
 
 # --- construction: whole-column validation ---------------------------------------

@@ -22,6 +22,7 @@ from .graph import (
     geodesic_layers,
     graph_from_arrays,
     hop_distances,
+    is_connected,
     seeded_rng,
 )
 
@@ -278,10 +279,6 @@ def comb_graph(
                 raise GraphError(
                     f"tooth edge weight {w!r} below path weight {path_weight!r}"
                 )
-        tails, heads = (np.array([e[i] for e in teeth.edges], dtype=np.intp)
-                        for i in (0, 1))
-        comp = component_labels(k, tails, heads).tolist()
-        comp_targets: dict[int, set[int]] = {}
         for t, p, w in teeth.attachments:
             if not 0 <= t < k:
                 raise GraphError(f"attachment tooth vertex {t} out of range")
@@ -291,20 +288,17 @@ def comb_graph(
                 raise GraphError(
                     f"tooth edge weight {w!r} below path weight {path_weight!r}"
                 )
-            comp_targets.setdefault(comp[t], set()).add(p)
-        for c in set(comp):
-            targets = comp_targets.get(c, set())
-            if len(targets) == 0:
-                raise GraphError("tooth is not attached to any path vertex")
-            if len(targets) > 1:
-                raise GraphError("tooth touches two path vertices")
         measures.extend(teeth.measures)
         edges.extend((n_path + a, n_path + b, w) for a, b, w in teeth.edges)
         edges.extend((n_path + t, p, w) for t, p, w in teeth.attachments)
 
-    return graph_from_arrays(
-        measures=measures, boundary=(0, path_len), edges=edges
-    )
+    g = graph_from_arrays(measures=measures, boundary=(0, path_len), edges=edges)
+    # a tooth attached nowhere disconnects g; one attached twice joins two path vertices
+    if not is_connected(g):
+        raise GraphError("tooth is not attached to any path vertex")
+    if not is_comb_over(g, range(path_len + 1)).is_comb:
+        raise GraphError("tooth touches two path vertices")
+    return g
 
 
 def random_comb(

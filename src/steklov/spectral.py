@@ -104,7 +104,8 @@ def steklov_operator(l_bb, l_ob, interior_map, mass, vectors: bool = False):
 
     ``l_bb`` and ``l_ob`` are the L_BB and L_OB blocks, ``interior_map`` is
     X = L_OO^-1 L_OB (None without an interior) and ``mass`` holds the
-    boundary masses (None when all are 1).  Returns
+    boundary masses; when all are 1, M^-1/2 S M^-1/2 is S bitwise, and the
+    reduction is skipped.  Returns
     ``(S, eigenvalues, eigenvectors, quantities)``: the symmetrized S, the
     ascending eigenvalues of ``M^-1/2 S M^-1/2``, its eigenvectors when
     ``vectors`` (else None), and the quantities that ``OPERATOR_CHECKS``
@@ -116,7 +117,7 @@ def steklov_operator(l_bb, l_ob, interior_map, mass, vectors: bool = False):
     asymmetry = np.abs(l_bb - transpose).max(axis=(-1, -2))
     schur = 0.5 * (l_bb + transpose)
     reduced = schur
-    if mass is not None:
+    if (mass != 1).any():
         inv_sqrt = 1.0 / np.sqrt(mass)
         reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
         reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))

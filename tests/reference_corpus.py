@@ -51,8 +51,7 @@ def reference_quantities(g, rng, mutations=frozenset()) -> dict:
     if nb >= 2:
         r = bound_report(g)
         q.update(_bound_quantities(r.sigma2, r.w0, r.m0, r.VB, r.dB, nb, mutations))
-        if not g.is_unit_weighted():
-            del q["unit_formula"]
+        q["unit"] = g.is_unit_weighted()
         rigidity = check_rigidity(g)
         q.update(_certificate(
             rigidity.cond_boundary, rigidity.cond_path, rigidity.cond_comb, mutations

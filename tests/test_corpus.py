@@ -239,7 +239,6 @@ class TestInstanceStreams:
             g = random_graph(n, p, spec.weight_range, spec.measure_range,
                              int(rng.integers(2, n + 1)), rng, unit=unit_only)
             self.assert_instance_is_graph(inst, g)
-            assert inst.unit == unit_only
 
     def test_weighted_stream_is_enumerate_small(self):
         ranges = (0.25, 4.0), (0.5, 2.0)
@@ -298,9 +297,9 @@ class TestBatchedGeodesics:
         vectorized comb test agrees with is_comb_over on every such pair."""
         masks = _connected_edge_masks(n)
         u, v = _pair_arrays(n)
-        adj = np.zeros((len(masks), n, n))
-        adj[:, u, v] = adj[:, v, u] = _bits(masks, len(u))
-        stack = _Stack(adj)
+        lap = np.zeros((len(masks), n, n))
+        lap[:, u, v] = lap[:, v, u] = -_bits(masks, len(u))
+        stack = _Stack(lap, np.ones((1, n)), np.zeros((len(masks), n), dtype=bool))
         dist = stack.dist
         pairs = list(combinations(range(n), 2))
         px, py = np.array(pairs).T
@@ -329,10 +328,10 @@ class TestBatchedGeodesics:
         overflows."""
         g = random_graph(200, 0.03, (0.5, 2.0), (0.5, 2.0), 2, seed=4)
         u, v, w = g.edge_arrays
-        weights = np.zeros((1, g.n, g.n))
-        weights[0, u, v] = weights[0, v, u] = w
+        lap = np.zeros((1, g.n, g.n))
+        lap[0, u, v] = lap[0, v, u] = -w
         with np.errstate(all="raise"):
-            dist = _distance_tables(weights)
+            dist = _distance_tables(lap, np.zeros((1, g.n), dtype=bool))
         assert dist[0].tolist() == hop_distance_matrix(g).tolist()
         assert dist.max() >= 3
         _, flags = geodesic_layers(dist[0][:, None], dist[0][None, :])  # cell (x, y)
@@ -627,19 +626,22 @@ _RESIDUES = {"asymmetry": "schur_scale", "residual": "schur_scale",
     (1, [1, 4, 9, 2, 9], False),
     (3, [3, 5, 12, 20, 12, 7, 4], False),
     (3, [3, 5, 12, 20, 12, 7, 4], True),
-], ids=["one-vertex", "weighted", "unit"])
-def test_padded_stack_matches_single_stacks(built_stacks, nb, sizes, unit):
+    (3, [3, 5, 12, 20, 12, 7, 4], [True, False, False, True, True, False, True]),
+], ids=["one-vertex", "weighted", "unit", "mixed"])
+def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes, unit):
     """A |B| group of mixed n, padded to its largest n, gives each instance
     the quantities, verdicts and hop distances it gets stacked alone.  The
     member with n = |B| has no interior; with |B| = 1 it is a one-vertex
-    graph, whose degree is 0 like a padding vertex's."""
+    graph, whose degree is 0 like a padding vertex's.  A group may mix unit
+    and weighted draws: each member's unit weights are its own."""
+    units = unit if isinstance(unit, list) else [unit] * len(sizes)
     rng = np.random.default_rng(2)
-    group = [corpus._random_instance(n, 0.5, (0.5, 2.0), (0.5, 2.0), nb, rng, unit)
-             for n in sizes]
+    group = [corpus._random_instance(n, 0.5, (0.5, 2.0), (0.5, 2.0), nb, rng, u)
+             for n, u in zip(sizes, units)]
     padded = _stack_quantities(group, np.random.default_rng(0), frozenset())
     stack = built_stacks[-1]
     top = max(sizes)
-    assert stack.weights.shape == (len(sizes), top, top)
+    assert stack.lap.shape == (len(sizes), top, top)
     verdicts = {check: ok for check, _, ok in corpus._evaluate(padded)}
     for gi, inst in enumerate(group):
         alone = _stack_quantities([inst], np.random.default_rng(0), frozenset())
@@ -661,6 +663,10 @@ def test_padded_stack_matches_single_stacks(built_stacks, nb, sizes, unit):
         for check, _, ok in corpus._evaluate(alone):
             assert verdicts[check][gi, 0] == ok[0, 0], check
     assert "green_symmetry" in verdicts and verdicts["green_symmetry"].all()
+    if nb >= 2:  # a negative tolerance fails the unit row on the unit members only
+        monkeypatch.setattr(corpus, "UNIT_SPECIALIZATION_TOL", -1.0)
+        verdicts = {check: ok for check, _, ok in corpus._evaluate(padded)}
+        assert (~verdicts["unit_specialization"][:, 0]).tolist() == units
 
 
 def test_padded_stacks_fit_the_window(monkeypatch, built_stacks):
@@ -675,11 +681,11 @@ def test_padded_stacks_fit_the_window(monkeypatch, built_stacks):
 
     monkeypatch.setattr(corpus, "_windows", recorded)
     assert verify_corpus(CorpusSpec(mode="random", n_max=30, samples=1000)) == []
-    shapes = [stack.weights.shape[:2] for stack in built_stacks]
+    shapes = [stack.lap.shape[:2] for stack in built_stacks]
     assert sum(count for count, _ in shapes) == sum(count for count, _ in windows) == 1000
     assert len(windows) > 1
     # a distance of n marks a padding vertex
-    assert any(stack.weights.shape[0] > 1 and (stack.dist == stack.weights.shape[1]).any()
+    assert any(stack.lap.shape[0] > 1 and (stack.dist == stack.lap.shape[1]).any()
                for stack in built_stacks)
     for count, n in windows + shapes:
         assert count == 1 or count * n * n <= corpus._WINDOW_CELLS
