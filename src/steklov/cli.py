@@ -9,6 +9,7 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,6 +40,7 @@ from .rigidity import (
 from .spectral import NumericsError, harmonic_extension, steklov_spectrum
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steklov",

@@ -44,6 +44,13 @@ OPERATOR_CHECKS = (
 )
 
 
+# Pruned interiors with at least this many vertices are factored by SuperLU,
+# smaller ones by dense Cholesky.  With one BLAS thread SuperLU is faster
+# from about 140 interior vertices on combs and 190 on grids, but only from
+# 350-500 on random graphs, whose factors fill in (README).
+SPARSE_INTERIOR_MIN = 200
+
+
 class NumericsError(RuntimeError):
     """A computed matrix violated an invariant beyond numerical tolerance."""
 
@@ -65,22 +72,167 @@ def laplacian(g: WeightedBoundaryGraph) -> tuple[np.ndarray, np.ndarray]:
 def harmonic_extension(g: WeightedBoundaryGraph, f) -> np.ndarray:
     """Vertex function equal to f on B and harmonic at every interior vertex.
 
-    Solves the interior block system ``L_OO u_O = -L_OB f`` by Cholesky
-    factorization; the block is positive definite whenever the graph is
-    connected and the boundary nonempty.
+    Solves the pruned interior system ``L_OO u_O = -L_OB f`` with the
+    graph's interior factor; the block is positive definite whenever the
+    graph is connected and the boundary nonempty.  A dangling tree carries
+    no current, so each pruned vertex takes the value of the vertex it hangs
+    from.
     """
     analysis = g.analysis
     fvec = boundary_vector(g, f)
+    blocks = analysis.blocks
     u = np.zeros(g.n)
-    bidx, iidx = analysis.bidx, analysis.iidx
-    u[bidx] = fvec
-    if analysis.interior_factor is not None:
+    u[analysis.bidx] = fvec
+    if analysis.interior_solve is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            rhs = -analysis.laplacian_matrix[np.ix_(iidx, bidx)] @ fvec
+            rhs = -blocks.l_ob @ fvec
         if not np.isfinite(rhs).all():
             raise NumericsError("interior right-hand side L_OB f is not finite")
-        u[iidx] = cho_solve(analysis.interior_factor, rhs)
+        u[blocks.interior] = analysis.interior_solve(rhs)
+    for leaves, parents in reversed(blocks.pruned):
+        u[leaves] = u[parents]
     return u
+
+
+@dataclass(frozen=True)
+class InteriorBlocks:
+    """The Laplacian blocks of a graph with its dangling trees pruned.
+
+    ``interior`` holds the kept interior vertex ids O in block order, and the
+    boundary B is ``g.boundary``.  ``l_bb`` (|B| x |B|) and ``l_ob``
+    (|O| x |B|) are dense; ``l_oo`` is L_OO in compressed sparse column
+    form, ``(data, indices, indptr)``: both triangles and the diagonal, row
+    indices ascending within each column.
+    ``pruned`` holds one ``(leaves, parents)`` pair per peeling round: each
+    leaf was dropped as an interior vertex of degree 1 hanging from its
+    parent.
+    """
+
+    l_bb: np.ndarray
+    l_ob: np.ndarray
+    l_oo: tuple[np.ndarray, np.ndarray, np.ndarray]
+    interior: np.ndarray
+    pruned: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _peel_dangling_trees(g: WeightedBoundaryGraph):
+    """Kept-vertex mask and the peeling rounds of :class:`InteriorBlocks`.
+
+    Each round drops every interior vertex with exactly one kept neighbour;
+    only the parents of a round can become leaves of the next, so the whole
+    peel reads each CSR row once.  In a connected graph with a nonempty
+    boundary no two leaves of a round are adjacent, so each leaf has exactly
+    one kept neighbour.
+    """
+    indptr, indices = g.csr
+    counts = np.diff(indptr)
+    degree = counts.copy()
+    kept = np.ones(g.n, dtype=bool)
+    inner = ~g.boundary_mask
+    leaves = np.flatnonzero(inner & (degree == 1))
+    rounds = []
+    while len(leaves):
+        kept[leaves] = False
+        rows = counts[leaves]
+        ends = np.cumsum(rows)
+        slots = np.repeat(indptr[leaves] - ends + rows, rows) + np.arange(ends[-1])
+        neighbours = indices[slots]
+        parents = neighbours[kept[neighbours]]
+        rounds.append((leaves, parents))
+        np.subtract.at(degree, parents, 1)
+        parents = np.unique(parents)
+        leaves = parents[inner[parents] & (degree[parents] == 1)]
+    return kept, tuple(rounds)
+
+
+def interior_blocks(g: WeightedBoundaryGraph) -> InteriorBlocks:
+    """Prune the dangling trees of g, then assemble its boundary-first
+    Laplacian blocks straight from the kept edges.
+
+    Pruning is exact: a dangling interior tree carries no current, so S and
+    the spectrum do not change, and the degrees are sums over kept edges
+    only.  Raises :class:`NumericsError` for a kept vertex whose weighted
+    degree is not finite.
+    """
+    if len(g.boundary) == 0:
+        raise EmptyBoundaryError("graph has an empty boundary")
+    kept, pruned = _peel_dangling_trees(g)
+    u, v, w = g.edge_arrays
+    live = kept[u] & kept[v]
+    u, v, w = u[live], v[live], w[live]
+    with np.errstate(over="ignore"):  # reported below, in one line
+        degree = np.bincount(u, w, g.n) + np.bincount(v, w, g.n)
+    bad = kept & ~np.isfinite(degree)
+    if bad.any():
+        raise NumericsError(f"weighted degree of vertex {g.labels[int(np.argmax(bad))]!r} "
+                            "is not finite")
+    on_b = g.boundary_mask
+    bidx = np.flatnonzero(on_b)
+    interior = np.flatnonzero(kept & ~on_b)
+    nb, no = len(bidx), len(interior)
+    pos = np.zeros(g.n, dtype=np.intp)  # position within B, or within O
+    pos[bidx], pos[interior] = np.arange(nb), np.arange(no)
+    pu, pv, bu, bv = pos[u], pos[v], on_b[u], on_b[v]
+
+    l_bb = np.zeros((nb, nb))
+    l_bb[np.diag_indices(nb)] = degree[bidx]
+    bb = bu & bv
+    l_bb[pu[bb], pv[bb]] = l_bb[pv[bb], pu[bb]] = -w[bb]
+    l_ob = np.zeros((no, nb))
+    ob, bo = ~bu & bv, bu & ~bv
+    l_ob[pu[ob], pv[ob]] = -w[ob]
+    l_ob[pv[bo], pu[bo]] = -w[bo]
+    oo = ~(bu | bv)
+    diagonal = np.arange(no)
+    rows = np.concatenate([pu[oo], pv[oo], diagonal])
+    cols = np.concatenate([pv[oo], pu[oo], diagonal])
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(no + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=no), out=indptr[1:])
+    l_oo = (np.concatenate([-w[oo], -w[oo], degree[interior]])[order], rows[order], indptr)
+    return InteriorBlocks(l_bb, l_ob, l_oo, interior, pruned)
+
+
+def _factorization_failed(detail) -> NumericsError:
+    return NumericsError(f"interior block factorization failed: {detail}")
+
+
+def cholesky_interior(data, indices, indptr):
+    """Solver of ``L_OO x = b`` by dense Cholesky of the CSC matrix."""
+    size = len(indptr) - 1
+    a = np.zeros((size, size))
+    a[indices, np.repeat(np.arange(size), np.diff(indptr))] = data
+    try:
+        factor = cho_factor(a, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise _factorization_failed(exc) from exc
+    return lambda b: cho_solve(factor, b)
+
+
+def superlu_interior(data, indices, indptr):
+    """Solver of ``L_OO x = b`` by SuperLU on the CSC matrix.
+
+    The fill-reducing order is minimum degree on A^T + A with diagonal
+    pivots, so the pivots are those of a symmetric elimination; for the
+    positive definite L_OO each must be finite and positive, as Cholesky
+    requires.
+    """
+    # imported here, not at module load: small interiors never need scipy.sparse
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
+    size = len(indptr) - 1
+    try:
+        lu = splu(csc_array((data, indices, indptr), shape=(size, size)),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # how SuperLU reports an exactly singular factor
+        raise _factorization_failed(exc) from exc
+    pivots = lu.U.diagonal()
+    bad = pivots[~(np.isfinite(pivots) & (pivots > 0))]
+    if len(bad):
+        raise _factorization_failed(f"pivot {float(bad[0])!r} is not finite and positive")
+    return lu.solve
 
 
 @dataclass(frozen=True)
@@ -175,9 +327,9 @@ def steklov_spectrum(g: WeightedBoundaryGraph) -> Spectrum:
 class GraphAnalysis:
     """Per-graph numerical state, each piece built on first use and then kept.
 
-    Every per-graph operation reads ``g.analysis``, so the Laplacian, the
-    interior Cholesky factor, the Steklov system, the spectrum, d_B and the
-    bound report are computed once per graph.  It checks connectivity on
+    Every per-graph operation reads ``g.analysis``, so the pruned Laplacian
+    blocks, the interior factor, the Steklov system, the spectrum, d_B and
+    the bound report are computed once per graph.  It checks connectivity on
     construction and holds its graph weakly, so both are freed by reference
     counting.
     """
@@ -186,45 +338,36 @@ class GraphAnalysis:
         require_connected(g)
         self.graph = weakref.proxy(g)
         self.bidx = np.flatnonzero(g.boundary_mask)
-        self.iidx = np.flatnonzero(~g.boundary_mask)
 
     @cached_property
-    def laplacian_matrix(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # reported below, in one line
-            L, _ = laplacian(self.graph)
-        degree = L.diagonal()
-        if not np.isfinite(degree).all():
-            v = self.graph.labels[int(np.argmin(np.isfinite(degree)))]
-            raise NumericsError(f"weighted degree of vertex {v!r} is not finite")
-        L.setflags(write=False)
-        return L
+    def blocks(self) -> InteriorBlocks:
+        return interior_blocks(self.graph)
 
     @cached_property
-    def interior_factor(self) -> tuple[np.ndarray, bool] | None:
-        """Cholesky factor of the interior block L_OO; None without interior."""
-        if len(self.iidx) == 0:
+    def interior_solve(self):
+        """Solver of ``L_OO x = b`` on the pruned interior (None without
+        one): SuperLU from ``SPARSE_INTERIOR_MIN`` interior vertices, dense
+        Cholesky below."""
+        size = len(self.blocks.interior)
+        if size == 0:
             return None
-        try:
-            return cho_factor(self.laplacian_matrix[np.ix_(self.iidx, self.iidx)])
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(f"interior block factorization failed: {exc}") from exc
+        route = superlu_interior if size >= SPARSE_INTERIOR_MIN else cholesky_interior
+        return route(*self.blocks.l_oo)
 
     @cached_property
     def operator(self) -> tuple[SteklovSystem, Spectrum, dict]:
         """The Steklov system, its spectrum and the quantities of
         :func:`steklov_operator`; raises :class:`NumericsError` naming the
         first row of ``OPERATOR_CHECKS`` that fails."""
-        if len(self.bidx) == 0:
-            raise EmptyBoundaryError("graph has an empty boundary")
-        L, b, o = self.laplacian_matrix, self.bidx, self.iidx
+        blocks = self.blocks  # raises EmptyBoundaryError without a boundary
         l_ob = interior_map = None
-        if self.interior_factor is not None:
-            l_ob = L[np.ix_(o, b)]
-            interior_map = cho_solve(self.interior_factor, l_ob)
-        mass = self.graph.measures[b]
+        if self.interior_solve is not None:
+            l_ob = blocks.l_ob
+            interior_map = self.interior_solve(l_ob)
+        mass = self.graph.measures[self.bidx]
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                schur, eig, _, q = steklov_operator(L[np.ix_(b, b)], l_ob, interior_map, mass)
+                schur, eig, _, q = steklov_operator(blocks.l_bb, l_ob, interior_map, mass)
             if not np.isfinite(eig).all():  # LAPACK gives nan or raises on such input
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:

@@ -3,13 +3,14 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov import check_instance, comb_graph, graph_to_json, parse_graph, spectral
-from steklov.cli import main
+from steklov.cli import _build_parser, main
 from conftest import unit_path
 from strategies import cli_documents
 
@@ -386,6 +387,70 @@ class TestErrors:
         assert err.startswith("steklov: ") and "factorization failed" in err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.fixture
+    def long_path_file(self, tmp_path):
+        """A bare path whose interior is at the SuperLU crossover."""
+        g = comb_graph(path_len=spectral.SPARSE_INTERIOR_MIN + 1, path_weight=1.0,
+                       endpoint_mass=1.0)
+        p = tmp_path / "long_path.json"
+        p.write_text(graph_to_json(g))
+        return str(p)
+
+    @pytest.mark.parametrize("fault", ["singular", "pivot"])
+    @pytest.mark.parametrize("command", ["spectrum", "bounds", "rigidity"])
+    def test_sparse_factorization_failure_exits_2(self, capsys, monkeypatch,
+                                                  long_path_file, command, fault):
+        """SuperLU raising, or a factor with a non-positive pivot, is one line
+        and exit 2, as a failed Cholesky factorization is."""
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        original = scipy.sparse.linalg.splu
+        calls = []
+
+        def faulty_splu(a, **kwargs):
+            calls.append(a.shape)
+            if fault == "singular":
+                raise RuntimeError("Factor is exactly singular")
+            lu = original(a, **kwargs)
+            pivots = lu.U.diagonal()
+            pivots[-1] = 0.0
+            return SimpleNamespace(U=scipy.sparse.diags_array(pivots), solve=lu.solve)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", faulty_splu)
+        code, out, err = run(capsys, command, long_path_file)
+        assert calls == [(spectral.SPARSE_INTERIOR_MIN,) * 2]
+        assert (code, out) == (2, "")
+        assert err.startswith("steklov: interior block factorization failed: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+def test_one_parser_answers_like_fresh_parsers(capsys, path3_file, c4_file):
+    """The parser is built once per process; a usage error after a
+    successful call, and different commands back to back, give the exit
+    codes and output that a fresh parser gives."""
+    calls = [["spectrum", path3_file], ["spectrum", path3_file, "--frobnicate"],
+             ["bounds", c4_file], ["rigidity", path3_file, "--tol", "1e-6"],
+             ["harmonic", path3_file], ["spectrum", c4_file]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    _build_parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 2, 0]
 
 
 class TestLongGeodesic:

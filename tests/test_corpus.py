@@ -468,13 +468,13 @@ class TestCheckInstance:
 
     @pytest.mark.parametrize("kind", ["random", "comb"])
     def test_one_laplacian_and_one_factorization(self, monkeypatch, kind):
-        """The per-graph reference route builds one Laplacian and one
-        interior factorization per graph."""
+        """The per-graph reference route assembles the pruned Laplacian
+        blocks once and factors the interior block once per graph."""
         import steklov.spectral as spectral
         from conftest import rng_graph
         from steklov import random_comb
 
-        calls = {"laplacian": 0, "cho_factor": 0}
+        calls = dict.fromkeys(("interior_blocks", "cholesky_interior", "superlu_interior"), 0)
 
         def counted(name):
             original = getattr(spectral, name)
@@ -485,8 +485,8 @@ class TestCheckInstance:
 
             monkeypatch.setattr(spectral, name, wrapper)
 
-        counted("laplacian")
-        counted("cho_factor")
+        for name in calls:
+            counted(name)
         rng = np.random.default_rng(11)
         if kind == "comb":
             g = random_comb(6, 1.5, 2.0, seed=rng)
@@ -494,7 +494,8 @@ class TestCheckInstance:
             g = rng_graph(rng, 12, boundary_size=3)
         assert not g.boundary_mask.all()
         assert reference_check_instance(g, rng=rng) == []
-        assert calls == {"laplacian": 1, "cho_factor": 1}
+        assert calls["interior_blocks"] == 1
+        assert calls["cholesky_interior"] + calls["superlu_interior"] == 1
 
 
 class TestVerifyCorpus:

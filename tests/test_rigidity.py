@@ -279,3 +279,26 @@ class TestRandomComb:
         full = steklov_spectrum(g).eigenvalues
         stripped = steklov_spectrum(bare).eigenvalues
         assert np.allclose(full, stripped, rtol=1e-10, atol=1e-13)
+
+
+def relabel(g, perm):
+    """g with vertex v renamed perm[v]."""
+    u, v, w = g.edge_arrays
+    measures = np.empty(g.n)
+    measures[perm] = g.measures
+    return graph_from_arrays(measures, perm[list(g.boundary)].tolist(),
+                             list(zip(perm[u].tolist(), perm[v].tolist(), w.tolist())))
+
+
+@pytest.mark.parametrize("weight_factor", [1e4, 1e6, 1e12])
+@pytest.mark.parametrize("path_len", [20, 200, 1000])
+def test_heavy_tooth_combs_are_certified(path_len, weight_factor):
+    """Combs whose tree teeth weigh up to 1e12 times the path weight are
+    equality instances under any labelling: pruning the teeth leaves the
+    bare path, so no subtraction across the weight spread reaches sigma_2."""
+    g = random_comb(path_len, 1.0, 2.0, seed=1, weight_factor=weight_factor)
+    rng = np.random.default_rng(path_len)
+    for graph in (g, relabel(g, rng.permutation(g.n)), relabel(g, rng.permutation(g.n))):
+        rep = check_rigidity(graph)
+        assert rep.equality and rep.certified_equality
+        assert abs(rep.sigma2 - rep.bound_extended) <= 1e-12 * rep.bound_extended

@@ -9,6 +9,9 @@ from steklov import (
     graph_from_arrays,
     harmonic_extension,
     laplacian,
+    random_comb,
+    random_graph,
+    spectral,
     steklov_spectrum,
     steklov_system,
 )
@@ -292,3 +295,95 @@ class TestRayleigh:
             if not np.any(np.abs(f) > 1e-12):
                 continue
             assert rayleigh_quotient(g, f) >= sigma2 - 1e-9 * max(1.0, sigma2)
+
+
+def weighted_grid(k, rng):
+    """k x k grid with weights and measures in [0.5, 2] and the perimeter
+    as boundary."""
+    vid = lambda i, j: i * k + j  # noqa: E731
+    edges = [(vid(i, j), vid(i, j + 1)) for i in range(k) for j in range(k - 1)]
+    edges += [(vid(i, j), vid(i + 1, j)) for i in range(k - 1) for j in range(k)]
+    boundary = [vid(i, j) for i in range(k) for j in range(k)
+                if i in (0, k - 1) or j in (0, k - 1)]
+    return graph_from_arrays(rng.uniform(0.5, 2.0, k * k), boundary,
+                             [(a, b, float(rng.uniform(0.5, 2.0))) for a, b in edges])
+
+
+class TestInteriorRoutes:
+    """The dense Cholesky and SuperLU factorizations of the pruned interior
+    block give the same Steklov matrix and spectrum."""
+
+    @staticmethod
+    def operator_by(route, g):
+        blocks = spectral.interior_blocks(g)
+        interior_map = route(*blocks.l_oo)(blocks.l_ob)
+        schur, eig, _, _ = spectral.steklov_operator(
+            blocks.l_bb, blocks.l_ob, interior_map, g.measures[list(g.boundary)])
+        return len(blocks.interior), schur, eig
+
+    @pytest.mark.parametrize("kind, size", [
+        ("grid", 12), ("grid", 20), ("comb", 120), ("comb", 260),
+        ("random", 0.9), ("random", 1.3),
+    ])
+    def test_routes_agree(self, kind, size):
+        rng = np.random.default_rng(int(10 * size))
+        if kind == "grid":
+            g = weighted_grid(size, rng)
+        elif kind == "comb":
+            g = random_comb(size, float(rng.uniform(0.5, 2.0)), 1.5, seed=rng,
+                            max_tooth_vertices=3)
+        else:  # about |O| = size * SPARSE_INTERIOR_MIN interior vertices
+            interior = int(size * spectral.SPARSE_INTERIOR_MIN)
+            g = random_graph(interior + 40, 4.0 / interior, (0.5, 2.0), (0.5, 2.0), 40, rng)
+        n_o, s_dense, eig_dense = self.operator_by(spectral.cholesky_interior, g)
+        _, s_sparse, eig_sparse = self.operator_by(spectral.superlu_interior, g)
+        if kind == "random":  # the two draws lie either side of the crossover
+            assert (n_o >= spectral.SPARSE_INTERIOR_MIN) == (size > 1)
+        assert np.abs(s_dense - s_sparse).max() <= 1e-12 * np.abs(s_dense).max()
+        assert np.abs(eig_dense - eig_sparse).max() <= 1e-12 * np.abs(eig_dense).max()
+
+
+class TestPruning:
+    """Dangling interior trees are dropped before the interior solve."""
+
+    @staticmethod
+    def core_edges():
+        # a 3 x 3 grid 0..8 with corners 0, 2, 6, 8 as boundary
+        return [(0, 1, 1.5), (1, 2, 0.7), (3, 4, 2.0), (4, 5, 1.1), (6, 7, 0.9),
+                (7, 8, 1.3), (0, 3, 0.6), (3, 6, 1.7), (1, 4, 1.2), (4, 7, 0.8),
+                (2, 5, 1.9), (5, 8, 1.4)]
+
+    # path tooth 9-10-11 off interior vertex 4, star 12 (leaves 13, 14, 15) off
+    # interior vertex 7, tree 16-{17, 18-19} off boundary vertex 2
+    TREES = {4: [(4, 9, 3.0), (9, 10, 0.5), (10, 11, 7.0)],
+             7: [(7, 12, 2.5), (12, 13, 1.0), (12, 14, 4.0), (12, 15, 0.25)],
+             2: [(2, 16, 1.5), (16, 17, 2.0), (16, 18, 0.75), (18, 19, 5.0)]}
+
+    def graphs(self):
+        rng = np.random.default_rng(5)
+        measures = rng.uniform(0.5, 2.0, 20)
+        boundary = [0, 2, 6, 8]
+        tree_edges = [e for edges in self.TREES.values() for e in edges]
+        full = graph_from_arrays(measures, boundary, self.core_edges() + tree_edges)
+        core = graph_from_arrays(measures[:9], boundary, self.core_edges())
+        return full, core
+
+    def test_spectrum_is_that_of_the_core(self):
+        full, core = self.graphs()
+        blocks = full.analysis.blocks
+        assert blocks.interior.tolist() == [1, 3, 4, 5, 7]
+        assert sorted(np.concatenate([leaves for leaves, _ in blocks.pruned])) == list(
+            range(9, 20))
+        eig_full = steklov_spectrum(full).eigenvalues
+        eig_core = steklov_spectrum(core).eigenvalues
+        assert np.abs(eig_full - eig_core).max() <= 1e-14 * eig_core.max()
+        assert np.allclose(eig_full, oracle_spectrum(full), rtol=1e-12, atol=1e-14)
+
+    def test_harmonic_extension_is_constant_on_each_tree(self):
+        full, core = self.graphs()
+        f = [0.3, -1.2, 2.0, 0.7]
+        u_full, u_core = harmonic_extension(full, f), harmonic_extension(core, f)
+        assert np.array_equal(u_full[:9], u_core)
+        for root, edges in self.TREES.items():
+            tree = sorted({v for _, v, _ in edges})
+            assert (u_full[tree] == u_full[root]).all()
