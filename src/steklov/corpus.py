@@ -6,13 +6,18 @@ spectral invariants.  Violations come back as data, never as exceptions.
 Each assertion is written once, as a row of the check table ``_CHECKS``.
 
 One kernel, ``_quantities``, computes every quantity the table reads for a
-stack of graphs crossed with shared boundary index tables.  Unit-weight
-exhaustive mode feeds it chunks of edge masks; every other stream (random
-mode, weighted exhaustive mode and ``check_instance``, a stream of one) is a
-stream of array instances, relabelled boundary-first, stacked by |B| and
-padded to the stack's largest n with edgeless interior vertices, which leave
-every quantity unchanged.  Whether a graph has unit weights is read off its
-stack.  A validated graph is built only for a violation record.
+stack of graphs.  Every stream (random mode, exhaustive mode and
+``check_instance``, a stream of one) is a stream of array instances,
+relabelled boundary-first, stacked by |B| and padded to the stack's largest
+n with edgeless interior vertices, which leave every quantity unchanged.
+Whether a graph has unit weights is read off its stack.
+
+The checks read graph invariants only, so unit-weight exhaustive mode
+verifies one instance per isomorphism class of (graph, boundary) pairs: each
+class of connected graphs, crossed with the orbits of its automorphisms on
+the boundary subsets.  A failing one is expanded to its labeled instances,
+so records still name labeled graphs and stream indices.  A validated graph
+is built only for a violation record.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from itertools import permutations
+from math import factorial
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -219,8 +226,11 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 # --- exhaustive enumeration -----------------------------------------------------
 
 
-# Graphs per chunk, both when deciding connectivity and per unit stack.
+# Graphs per chunk when deciding connectivity.
 _CHUNK = 4096
+
+# Relabelled masks per product when canonicalising: 2^22 cells is 32 MB.
+_RELABEL_CELLS = 1 << 22
 
 
 @lru_cache(maxsize=8)
@@ -275,11 +285,90 @@ def _small_instances(n_max: int, *draw) -> Iterator[_Instance]:
             for boundary_mask in _boundary_masks(n))
 
 
+def _pair_index(n: int) -> np.ndarray:
+    """(n, n) table of the rank of each vertex pair in ``_pair_arrays(n)``."""
+    tails, heads = _pair_arrays(n)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[tails, heads] = index[heads, tails] = np.arange(len(tails))
+    return index
+
+
+@lru_cache(maxsize=8)
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n! vertex permutations, (n!, n), row p mapping vertex v to p[v],
+    and the rank of the pair each of them maps each vertex pair to."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    tails, heads = _pair_arrays(n)
+    return perms, _pair_index(n)[perms[:, tails], perms[:, heads]]
+
+
+def _relabelled(masks, moves: np.ndarray) -> np.ndarray:
+    """(len(masks), len(moves)) bitmasks: bit k of each mask moved to bit
+    ``moves[p, k]`` by each row p.  One product against a power-of-two
+    table, exact in float32: every partial sum is an integer below 2^21."""
+    weights = np.exp2(moves.T).astype(np.float32)
+    return (_bits(masks, moves.shape[1]).astype(np.float32) @ weights).astype(np.int64)
+
+
+def _canonical_masks(n: int, masks) -> np.ndarray:
+    """The least relabelled edge mask of each graph on n vertices: equal
+    exactly for isomorphic graphs."""
+    moves = _permutations(n)[1]
+    masks = np.asarray(masks, dtype=np.int64)
+    step = max(1, _RELABEL_CELLS // len(moves))
+    return np.concatenate([_relabelled(masks[s : s + step], moves).min(axis=1)
+                           for s in range(0, len(masks), step)])
+
+
+_Class = namedtuple("_Class", "mask aut")
+
+
+@lru_cache(maxsize=8)
+def _graph_classes(n: int) -> tuple[_Class, ...]:
+    """The isomorphism classes of connected graphs on n vertices, each as its
+    least relabelled edge mask, ascending, with its automorphisms (rows of
+    ``_permutations(n)[0]``).
+
+    Every connected graph has a vertex whose removal leaves it connected
+    (a leaf of a spanning tree), so joining a new vertex n - 1 to each
+    nonempty subset of each class on n - 1 vertices reaches every class.
+    """
+    perms, moves = _permutations(n)
+    if n == 1:
+        classes = np.zeros(1, dtype=np.int64)
+    else:
+        tails, heads = _pair_arrays(n - 1)
+        pair = _pair_index(n)
+        old = [c.mask for c in _graph_classes(n - 1)]
+        old = _bits(old, len(tails)) @ (1 << pair[tails, heads])  # in the pairs of n
+        new = _bits(np.arange(1, 1 << (n - 1)), n - 1) @ (1 << pair[: n - 1, n - 1])
+        classes = np.unique(_canonical_masks(n, (old[:, None] | new).ravel()))
+    return tuple(_Class(int(mask), perms[row == mask])
+                 for mask, row in zip(classes, _relabelled(classes, moves)))
+
+
+@lru_cache(maxsize=8)
+def _class_orbits(n: int) -> tuple[tuple[int, int], ...]:
+    """(edge mask, boundary mask) of each class on n vertices crossed with
+    each orbit of its automorphisms on the boundary subsets of size >= 2,
+    the orbit as its least mask: class, then orbit, ascending."""
+    subsets = _boundary_masks(n)
+    return tuple((c.mask, int(b)) for c in _graph_classes(n)
+                 for b in np.unique(_relabelled(subsets, c.aut).min(axis=1)))
+
+
+def _level_count(n: int) -> int:
+    """Labeled instances on n vertices: n!/|Aut| labelings per class, each
+    crossed with every boundary subset, which the class's orbits partition."""
+    labelings = sum(factorial(n) // len(c.aut) for c in _graph_classes(n))
+    return labelings * len(_boundary_masks(n))
+
+
 def count_exhaustive_instances(n_max: int) -> int:
-    """Number of (graph, boundary) instances of the exhaustive corpus."""
+    """Number of (graph, boundary) instances of the exhaustive corpus, the
+    labeled count, summed over isomorphism classes."""
     _check_n_max("exhaustive", n_max)
-    return sum(len(_connected_edge_masks(n)) * len(_boundary_masks(n))
-               for n in range(2, n_max + 1))
+    return sum(_level_count(n) for n in range(2, n_max + 1))
 
 
 # --- the check table's evaluator and its shared quantities ---------------------
@@ -377,23 +466,22 @@ class _Stack:
         self.dist = _distance_tables(lap, pad)
 
 
-def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dict:
-    """Every quantity the check table reads, as (G, C) arrays: the graphs of
-    ``stack`` crossed with the boundary index tables ``bidx`` (C, |B|) and
-    ``iidx`` (C, n - |B|).  ``vectors`` takes ``eigh`` and the misalignment
-    over ``eigvalsh``.
+def _quantities(stack: _Stack, nb: int, rng, mutations, vectors: bool) -> dict:
+    """Every quantity the check table reads, as (G,) arrays over the graphs
+    of ``stack``, whose first ``nb`` vertices are the boundary.  ``vectors``
+    takes ``eigh`` and the misalignment over ``eigvalsh``.
     """
-    lap, (count, n), size = stack.lap, stack.lap.shape[:2], bidx.shape[1]
-    mass = stack.measures[:, bidx]
+    lap, (count, n) = stack.lap, stack.lap.shape[:2]
+    mass = stack.measures[:, :nb]
     l_ob = interior_map = None
     try:
-        if n > size:
-            l_ob = lap[:, iidx[:, :, None], bidx[:, None, :]]
-            interior_map = np.linalg.solve(lap[:, iidx[:, :, None], iidx[:, None, :]], l_ob)
-        schur, eig, vecs, q = steklov_operator(
-            lap[:, bidx[:, :, None], bidx[:, None, :]], l_ob, interior_map, mass, vectors)
+        if n > nb:
+            l_ob = lap[:, nb:, :nb]
+            interior_map = np.linalg.solve(lap[:, nb:, nb:], l_ob)
+        schur, eig, vecs, q = steklov_operator(lap[:, :nb, :nb], l_ob, interior_map, mass,
+                                               vectors)
     except np.linalg.LinAlgError as exc:
-        return {"error": np.full((count, len(bidx)), str(exc))}
+        return {"error": np.full(count, str(exc))}
     if vectors:  # v1 is m-normalized; its residual off the constants:
         v1 = vecs[..., 0] / np.sqrt(mass)
         resid = v1 - (v1 * mass).sum(-1, keepdims=True) / mass.sum(-1, keepdims=True)
@@ -402,30 +490,26 @@ def _quantities(stack: _Stack, bidx, iidx, rng, mutations, vectors: bool) -> dic
     # Green symmetry: <Lambda f, h>_B (Schur route) against the energy
     # pairing of the harmonic extensions
     def extend(values: np.ndarray) -> np.ndarray:
-        u = np.zeros((count, len(bidx), n))
-        rows = np.arange(len(bidx))[:, None]
-        u[:, rows, bidx] = values
-        if interior_map is not None:
-            u[:, rows, iidx] = -np.einsum("gcoj,gcj->gco", interior_map, values)
-        return u
+        if interior_map is None:
+            return values
+        return np.concatenate([values, -np.einsum("goj,gj->go", interior_map, values)], axis=1)
 
-    f = rng.standard_normal((count, len(bidx), size))
-    h = rng.standard_normal((count, len(bidx), size))
-    q["schur_form"] = np.einsum("gci,gcij,gcj->gc", h, schur, f)
-    q["energy"] = np.einsum("gci,gij,gcj->gc", extend(f), lap, extend(h))
+    f = rng.standard_normal((count, nb))
+    h = rng.standard_normal((count, nb))
+    q["schur_form"] = np.einsum("gi,gij,gj->g", h, schur, f)
+    q["energy"] = np.einsum("gi,gij,gj->g", extend(f), lap, extend(h))
 
-    if size >= 2:
-        d_b = stack.dist[:, bidx[:, :, None], bidx[:, None, :]].max(axis=(-1, -2))
-        q.update(_bound_quantities(eig[..., 1], stack.w0[:, None], mass.min(-1),
-                                   mass.sum(-1), d_b, size, mutations))
-        q["unit"] = np.broadcast_to(stack.unit[:, None], (count, len(bidx)))
-        cond = np.zeros((3, count, len(bidx)), dtype=bool)
-        if size == 2:
-            x, y = bidx.T
-            cond[0] = mass[..., 0] == mass[..., 1]
-            on, unique = geodesic_layers(stack.dist[:, x], stack.dist[:, y])
-            gi, ci = np.nonzero(unique)
-            cond[1:, gi, ci] = _geodesic_conditions(stack, gi, on[gi, ci])
+    if nb >= 2:
+        d_b = stack.dist[:, :nb, :nb].max(axis=(1, 2))
+        q.update(_bound_quantities(eig[:, 1], stack.w0, mass.min(-1), mass.sum(-1), d_b, nb,
+                                   mutations))
+        q["unit"] = stack.unit
+        cond = np.zeros((3, count), dtype=bool)
+        if nb == 2:
+            cond[0] = mass[:, 0] == mass[:, 1]
+            on, unique = geodesic_layers(stack.dist[:, 0], stack.dist[:, 1])
+            gi = np.flatnonzero(unique)
+            cond[1:, gi] = _geodesic_conditions(stack, gi, on[gi])
         q.update(_certificate(*cond, mutations))
     return q
 
@@ -451,67 +535,23 @@ def _geodesic_conditions(stack: _Stack, gi, on) -> tuple[np.ndarray, np.ndarray]
     return cond_path, ~(reach & on_pairs & ~eye).any(axis=(1, 2))
 
 
-def _violations(q: dict, instance: Callable) -> list[ViolationRecord]:
-    """Records of the failed cells of ``q``; ``instance(gi, ci)`` gives the
-    index and the graph of cell (gi, ci)."""
-    records = []
+def _failed_cells(q: dict) -> Iterator[tuple[int, str, dict]]:
+    """(graph, check, reported quantities) of every failed check of ``q``."""
     for check, keys, ok in _evaluate(q):
-        if ok.all():
-            continue
-        for gi, ci in np.argwhere(~ok).tolist():
-            index, g = instance(gi, ci)
-            records.append(ViolationRecord(
-                index, check, graph_to_json_dict(g), _details(q, keys, (gi, ci))
-            ))
-    return records
+        if not ok.all():
+            for gi in np.argwhere(~ok)[:, 0].tolist():
+                yield gi, check, _details(q, keys, gi)
 
 
-def _record_key(record: ViolationRecord) -> tuple[int, int]:
-    return record.index, _CHECK_RANK[record.check]
+# --- the feeder -----------------------------------------------------------------
 
 
-# --- the two feeders ------------------------------------------------------------
-
-
-def _verify_unit_masks(spec, mutations, max_violations) -> list[ViolationRecord]:
-    """Unit-weight exhaustive verification: each chunk of edge masks, crossed
-    with the boundary subsets of one size at a time."""
-    records: list[ViolationRecord] = []
-    index_base = 0
-    for n in range(2, spec.n_max + 1):
-        masks, bmasks = _connected_edge_masks(n), _boundary_masks(n)
-        bits = _bits(bmasks, n)
-        tables = []
-        for size in range(2, n + 1):
-            ranks = np.flatnonzero(bits.sum(axis=1) == size)
-            tables.append((ranks, np.nonzero(bits[ranks])[1].reshape(-1, size),
-                           np.nonzero(1 - bits[ranks])[1].reshape(len(ranks), n - size)))
-        u, v = _pair_arrays(n)
-        for start in range(0, len(masks), _CHUNK):
-            sub = masks[start : start + _CHUNK]
-            lap = np.zeros((len(sub), n, n))
-            lap[:, u, v] = lap[:, v, u] = -_bits(sub, len(u))
-            stack = _Stack(lap, np.ones((1, n)), np.zeros((len(sub), n), dtype=bool))
-            rng = np.random.default_rng([spec.seed, n, start])
-            for ranks, bidx, iidx in tables:
-                q = _quantities(stack, bidx, iidx, rng, mutations, vectors=False)
-                records += _violations(q, lambda gi, ci: (
-                    index_base + (start + gi) * len(bmasks) + int(ranks[ci]),
-                    _mask_instance(n, sub[gi], bmasks[ranks[ci]]).graph(),
-                ))
-            if max_violations is not None and len(records) >= max_violations:
-                return sorted(records, key=_record_key)
-        index_base += len(masks) * len(bmasks)
-    return sorted(records, key=_record_key)
-
-
-def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
+def _stack_quantities(stack: Sequence[_Instance], rng, mutations, vectors: bool = True) -> dict:
     """The kernel's quantities for instances that share |B|.
 
-    Each is relabelled boundary-first, so that they share
-    ``bidx = arange(|B|)``, and padded after its interior to the stack's
-    largest n (see :class:`_Stack`).  One fancy assignment scatters every
-    edge of the stack.
+    Each is relabelled boundary-first and padded after its interior to the
+    stack's largest n (see :class:`_Stack`).  One fancy assignment scatters
+    every edge of the stack.
     """
     count, nb = len(stack), len(stack[0].boundary)
     sizes = np.array([inst.n for inst in stack])
@@ -527,9 +567,7 @@ def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
     lap[gi, u, v] = lap[gi, v, u] = -np.concatenate([inst.w for inst in stack])
     measures = np.ones((count, n))
     measures[np.nonzero(~pad)[0], label[~pad]] = np.concatenate([inst.m for inst in stack])
-    return _quantities(_Stack(lap, measures, pad),
-                       np.arange(nb)[None], np.arange(nb, n)[None], rng, mutations,
-                       vectors=True)
+    return _quantities(_Stack(lap, measures, pad), nb, rng, mutations, vectors)
 
 
 # Padded matrix cells, instances x (largest n)^2, per window of a graph
@@ -553,21 +591,24 @@ def _windows(instances) -> Iterator[list[tuple[int, _Instance]]]:
         yield window
 
 
-def _verify_instances(instances, rng, mutations, max_violations) -> list[ViolationRecord]:
+def _verify_instances(instances, rng, mutations, max_violations,
+                      vectors: bool = True) -> list[tuple[int, str, dict, _Instance]]:
     """Verify an instance stream window by window, each window stacked by
-    |B| and padded; Green-check vectors are drawn per stack."""
-    records: list[ViolationRecord] = []
+    |B| and padded; Green-check vectors are drawn per stack.  Returns the
+    (index, check, details, instance) of each failure in stream order."""
+    failures: list[tuple[int, str, dict, _Instance]] = []
     for window in _windows(instances):
         stacks: dict[int, list] = {}
         for index, inst in window:
             stacks.setdefault(len(inst.boundary), []).append((index, inst))
         for members in stacks.values():
             indices, group = zip(*members)
-            q = _stack_quantities(group, rng, mutations)
-            records += _violations(q, lambda gi, ci: (indices[gi], group[gi].graph()))
-        if max_violations is not None and len(records) >= max_violations:
+            q = _stack_quantities(group, rng, mutations, vectors)
+            failures += [(indices[gi], check, details, group[gi])
+                         for gi, check, details in _failed_cells(q)]
+        if max_violations is not None and len(failures) >= max_violations:
             break
-    return sorted(records, key=_record_key)
+    return sorted(failures, key=lambda failure: (failure[0], _CHECK_RANK[failure[1]]))
 
 
 def check_instance(g: WeightedBoundaryGraph, rng=None,
@@ -583,7 +624,7 @@ def check_instance(g: WeightedBoundaryGraph, rng=None,
         raise EmptyBoundaryError("graph has an empty boundary")
     rng = rng if rng is not None else np.random.default_rng(0)
     q = _stack_quantities([_Instance.of(g)], rng, mutations)
-    return [(r.check, r.details) for r in _violations(q, lambda gi, ci: (0, g))]
+    return [(check, details) for _, check, details in _failed_cells(q)]
 
 
 # --- top-level verification ------------------------------------------------------
@@ -597,6 +638,49 @@ def _random_instances(spec: CorpusSpec) -> Iterator[_Instance]:
         boundary_size = int(rng.integers(2, n + 1))
         yield _random_instance(n, edge_prob, spec.weight_range, spec.measure_range,
                                boundary_size, rng, spec.unit_only)
+
+
+def _verify_unit_classes(spec, mutations, max_violations) -> list[ViolationRecord]:
+    """Unit exhaustive verification, n by n, of one instance per isomorphism
+    class of (graph, boundary) pairs.  Every check reads graph invariants
+    only, so the labeled instances of a class share its verdicts: a failing
+    class instance becomes the records of its labeled instances, in stream
+    order and at most ``max_violations`` of them."""
+    rng = np.random.default_rng([spec.seed, 1])
+    records: list[ViolationRecord] = []
+    base = 0
+    for n in range(2, spec.n_max + 1):
+        reps = _class_orbits(n)
+        failures = _verify_instances((_mask_instance(n, *rep) for rep in reps), rng, mutations,
+                                     None, vectors=False)
+        if failures:
+            limit = None if max_violations is None else max_violations - len(records)
+            records += _labeled_records(n, base, reps, failures, limit)
+        if max_violations is not None and len(records) >= max_violations:
+            break
+        base += _level_count(n)
+    return records
+
+
+def _labeled_records(n: int, base: int, reps, failures, limit) -> list[ViolationRecord]:
+    """The records of the labeled instances on n vertices of the failing
+    class instances ``reps[index]``, stream indices from ``base``: the first
+    ``limit`` by (index, check)."""
+    perms, moves = _permutations(n)
+    graphs, subsets = np.asarray(_connected_edge_masks(n)), np.asarray(_boundary_masks(n))
+    cells = []
+    for index, check, details, _ in failures:
+        edge_masks = _relabelled([reps[index][0]], moves)[0]
+        boundary_masks = _relabelled([reps[index][1]], perms)[0]
+        ranks = (np.searchsorted(graphs, edge_masks) * len(subsets)
+                 + np.searchsorted(subsets, boundary_masks))
+        ranks, first = np.unique(ranks, return_index=True)
+        cells += [((rank, _CHECK_RANK[check]), check, details, g, b) for rank, g, b in zip(
+            ranks.tolist(), edge_masks[first].tolist(), boundary_masks[first].tolist())]
+    cells.sort(key=lambda cell: cell[0])
+    return [ViolationRecord(base + key[0], check,
+                            graph_to_json_dict(_mask_instance(n, g, b).graph()), details)
+            for key, check, details, g, b in cells[:limit]]
 
 
 def verify_corpus(
@@ -616,11 +700,13 @@ def verify_corpus(
     if unknown:
         raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
     if spec.mode == "exhaustive" and spec.unit_only:
-        return _verify_unit_masks(spec, mutations, max_violations)
+        return _verify_unit_classes(spec, mutations, max_violations)
     if spec.mode == "random":
         instances = _random_instances(spec)
     else:
         instances = _small_instances(spec.n_max, np.random.default_rng([spec.seed, 0]),
                                      spec.weight_range, spec.measure_range)
-    return _verify_instances(instances, np.random.default_rng([spec.seed, 1]), mutations,
-                             max_violations)
+    failures = _verify_instances(instances, np.random.default_rng([spec.seed, 1]), mutations,
+                                 max_violations)
+    return [ViolationRecord(index, check, graph_to_json_dict(inst.graph()), details)
+            for index, check, details, inst in failures]

@@ -85,7 +85,10 @@ def test_criterion_2_bound_validity_at_scale():
 def test_criterion_3_rigidity_biconditional_exhaustive():
     """All connected labeled unit graphs on n <= 6 vertices, all boundary
     subsets of size >= 2: numeric equality (tol 1e-8) coincides with the
-    structural certificate on every one of the 1,541,491 instances."""
+    structural certificate on every one of the 1,541,491 instances.  Every
+    check reads graph invariants, so the verifier runs one instance per
+    isomorphism class of (graph, boundary) pairs, 3,678 of them, and a
+    failure would name each labeled instance of its class."""
     start = time.perf_counter()
     spec = CorpusSpec(mode="exhaustive", n_max=6, unit_only=True, seed=0)
     records = verify_corpus(spec)

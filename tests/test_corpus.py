@@ -1,6 +1,6 @@
 import json
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -26,13 +26,19 @@ from steklov.corpus import (
     MUTATION_COMB_SKIP,
     RANDOM_N_MAX,
     _bits,
+    _boundary_masks,
+    _canonical_masks,
+    _class_orbits,
     _connected_edge_masks,
     _distance_tables,
     _geodesic_conditions,
+    _graph_classes,
     _Instance,
     _mask_instance,
     _pair_arrays,
+    _permutations,
     _random_instances,
+    _relabelled,
     _small_instances,
     _Stack,
     _stack_quantities,
@@ -218,6 +224,76 @@ class TestEnumeration:
             count_exhaustive_instances(n_max)
 
 
+class TestGraphClasses:
+    """Unit exhaustive mode verifies one instance per isomorphism class of
+    (graph, boundary) pairs; its class enumerator against counts and
+    brute force."""
+
+    def test_class_counts(self):
+        # OEIS A001349, and every labeled graph once: n!/|Aut| labelings per class
+        counts = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+        for n, expected in counts.items():
+            classes = _graph_classes(n)
+            assert len(classes) == expected
+            assert [c.mask for c in classes] == sorted(c.mask for c in classes)
+            assert sum(factorial(n) // len(c.aut) for c in classes) == connected_labeled_count(n)
+        assert count_exhaustive_instances(7) == sum(
+            connected_labeled_count(n) * (2**n - n - 1) for n in range(2, 8)
+        ) == 225_492_211
+
+    def test_automorphisms_fix_the_mask(self):
+        for n in range(2, 7):
+            perms, moves = _permutations(n)
+            for c in _graph_classes(n):
+                relabelled = _relabelled([c.mask], moves)[0]
+                assert c.aut.tolist() == perms[relabelled == c.mask].tolist()
+                assert relabelled.min() == c.mask
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_labeled_graph_is_in_a_class(self, n):
+        canonical = set(_canonical_masks(n, _connected_edge_masks(n)).tolist())
+        assert canonical == {c.mask for c in _graph_classes(n)}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_orbits_are_the_pair_classes(self, n):
+        """One class instance per (graph, boundary) pair up to relabelling:
+        the distinct least relabelled (edge mask, boundary mask) pairs of
+        the labeled corpus."""
+        perms, moves = _permutations(n)
+        graphs = _relabelled(_connected_edge_masks(n), moves)
+        subsets = _relabelled(_boundary_masks(n), perms)
+        pairs = (graphs[:, None, :] << n | subsets[None, :, :]).min(axis=-1)
+        reps = _class_orbits(n)
+        assert sorted(g << n | b for g, b in reps) == np.unique(pairs).tolist()
+
+    def test_classes_match_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(2, 7):
+            atlas = [g for g in nx.graph_atlas_g() if len(g) == n and nx.is_connected(g)]
+            pair = {pair: k for k, pair in enumerate(zip(*_pair_arrays(n)))}
+            masks = [sum(1 << pair[min(e), max(e)] for e in g.edges) for g in atlas]
+            assert sorted(_canonical_masks(n, masks).tolist()) == [
+                c.mask for c in _graph_classes(n)]
+
+    @pytest.mark.parametrize("mutation, count, first, last", [
+        (MUTATION_BOUND_DB, 21_398, (0, "unit_specialization"), (19_362, "unit_specialization")),
+        (MUTATION_COMB_SKIP, 4_691, (13, "equality_iff_certified"),
+         (19_355, "equality_iff_certified")),
+    ], ids=["bound_db", "comb_skip"])
+    def test_expansion_matches_labeled_engine(self, mutation, count, first, last):
+        """A failing class instance expands to the records of its labeled
+        instances, in stream order: on unit n <= 5 the counts and the first
+        and last (index, check) are those of the engine that verified every
+        labeled instance, and a cap keeps the first records."""
+        spec = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)
+        records = verify_corpus(spec, mutations=frozenset({mutation}))
+        keys = [(r.index, r.check) for r in records]
+        assert (len(keys), keys[0], keys[-1]) == (count, first, last)
+        assert keys == sorted(keys, key=lambda k: (k[0], corpus._CHECK_RANK[k[1]]))
+        capped = verify_corpus(spec, max_violations=100, mutations=frozenset({mutation}))
+        assert [r.to_json_dict() for r in capped] == [r.to_json_dict() for r in records[:100]]
+
+
 class TestInstanceStreams:
     """Random and weighted exhaustive mode stream array instances; a graph
     is built from one only for a violation record."""
@@ -349,9 +425,9 @@ class TestBatchedGeodesics:
         report = check_rigidity(g)
         assert not report.cond_path and not report.certified_equality
         q = _stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
-        assert q["cond_boundary"].tolist() == [[True]]
-        assert q["cond_path"].tolist() == [[False]]
-        assert q["certified_equality"].tolist() == [[False]]
+        assert q["cond_boundary"].tolist() == [True]
+        assert q["cond_path"].tolist() == [False]
+        assert q["certified_equality"].tolist() == [False]
 
 
 class TestCheckInstance:
@@ -397,7 +473,7 @@ class TestCheckInstance:
             ref = reference_quantities(g, np.random.default_rng(7), mutations)
             assert ours.keys() == ref.keys()
             for name, value in ref.items():
-                got = np.asarray(ours[name])[0, 0].item()
+                got = np.asarray(ours[name])[0].item()
                 if isinstance(value, (bool, np.bool_)):
                     assert got == value, name
                 else:
@@ -501,6 +577,13 @@ class TestCheckInstance:
 class TestVerifyCorpus:
     def test_exhaustive_unit_clean(self):
         spec = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)
+        assert verify_corpus(spec) == []
+
+    def test_exhaustive_unit_n7_clean(self):
+        """All 225,492,211 labeled unit instances with n <= 7, as 66,513
+        class instances."""
+        assert sum(len(_class_orbits(n)) for n in range(2, 8)) == 66_513
+        spec = CorpusSpec(mode="exhaustive", n_max=7, unit_only=True)
         assert verify_corpus(spec) == []
 
     def test_exhaustive_weighted_clean(self):
@@ -653,21 +736,21 @@ def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes
         for name, value in alone.items():
             if name in ("schur_form", "energy"):
                 continue
-            want, got = value[0, 0], padded[name][gi, 0]
+            want, got = value[0], padded[name][gi]
             if want.dtype == bool:
                 assert got == want, name
             elif name in _RESIDUES:
-                scale = 1.0 if _RESIDUES[name] is None else alone[_RESIDUES[name]][0, 0]
+                scale = 1.0 if _RESIDUES[name] is None else alone[_RESIDUES[name]][0]
                 assert abs(got - want) <= 1e-12 * scale, name
             else:
                 assert got == pytest.approx(want, rel=1e-12), name
         for check, _, ok in corpus._evaluate(alone):
-            assert verdicts[check][gi, 0] == ok[0, 0], check
+            assert verdicts[check][gi] == ok[0], check
     assert "green_symmetry" in verdicts and verdicts["green_symmetry"].all()
     if nb >= 2:  # a negative tolerance fails the unit row on the unit members only
         monkeypatch.setattr(corpus, "UNIT_SPECIALIZATION_TOL", -1.0)
         verdicts = {check: ok for check, _, ok in corpus._evaluate(padded)}
-        assert (~verdicts["unit_specialization"][:, 0]).tolist() == units
+        assert (~verdicts["unit_specialization"]).tolist() == units
 
 
 def test_padded_stacks_fit_the_window(monkeypatch, built_stacks):
