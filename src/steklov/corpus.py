@@ -12,12 +12,13 @@ relabelled boundary-first, stacked by |B| and padded to the stack's largest
 n with edgeless interior vertices, which leave every quantity unchanged.
 Whether a graph has unit weights is read off its stack.
 
-The checks read graph invariants only, so unit-weight exhaustive mode
-verifies one instance per isomorphism class of (graph, boundary) pairs: each
-class of connected graphs, crossed with the orbits of its automorphisms on
-the boundary subsets.  A failing one is expanded to its labeled instances,
-so records still name labeled graphs and stream indices.  A validated graph
-is built only for a violation record.
+The isomorphism classes of connected graphs are the one enumerator: the
+labeled edge masks of weighted exhaustive mode are their orbits.  The checks
+read graph invariants only, so unit-weight exhaustive mode verifies one
+instance per class of (graph, boundary) pairs, each class crossed with the
+orbits of its automorphisms on the boundary subsets.  A failing one is
+expanded to its labeled instances, so records still name labeled graphs and
+stream indices; a validated graph is built only for a violation record.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -74,10 +76,9 @@ KNOWN_MUTATIONS = frozenset({MUTATION_BOUND_DB, MUTATION_COMB_SKIP})
 # The check table: (check, predicate over the named quantities, quantities a
 # violation reports); the Steklov matrix's own rows are ``OPERATOR_CHECKS``.
 # A row runs only when every quantity it reports is present: sigma_2, the
-# bounds and the certificate need |B| >= 2, misalignment eigenvectors, and a
-# failed solve or eigensolve leaves only its error.  Predicates also work
-# elementwise; ``unit`` may be a Python bool, so it is negated by
-# ``np.logical_not``, not ``~``.
+# bounds and the certificate need |B| >= 2, and a failed solve or eigensolve
+# leaves only its error.  Predicates also work elementwise; ``unit`` may be a
+# Python bool, so it is negated by ``np.logical_not``, not ``~``.
 _CHECKS = (
     ("numerics_failure", lambda q: q["error"] == "", ("error",)),
     *OPERATOR_CHECKS,
@@ -119,11 +120,13 @@ class CorpusSpec:
     def __post_init__(self):
         if self.mode not in _N_MAX:
             raise GraphError(f"unknown corpus mode {self.mode!r}")
+        for name in ("n_max", "samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise GraphError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise GraphError(f"{name} must be nonnegative, got {value}")
         _check_n_max(self.mode, self.n_max)
-        if self.samples < 0:
-            raise GraphError("samples must be nonnegative")
-        if self.seed < 0:
-            raise GraphError(f"seed must be nonnegative, got {self.seed}")
         _check_ranges(self.weight_range, self.measure_range)
 
 
@@ -226,32 +229,8 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 # --- exhaustive enumeration -----------------------------------------------------
 
 
-# Graphs per chunk when deciding connectivity.
-_CHUNK = 4096
-
 # Relabelled masks per product when canonicalising: 2^22 cells is 32 MB.
 _RELABEL_CELLS = 1 << 22
-
-
-@lru_cache(maxsize=8)
-def _connected_edge_masks(n: int) -> tuple[int, ...]:
-    """Edge bitmasks of all connected labeled simple graphs on n vertices,
-    ascending; bit k of a mask is the k-th pair of ``_pair_arrays(n)``.
-
-    Each chunk is decided by one :func:`component_labels` call over the
-    disjoint union of its graphs, graph i on the vertices i*n .. i*n + n-1.
-    """
-    tails, heads = _pair_arrays(n)
-    total = 1 << len(tails)
-    out: list[int] = []
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total))
-        graph, pair = np.nonzero(_bits(masks, len(tails)))
-        offset = graph * n
-        root = component_labels(len(masks) * n, offset + tails[pair], offset + heads[pair])
-        root = root.reshape(-1, n)
-        out.extend(masks[(root == root[:, :1]).all(axis=1)].tolist())
-    return tuple(out)
 
 
 @lru_cache(maxsize=8)
@@ -281,7 +260,7 @@ def _small_instances(n_max: int, *draw) -> Iterator[_Instance]:
     boundary subset of size >= 2, by ``_mask_instance(..., *draw)``: n
     ascending, then edge bitmask, then boundary bitmask."""
     return (_mask_instance(n, edge_mask, boundary_mask, *draw)
-            for n in range(2, n_max + 1) for edge_mask in _connected_edge_masks(n)
+            for n in range(2, n_max + 1) for edge_mask in _labeled_masks(n)
             for boundary_mask in _boundary_masks(n))
 
 
@@ -310,14 +289,19 @@ def _relabelled(masks, moves: np.ndarray) -> np.ndarray:
     return (_bits(masks, moves.shape[1]).astype(np.float32) @ weights).astype(np.int64)
 
 
-def _canonical_masks(n: int, masks) -> np.ndarray:
-    """The least relabelled edge mask of each graph on n vertices: equal
-    exactly for isomorphic graphs."""
+def _relabellings(n: int, masks) -> Iterator[np.ndarray]:
+    """Every relabelling of each edge mask on n vertices, as rows of
+    ``_relabelled`` products of at most ``_RELABEL_CELLS`` cells."""
     moves = _permutations(n)[1]
     masks = np.asarray(masks, dtype=np.int64)
     step = max(1, _RELABEL_CELLS // len(moves))
-    return np.concatenate([_relabelled(masks[s : s + step], moves).min(axis=1)
-                           for s in range(0, len(masks), step)])
+    return (_relabelled(masks[s : s + step], moves) for s in range(0, len(masks), step))
+
+
+def _canonical_masks(n: int, masks) -> np.ndarray:
+    """The least relabelled edge mask of each graph on n vertices: equal
+    exactly for isomorphic graphs."""
+    return np.concatenate([rows.min(axis=1) for rows in _relabellings(n, masks)])
 
 
 _Class = namedtuple("_Class", "mask aut")
@@ -355,6 +339,23 @@ def _class_orbits(n: int) -> tuple[tuple[int, int], ...]:
     subsets = _boundary_masks(n)
     return tuple((c.mask, int(b)) for c in _graph_classes(n)
                  for b in np.unique(_relabelled(subsets, c.aut).min(axis=1)))
+
+
+@lru_cache(maxsize=8)
+def _labeled_masks(n: int) -> np.ndarray:
+    """Edge bitmasks of all connected labeled graphs on n vertices,
+    ascending; bit k of a mask is the k-th pair of ``_pair_arrays(n)``.
+
+    They are the orbits of the classes under relabelling.  Orbits of
+    different classes are disjoint, so only repeats within a row go.
+    """
+    orbits = []
+    for rows in _relabellings(n, [c.mask for c in _graph_classes(n)]):
+        rows.sort(axis=1)
+        orbits.append(rows[np.diff(rows, axis=1, prepend=-1) != 0])
+    masks = np.sort(np.concatenate(orbits))
+    masks.setflags(write=False)
+    return masks
 
 
 def _level_count(n: int) -> int:
@@ -466,10 +467,9 @@ class _Stack:
         self.dist = _distance_tables(lap, pad)
 
 
-def _quantities(stack: _Stack, nb: int, rng, mutations, vectors: bool) -> dict:
+def _quantities(stack: _Stack, nb: int, rng, mutations) -> dict:
     """Every quantity the check table reads, as (G,) arrays over the graphs
-    of ``stack``, whose first ``nb`` vertices are the boundary.  ``vectors``
-    takes ``eigh`` and the misalignment over ``eigvalsh``.
+    of ``stack``, whose first ``nb`` vertices are the boundary.
     """
     lap, (count, n) = stack.lap, stack.lap.shape[:2]
     mass = stack.measures[:, :nb]
@@ -479,13 +479,13 @@ def _quantities(stack: _Stack, nb: int, rng, mutations, vectors: bool) -> dict:
             l_ob = lap[:, nb:, :nb]
             interior_map = np.linalg.solve(lap[:, nb:, nb:], l_ob)
         schur, eig, vecs, q = steklov_operator(lap[:, :nb, :nb], l_ob, interior_map, mass,
-                                               vectors)
+                                               vectors=True)
     except np.linalg.LinAlgError as exc:
         return {"error": np.full(count, str(exc))}
-    if vectors:  # v1 is m-normalized; its residual off the constants:
-        v1 = vecs[..., 0] / np.sqrt(mass)
-        resid = v1 - (v1 * mass).sum(-1, keepdims=True) / mass.sum(-1, keepdims=True)
-        q["misalignment"] = np.sqrt((resid * resid * mass).sum(-1))
+    # v1 is m-normalized; its residual off the constants:
+    v1 = vecs[..., 0] / np.sqrt(mass)
+    resid = v1 - (v1 * mass).sum(-1, keepdims=True) / mass.sum(-1, keepdims=True)
+    q["misalignment"] = np.sqrt((resid * resid * mass).sum(-1))
 
     # Green symmetry: <Lambda f, h>_B (Schur route) against the energy
     # pairing of the harmonic extensions
@@ -546,7 +546,7 @@ def _failed_cells(q: dict) -> Iterator[tuple[int, str, dict]]:
 # --- the feeder -----------------------------------------------------------------
 
 
-def _stack_quantities(stack: Sequence[_Instance], rng, mutations, vectors: bool = True) -> dict:
+def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
     """The kernel's quantities for instances that share |B|.
 
     Each is relabelled boundary-first and padded after its interior to the
@@ -567,7 +567,7 @@ def _stack_quantities(stack: Sequence[_Instance], rng, mutations, vectors: bool 
     lap[gi, u, v] = lap[gi, v, u] = -np.concatenate([inst.w for inst in stack])
     measures = np.ones((count, n))
     measures[np.nonzero(~pad)[0], label[~pad]] = np.concatenate([inst.m for inst in stack])
-    return _quantities(_Stack(lap, measures, pad), nb, rng, mutations, vectors)
+    return _quantities(_Stack(lap, measures, pad), nb, rng, mutations)
 
 
 # Padded matrix cells, instances x (largest n)^2, per window of a graph
@@ -591,11 +591,12 @@ def _windows(instances) -> Iterator[list[tuple[int, _Instance]]]:
         yield window
 
 
-def _verify_instances(instances, rng, mutations, max_violations,
-                      vectors: bool = True) -> list[tuple[int, str, dict, _Instance]]:
+def _verify_instances(instances, rng, mutations,
+                      max_violations=None) -> list[tuple[int, str, dict, _Instance]]:
     """Verify an instance stream window by window, each window stacked by
     |B| and padded; Green-check vectors are drawn per stack.  Returns the
-    (index, check, details, instance) of each failure in stream order."""
+    (index, check, details, instance) of each failure, stopping after the
+    window that brings them to ``max_violations``."""
     failures: list[tuple[int, str, dict, _Instance]] = []
     for window in _windows(instances):
         stacks: dict[int, list] = {}
@@ -603,12 +604,12 @@ def _verify_instances(instances, rng, mutations, max_violations,
             stacks.setdefault(len(inst.boundary), []).append((index, inst))
         for members in stacks.values():
             indices, group = zip(*members)
-            q = _stack_quantities(group, rng, mutations, vectors)
+            q = _stack_quantities(group, rng, mutations)
             failures += [(indices[gi], check, details, group[gi])
                          for gi, check, details in _failed_cells(q)]
         if max_violations is not None and len(failures) >= max_violations:
             break
-    return sorted(failures, key=lambda failure: (failure[0], _CHECK_RANK[failure[1]]))
+    return failures
 
 
 def check_instance(g: WeightedBoundaryGraph, rng=None,
@@ -640,47 +641,41 @@ def _random_instances(spec: CorpusSpec) -> Iterator[_Instance]:
                                boundary_size, rng, spec.unit_only)
 
 
-def _verify_unit_classes(spec, mutations, max_violations) -> list[ViolationRecord]:
+def _unit_class_failures(n_max, rng, mutations, max_violations) -> list[tuple]:
     """Unit exhaustive verification, n by n, of one instance per isomorphism
     class of (graph, boundary) pairs.  Every check reads graph invariants
     only, so the labeled instances of a class share its verdicts: a failing
-    class instance becomes the records of its labeled instances, in stream
-    order and at most ``max_violations`` of them."""
-    rng = np.random.default_rng([spec.seed, 1])
-    records: list[ViolationRecord] = []
+    class instance becomes the failures of its labeled instances, up to the
+    level that brings them to ``max_violations``."""
+    failures: list[tuple] = []
     base = 0
-    for n in range(2, spec.n_max + 1):
+    for n in range(2, n_max + 1):
         reps = _class_orbits(n)
-        failures = _verify_instances((_mask_instance(n, *rep) for rep in reps), rng, mutations,
-                                     None, vectors=False)
-        if failures:
-            limit = None if max_violations is None else max_violations - len(records)
-            records += _labeled_records(n, base, reps, failures, limit)
-        if max_violations is not None and len(records) >= max_violations:
+        level = _verify_instances((_mask_instance(n, *rep) for rep in reps), rng, mutations)
+        if level:
+            failures += _labeled_failures(n, base, reps, level)
+        if max_violations is not None and len(failures) >= max_violations:
             break
         base += _level_count(n)
-    return records
+    return failures
 
 
-def _labeled_records(n: int, base: int, reps, failures, limit) -> list[ViolationRecord]:
-    """The records of the labeled instances on n vertices of the failing
-    class instances ``reps[index]``, stream indices from ``base``: the first
-    ``limit`` by (index, check)."""
+def _labeled_failures(n: int, base: int, reps, level) -> list[tuple]:
+    """The failures of the labeled instances on n vertices of the failing
+    class instances ``reps[index]`` of ``level``, stream indices from
+    ``base``."""
     perms, moves = _permutations(n)
-    graphs, subsets = np.asarray(_connected_edge_masks(n)), np.asarray(_boundary_masks(n))
-    cells = []
-    for index, check, details, _ in failures:
+    graphs, subsets = _labeled_masks(n), np.asarray(_boundary_masks(n))
+    failures = []
+    for index, check, details, _ in level:
         edge_masks = _relabelled([reps[index][0]], moves)[0]
         boundary_masks = _relabelled([reps[index][1]], perms)[0]
         ranks = (np.searchsorted(graphs, edge_masks) * len(subsets)
                  + np.searchsorted(subsets, boundary_masks))
         ranks, first = np.unique(ranks, return_index=True)
-        cells += [((rank, _CHECK_RANK[check]), check, details, g, b) for rank, g, b in zip(
+        failures += [(base + rank, check, details, _mask_instance(n, g, b)) for rank, g, b in zip(
             ranks.tolist(), edge_masks[first].tolist(), boundary_masks[first].tolist())]
-    cells.sort(key=lambda cell: cell[0])
-    return [ViolationRecord(base + key[0], check,
-                            graph_to_json_dict(_mask_instance(n, g, b).graph()), details)
-            for key, check, details, g, b in cells[:limit]]
+    return failures
 
 
 def verify_corpus(
@@ -692,21 +687,25 @@ def verify_corpus(
     invariants over the whole corpus; returns violations as data.
 
     An empty list is a full pass.  Identical specs give identical results;
-    ``max_violations`` allows early exit once that many are found.  The
-    ``mutations`` argument deliberately corrupts the checks (see
-    ``KNOWN_MUTATIONS``) so tests can prove the suite is not vacuous.
+    ``max_violations`` returns the first that many records of the full run,
+    stopping early once they are found.  The ``mutations`` argument
+    deliberately corrupts the checks (see ``KNOWN_MUTATIONS``) so tests can
+    prove the suite is not vacuous.
     """
     unknown = set(mutations) - set(KNOWN_MUTATIONS)
     if unknown:
         raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
-    if spec.mode == "exhaustive" and spec.unit_only:
-        return _verify_unit_classes(spec, mutations, max_violations)
+    if max_violations is not None and max_violations < 0:
+        raise GraphError(f"max_violations must be nonnegative, got {max_violations}")
+    rng = np.random.default_rng([spec.seed, 1])
     if spec.mode == "random":
-        instances = _random_instances(spec)
+        failures = _verify_instances(_random_instances(spec), rng, mutations, max_violations)
+    elif spec.unit_only:
+        failures = _unit_class_failures(spec.n_max, rng, mutations, max_violations)
     else:
-        instances = _small_instances(spec.n_max, np.random.default_rng([spec.seed, 0]),
-                                     spec.weight_range, spec.measure_range)
-    failures = _verify_instances(instances, np.random.default_rng([spec.seed, 1]), mutations,
-                                 max_violations)
+        draw = np.random.default_rng([spec.seed, 0]), spec.weight_range, spec.measure_range
+        failures = _verify_instances(_small_instances(spec.n_max, *draw), rng, mutations,
+                                     max_violations)
+    failures.sort(key=lambda failure: (failure[0], _CHECK_RANK[failure[1]]))
     return [ViolationRecord(index, check, graph_to_json_dict(inst.graph()), details)
-            for index, check, details, inst in failures]
+            for index, check, details, inst in failures[:max_violations]]

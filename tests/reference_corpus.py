@@ -5,7 +5,13 @@ from the public per-graph operations (``g.analysis``, ``harmonic_extension``,
 ``bound_report``, ``check_rigidity``) and hands them to the same evaluator as
 the stacked kernel in ``steklov.corpus``.  The tests compare the two routes
 record by record, in every corpus mode.
+
+It also keeps a brute-force list of the connected labeled graphs, which the
+tests hold the isomorphism classes of ``steklov.corpus`` to.
 """
+
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -86,3 +92,29 @@ def reference_verify(spec, mutations=frozenset()) -> list:
             for check, details in failures
         )
     return records
+
+
+@lru_cache(maxsize=None)
+def connected_edge_masks(n: int) -> tuple[int, ...]:
+    """Edge bitmasks of the connected labeled graphs on n vertices, ascending,
+    by a search from vertex 0 in each of the 2^(n choose 2) graphs; bit k of
+    a mask is the k-th pair u < v in lexicographic order."""
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        adjacent = [0] * n
+        for k, (u, v) in enumerate(pairs):
+            if mask >> k & 1:
+                adjacent[u] |= 1 << v
+                adjacent[v] |= 1 << u
+        seen = frontier = 1
+        while frontier:
+            reached = 0
+            for x in range(n):
+                if frontier >> x & 1:
+                    reached |= adjacent[x]
+            frontier = reached & ~seen
+            seen |= reached
+        if seen == (1 << n) - 1:
+            out.append(mask)
+    return tuple(out)

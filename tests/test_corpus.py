@@ -29,11 +29,11 @@ from steklov.corpus import (
     _boundary_masks,
     _canonical_masks,
     _class_orbits,
-    _connected_edge_masks,
     _distance_tables,
     _geodesic_conditions,
     _graph_classes,
     _Instance,
+    _labeled_masks,
     _mask_instance,
     _pair_arrays,
     _permutations,
@@ -48,6 +48,7 @@ from steklov.rigidity import _unique_geodesic, check_rigidity
 from conftest import enumerate_small, unit_path
 from reference_graph import geodesic_count_oracle
 from reference_corpus import (
+    connected_edge_masks,
     reference_check_instance,
     reference_quantities,
     reference_verify,
@@ -153,22 +154,41 @@ class TestValueRanges:
         self.assert_one_line(excinfo, name)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_max", 5.0), ("n_max", 6.5), ("n_max", True), ("n_max", "5"),
+    ("samples", 2.5), ("samples", False), ("seed", 1.5), ("seed", True), ("seed", None),
+], ids=str)
+@pytest.mark.parametrize("mode, unit_only", [
+    ("random", False), ("exhaustive", False), ("exhaustive", True),
+], ids=["random", "weighted", "unit"])
+def test_spec_integers(mode, unit_only, name, value):
+    """n_max, samples and seed that are not integers, or are bools, are one
+    GraphError line, raised before any draw or enumeration."""
+    kwargs = {"n_max": 4, "samples": 10, name: value}
+    with pytest.raises(GraphError) as excinfo:
+        CorpusSpec(mode=mode, unit_only=unit_only, **kwargs)
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
 class TestEnumeration:
     def test_counts_match_recurrence(self):
-        # hand-checked values first, then the oracle up to n = 6
+        # hand-checked values first, then the oracle up to n = 7
         assert connected_labeled_count(2) == 1
         assert connected_labeled_count(3) == 4
         assert connected_labeled_count(4) == 38
-        for n in range(2, 7):
-            assert len(_connected_edge_masks(n)) == connected_labeled_count(n)
+        assert connected_labeled_count(7) == 1_866_256
+        for n in range(2, 8):
+            assert len(_labeled_masks(n)) == connected_labeled_count(n)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_masks_are_the_connected_graphs(self, n):
-        masks = _connected_edge_masks(n)
-        assert list(masks) == sorted(masks)
-        expected = {mask for mask in range(1 << (n * (n - 1) // 2))
-                    if is_connected(_mask_instance(n, mask, 0).graph())}
-        assert set(masks) == expected
+        """The labeled masks, read off the orbits of the classes, are the
+        brute-force list of connected labeled graphs, in the same order."""
+        masks = _labeled_masks(n).tolist()
+        assert masks == list(connected_edge_masks(n))
+        if n <= 5:  # and that list is what the library calls connected
+            assert masks == [mask for mask in range(1 << (n * (n - 1) // 2))
+                             if is_connected(_mask_instance(n, mask, 0).graph())]
 
     def test_n2_single_instance(self):
         graphs = list(enumerate_small(2))
@@ -217,9 +237,10 @@ class TestEnumeration:
     def test_count_out_of_range(self, monkeypatch, n_max):
         # rejected before any enumeration: n_max = 8 alone means 2^28 masks
         def no_enumeration(n):
-            raise AssertionError(f"enumerated the masks of n = {n}")
+            raise AssertionError(f"enumerated the graphs of n = {n}")
 
-        monkeypatch.setattr(corpus, "_connected_edge_masks", no_enumeration)
+        monkeypatch.setattr(corpus, "_labeled_masks", no_enumeration)
+        monkeypatch.setattr(corpus, "_graph_classes", no_enumeration)
         with pytest.raises(GraphError, match="2 <= n_max <= 7"):
             count_exhaustive_instances(n_max)
 
@@ -251,7 +272,7 @@ class TestGraphClasses:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_labeled_graph_is_in_a_class(self, n):
-        canonical = set(_canonical_masks(n, _connected_edge_masks(n)).tolist())
+        canonical = set(_canonical_masks(n, connected_edge_masks(n)).tolist())
         assert canonical == {c.mask for c in _graph_classes(n)}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -260,7 +281,7 @@ class TestGraphClasses:
         the distinct least relabelled (edge mask, boundary mask) pairs of
         the labeled corpus."""
         perms, moves = _permutations(n)
-        graphs = _relabelled(_connected_edge_masks(n), moves)
+        graphs = _relabelled(connected_edge_masks(n), moves)
         subsets = _relabelled(_boundary_masks(n), perms)
         pairs = (graphs[:, None, :] << n | subsets[None, :, :]).min(axis=-1)
         reps = _class_orbits(n)
@@ -339,8 +360,13 @@ class TestInstanceStreams:
         def no_argwhere(*args, **kwargs):
             raise AssertionError("searched a check row whose verdicts all hold")
 
+        def no_masks(n):
+            raise AssertionError(f"listed the labeled graphs of n = {n} on a clean unit run")
+
         monkeypatch.setattr(corpus, "graph_from_arrays", no_graph)
         monkeypatch.setattr(corpus.np, "argwhere", no_argwhere)
+        if spec.unit_only and spec.mode == "exhaustive":
+            monkeypatch.setattr(corpus, "_labeled_masks", no_masks)
         assert verify_corpus(spec) == []
 
     @pytest.mark.parametrize("spec", [
@@ -371,7 +397,7 @@ class TestBatchedGeodesics:
         """Distances from the reach powers equal hop_distance_matrix, the
         layer flags mark exactly the pairs with one geodesic, and the
         vectorized comb test agrees with is_comb_over on every such pair."""
-        masks = _connected_edge_masks(n)
+        masks = _labeled_masks(n)
         u, v = _pair_arrays(n)
         lap = np.zeros((len(masks), n, n))
         lap[:, u, v] = lap[:, v, u] = -_bits(masks, len(u))
@@ -497,25 +523,39 @@ class TestCheckInstance:
 
     @pytest.mark.parametrize("routine", ["solve", "eigh", "eigvalsh"])
     def test_linalg_error_is_a_numerics_failure(self, monkeypatch, routine):
-        """A LinAlgError fails every instance of its stack, one record each."""
+        """A LinAlgError fails every instance of its stack, one record each.
+        The kernel eigensolves with eigh in every mode; only the per-graph route
+        calls eigvalsh."""
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
         monkeypatch.setattr(np.linalg, routine, fail)
+        unit = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
         if routine == "eigvalsh":
-            spec = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
-            instances = count_exhaustive_instances(3)
-        else:
-            assert check_instance(unit_path(4)) == [
-                ("numerics_failure", {"error": "forced failure"})
+            assert reference_check_instance(unit_path(4)) == [
+                ("numerics_failure", {"error": "mass-reduced Steklov matrix is not finite"})
             ]
-            if routine == "solve":
-                return
-            spec = CorpusSpec(mode="random", n_max=5, samples=20)
-            instances = spec.samples
+            assert check_instance(unit_path(4)) == [] and verify_corpus(unit) == []
+            return
+        assert check_instance(unit_path(4)) == [
+            ("numerics_failure", {"error": "forced failure"})
+        ]
+        if routine == "solve":
+            return
+        random = CorpusSpec(mode="random", n_max=5, samples=20)
+        for spec, instances in ((random, random.samples), (unit, count_exhaustive_instances(3))):
+            records = verify_corpus(spec)
+            assert {r.check for r in records} == {"numerics_failure"}
+            assert [r.index for r in records] == list(range(instances))
+
+    def test_unit_classes_check_the_lowest_eigenvector(self, monkeypatch):
+        """Unit exhaustive mode runs the sigma1_constant_vector row like
+        every other mode: a negative tolerance fails every instance."""
+        monkeypatch.setattr(corpus, "EIGVEC_ALIGN_TOL", -1.0)
+        spec = CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)
         records = verify_corpus(spec)
-        assert {r.check for r in records} == {"numerics_failure"}
-        assert [r.index for r in records] == list(range(instances))
+        assert {r.check for r in records} == {"sigma1_constant_vector"}
+        assert [r.index for r in records] == list(range(count_exhaustive_instances(4)))
 
     @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
     @pytest.mark.parametrize("scaled", ["weights", "measures"])
@@ -606,6 +646,9 @@ class TestVerifyCorpus:
             CorpusSpec(mode="exhaustive", n_max=9)
         with pytest.raises(GraphError, match="seed must be nonnegative"):
             CorpusSpec(mode="random", seed=-1)
+        with pytest.raises(GraphError, match="^samples must be nonnegative, got -1$"):
+            CorpusSpec(mode="random", samples=-1)
+        CorpusSpec(mode="random", n_max=np.int64(5), samples=np.int64(3), seed=np.int64(1))
 
     @pytest.mark.parametrize("n_max", [1, RANDOM_N_MAX + 1, 100_000])
     def test_random_n_max_out_of_range(self, monkeypatch, n_max):
@@ -663,13 +706,19 @@ class TestVerifyCorpus:
         assert payloads[0] == payloads[1]
 
     def test_max_violations_early_stop(self):
-        spec = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)
-        full = verify_corpus(spec, mutations=frozenset({MUTATION_COMB_SKIP}))
-        capped = verify_corpus(
-            spec, max_violations=1, mutations=frozenset({MUTATION_COMB_SKIP})
-        )
-        assert 1 <= len(capped) <= len(full)
-        assert capped[0].to_json_dict() == full[0].to_json_dict()
+        """In every mode a cap of k returns exactly the first k records of
+        the uncapped run, and a negative cap is one GraphError line."""
+        mutations = frozenset({MUTATION_BOUND_DB})
+        for spec in (CorpusSpec(mode="random", n_max=30, samples=300),
+                     CorpusSpec(mode="exhaustive", n_max=4, seed=3),
+                     CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)):
+            full = [r.to_json_dict() for r in verify_corpus(spec, mutations=mutations)]
+            assert len(full) > 1
+            for k in (0, 1, 100):
+                capped = verify_corpus(spec, max_violations=k, mutations=mutations)
+                assert [r.to_json_dict() for r in capped] == full[:k], (spec, k)
+            with pytest.raises(GraphError, match="^max_violations must be nonnegative, got -1$"):
+                verify_corpus(spec, max_violations=-1, mutations=mutations)
 
     def test_violation_reproducible_from_stored_graph(self):
         spec = CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)
