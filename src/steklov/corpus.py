@@ -6,11 +6,14 @@ spectral invariants.  Violations come back as data, never as exceptions.
 Each assertion is written once, as a row of the check table ``_CHECKS``.
 
 One kernel, ``_quantities``, computes every quantity the table reads for a
-stack of graphs.  Every stream (random mode, exhaustive mode and
-``check_instance``, a stream of one) is a stream of array instances,
-relabelled boundary-first, stacked by |B| and padded to the stack's largest
-n with edgeless interior vertices, which leave every quantity unchanged.
-Whether a graph has unit weights is read off its stack.
+stack of graphs, and one scatter, ``_column_quantities``, fills that stack
+from edge columns: each graph relabelled boundary-first, stacked by |B| and
+padded to the stack's largest n with edgeless interior vertices, which leave
+every quantity unchanged.  Whether a graph has unit weights is read off its
+stack.  Random mode and ``check_instance`` (a stream of one) concatenate
+array instances into those columns; both exhaustive modes read them off
+per-window tables of edge and boundary bits, with no per-instance object,
+and cut the same windows and stacks as an instance stream would.
 
 The isomorphism classes of connected graphs are the one enumerator: the
 labeled edge masks of weighted exhaustive mode are their orbits.  The checks
@@ -122,8 +125,7 @@ class CorpusSpec:
             raise GraphError(f"unknown corpus mode {self.mode!r}")
         for name in ("n_max", "samples", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise GraphError(f"{name} must be an integer, got {value!r}")
+            _require_integer(name, value)
             if value < 0:
                 raise GraphError(f"{name} must be nonnegative, got {value}")
         _check_n_max(self.mode, self.n_max)
@@ -166,6 +168,12 @@ class _Instance(namedtuple("_Instance", "n u v w m boundary")):
         """The validated graph, built only for a violation record."""
         return graph_from_arrays(self.m, self.boundary.tolist(),
                                  zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
+
+
+def _require_integer(name: str, value) -> None:
+    """Counts are integers, numpy's included; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise GraphError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_n_max(mode: str, n_max: int) -> None:
@@ -244,24 +252,12 @@ def _bits(masks, width: int) -> np.ndarray:
     return (np.asarray(masks, dtype=np.int64)[..., None] >> np.arange(width)) & 1
 
 
-def _mask_instance(n: int, edge_mask: int, boundary_mask: int,
-                   rng=None, weight_range=None, measure_range=None) -> _Instance:
-    """Instance of an edge and a boundary bitmask; values drawn from ``rng``, else all 1."""
+def _mask_instance(n: int, edge_mask: int, boundary_mask: int) -> _Instance:
+    """Unit-weight instance of an edge and a boundary bitmask."""
     tails, heads = _pair_arrays(n)
     on = np.flatnonzero(_bits(edge_mask, len(tails)))
-    w, m = np.ones(len(on)), np.ones(n)
-    if rng is not None:
-        w, m = rng.uniform(*weight_range, size=len(on)), rng.uniform(*measure_range, size=n)
-    return _Instance(n, tails[on], heads[on], w, m, np.flatnonzero(_bits(boundary_mask, n)))
-
-
-def _small_instances(n_max: int, *draw) -> Iterator[_Instance]:
-    """Every connected labeled graph on 2..n_max vertices, crossed with every
-    boundary subset of size >= 2, by ``_mask_instance(..., *draw)``: n
-    ascending, then edge bitmask, then boundary bitmask."""
-    return (_mask_instance(n, edge_mask, boundary_mask, *draw)
-            for n in range(2, n_max + 1) for edge_mask in _labeled_masks(n)
-            for boundary_mask in _boundary_masks(n))
+    return _Instance(n, tails[on], heads[on], np.ones(len(on)), np.ones(n),
+                     np.flatnonzero(_bits(boundary_mask, n)))
 
 
 def _pair_index(n: int) -> np.ndarray:
@@ -332,13 +328,17 @@ def _graph_classes(n: int) -> tuple[_Class, ...]:
 
 
 @lru_cache(maxsize=8)
-def _class_orbits(n: int) -> tuple[tuple[int, int], ...]:
-    """(edge mask, boundary mask) of each class on n vertices crossed with
-    each orbit of its automorphisms on the boundary subsets of size >= 2,
-    the orbit as its least mask: class, then orbit, ascending."""
-    subsets = _boundary_masks(n)
-    return tuple((c.mask, int(b)) for c in _graph_classes(n)
-                 for b in np.unique(_relabelled(subsets, c.aut).min(axis=1)))
+def _class_orbits(n: int) -> np.ndarray:
+    """(edge mask, boundary mask) rows, read-only, of each class on n
+    vertices crossed with each orbit of its automorphisms on the boundary
+    subsets of size >= 2, the orbit as its least mask: class, then orbit,
+    ascending."""
+    classes, subsets = _graph_classes(n), _boundary_masks(n)
+    orbits = [np.unique(_relabelled(subsets, c.aut).min(axis=1)) for c in classes]
+    reps = np.column_stack([np.repeat([c.mask for c in classes], list(map(len, orbits))),
+                            np.concatenate(orbits)])
+    reps.setflags(write=False)
+    return reps
 
 
 @lru_cache(maxsize=8)
@@ -368,6 +368,7 @@ def _level_count(n: int) -> int:
 def count_exhaustive_instances(n_max: int) -> int:
     """Number of (graph, boundary) instances of the exhaustive corpus, the
     labeled count, summed over isomorphism classes."""
+    _require_integer("n_max", n_max)
     _check_n_max("exhaustive", n_max)
     return sum(_level_count(n) for n in range(2, n_max + 1))
 
@@ -543,31 +544,43 @@ def _failed_cells(q: dict) -> Iterator[tuple[int, str, dict]]:
                 yield gi, check, _details(q, keys, gi)
 
 
-# --- the feeder -----------------------------------------------------------------
+# --- the feeders ----------------------------------------------------------------
+
+
+def _column_quantities(nb: int, sizes, on_b, gi, u, v, w, m, rng, mutations) -> dict:
+    """The kernel's quantities for a stack of graphs that share |B| = ``nb``,
+    given as edge columns: graph ``gi[k]`` has the edge ``u[k]``-``v[k]`` of
+    weight ``w[k]``.  Graph g has ``sizes[g]`` vertices, row g of ``on_b``
+    marks its boundary (columns past its size are ignored), and ``m`` holds
+    the measures of every graph's vertices, graph after graph.
+
+    Each graph is relabelled boundary-first and padded after its interior to
+    the stack's largest n (see :class:`_Stack`).  One fancy assignment
+    scatters every edge of the stack.
+    """
+    count, n = len(sizes), int(sizes.max())
+    pad = np.arange(n) >= sizes[:, None]
+    on_b = on_b[:, :n]
+    counted = on_b.cumsum(axis=1)
+    label = np.where(on_b, counted - 1, nb + np.arange(n) - counted)
+    u, v = label[gi, u], label[gi, v]
+    lap = np.zeros((count, n, n))
+    lap[gi, u, v] = lap[gi, v, u] = -w
+    measures = np.ones((count, n))
+    measures[np.nonzero(~pad)[0], label[~pad]] = m
+    return _quantities(_Stack(lap, measures, pad), nb, rng, mutations)
 
 
 def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
-    """The kernel's quantities for instances that share |B|.
-
-    Each is relabelled boundary-first and padded after its interior to the
-    stack's largest n (see :class:`_Stack`).  One fancy assignment scatters
-    every edge of the stack.
-    """
-    count, nb = len(stack), len(stack[0].boundary)
-    sizes = np.array([inst.n for inst in stack])
-    n = int(sizes.max())
-    pad = np.arange(n) >= sizes[:, None]
-    on_b = np.zeros((count, n), dtype=bool)
+    """The kernel's quantities for instances that share |B|, their arrays
+    concatenated into edge columns."""
+    count, sizes = len(stack), np.array([inst.n for inst in stack])
+    on_b = np.zeros((count, sizes.max()), dtype=bool)
     on_b[np.arange(count)[:, None], [inst.boundary for inst in stack]] = True
-    label = np.where(on_b, on_b.cumsum(axis=1) - 1, nb - 1 + (~on_b).cumsum(axis=1))
     gi = np.repeat(np.arange(count), [len(inst.u) for inst in stack])
-    u = label[gi, np.concatenate([inst.u for inst in stack])]
-    v = label[gi, np.concatenate([inst.v for inst in stack])]
-    lap = np.zeros((count, n, n))
-    lap[gi, u, v] = lap[gi, v, u] = -np.concatenate([inst.w for inst in stack])
-    measures = np.ones((count, n))
-    measures[np.nonzero(~pad)[0], label[~pad]] = np.concatenate([inst.m for inst in stack])
-    return _quantities(_Stack(lap, measures, pad), nb, rng, mutations)
+    u, v, w, m = (np.concatenate([getattr(inst, name) for inst in stack]) for name in "uvwm")
+    return _column_quantities(len(stack[0].boundary), sizes, on_b, gi, u, v, w, m, rng,
+                              mutations)
 
 
 # Padded matrix cells, instances x (largest n)^2, per window of a graph
@@ -612,6 +625,109 @@ def _verify_instances(instances, rng, mutations,
     return failures
 
 
+# A level of bitmask instances: ``masks(lo, hi)`` gives the edge and the
+# boundary bitmasks of its rows lo..hi, all on n vertices.
+_Level = namedtuple("_Level", "n count masks")
+
+
+def _mask_windows(levels) -> Iterator[list[tuple[_Level, int, int, int]]]:
+    """The windows :func:`_windows` cuts from the instances of ``levels``,
+    n ascending, as (level, stream index of row lo, lo, hi) row ranges.
+
+    With n ascending, an instance joins a window of ``length`` instances
+    exactly when ``(length + 1) * n^2`` cells fit, or the window is empty.
+    """
+    window, length, base = [], 0, 0
+    for level in levels:
+        lo, room = 0, _WINDOW_CELLS // level.n**2
+        while lo < level.count:
+            if window and length >= room:
+                yield window
+                window, length = [], 0
+            hi = min(level.count, lo + max(room - length, 1))
+            window.append((level, base + lo, lo, hi))
+            length, lo = length + hi - lo, hi
+        base += level.count
+    if window:
+        yield window
+
+
+def _mask_tables(window) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, stream indices, edge bits, boundary bits) of the rows of a
+    window of :func:`_mask_windows`, the edge bits in the vertex pairs of
+    the window's largest n: one ``_bits`` table per level it spans."""
+    top = window[-1][0].n
+    pair = _pair_index(top)
+    count = sum(hi - lo for _, _, lo, hi in window)
+    sizes, index = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    edge = np.zeros((count, top * (top - 1) // 2), dtype=bool)
+    on_b = np.zeros((count, top), dtype=bool)
+    row = 0
+    for (n, _, masks), first, lo, hi in window:
+        rows = slice(row, row + hi - lo)
+        edge_masks, boundary_masks = masks(lo, hi)
+        tails, heads = _pair_arrays(n)
+        edge[rows, pair[tails, heads]] = _bits(edge_masks, len(tails))
+        on_b[rows, :n] = _bits(boundary_masks, n)
+        sizes[rows], index[rows] = n, np.arange(first, first + hi - lo)
+        row = rows.stop
+    return sizes, index, edge, on_b
+
+
+def _drawn_values(draw, degree: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and measures of instances with ``degree`` edges and ``sizes``
+    vertices, instance after instance, drawn from ``draw``, (rng,
+    weight_range, measure_range), as ``rng.uniform`` draws them one instance
+    at a time, weights then measures: one ``rng.random`` call, and
+    ``rng.uniform(lo, hi)`` is lo + (hi - lo) U for U = ``rng.random()``."""
+    rng, weight_range, measure_range = draw
+    (w_lo, w_hi), (m_lo, m_hi) = map(float, weight_range), map(float, measure_range)
+    values = rng.random(degree.sum() + sizes.sum())
+    is_weight = np.repeat(np.tile([True, False], len(sizes)),
+                          np.column_stack([degree, sizes]).ravel())
+    return (w_lo + (w_hi - w_lo) * values[is_weight],
+            m_lo + (m_hi - m_lo) * values[~is_weight])
+
+
+def _verify_masks(levels, rng, mutations, draw=None,
+                  max_violations=None) -> list[tuple[int, str, dict, _Instance]]:
+    """:func:`_verify_instances` over the bitmask instances of ``levels``
+    (n ascending), with the same windows, stacks, drawn values and
+    Green-check vectors, but no per-instance object: the edge columns of a
+    window come off one ``nonzero`` of its edge table, and a stack takes
+    its rows, edges and vertices by one mask each.  ``draw`` draws the weights
+    and measures (:func:`_drawn_values`); without it all are 1.
+    """
+    failures: list[tuple[int, str, dict, _Instance]] = []
+    for window in _mask_windows(levels):
+        sizes, index, edge, on_b = _mask_tables(window)
+        tails, heads = _pair_arrays(on_b.shape[1])
+        gi, k = np.nonzero(edge)
+        degree = np.bincount(gi, minlength=len(sizes))
+        if draw is None:
+            w, m = np.ones(len(gi)), np.ones(sizes.sum())
+        else:
+            w, m = _drawn_values(draw, degree, sizes)
+        ends, cells = np.cumsum(degree), np.cumsum(sizes)
+        nb = on_b.sum(axis=1)
+        kinds, seen = np.unique(nb, return_index=True)
+        for b in kinds[np.argsort(seen)].tolist():  # stacks in order of appearance
+            in_stack = nb == b
+            rows, at = np.flatnonzero(in_stack), in_stack[gi]
+            q = _column_quantities(b, sizes[rows], on_b[rows], (np.cumsum(in_stack) - 1)[gi[at]],
+                                   tails[k[at]], heads[k[at]], w[at],
+                                   m[np.repeat(in_stack, sizes)], rng, mutations)
+            for g, check, details in _failed_cells(q):
+                r = rows[g]
+                on = slice(ends[r] - degree[r], ends[r])
+                failures.append((int(index[r]), check, details, _Instance(
+                    int(sizes[r]), tails[k[on]], heads[k[on]], w[on],
+                    m[cells[r] - sizes[r] : cells[r]], np.flatnonzero(on_b[r]))))
+        if max_violations is not None and len(failures) >= max_violations:
+            break
+    return failures
+
+
 def check_instance(g: WeightedBoundaryGraph, rng=None,
                    mutations: frozenset = frozenset()) -> list[tuple[str, dict]]:
     """Run every corpus assertion on one graph; returns (check, details) failures.
@@ -641,6 +757,17 @@ def _random_instances(spec: CorpusSpec) -> Iterator[_Instance]:
                                boundary_size, rng, spec.unit_only)
 
 
+def _labeled_level(n: int) -> _Level:
+    """The labeled instances on n vertices: edge bitmask, then boundary bitmask."""
+    graphs, subsets = _labeled_masks(n), np.asarray(_boundary_masks(n))
+
+    def masks(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        graph, subset = np.divmod(np.arange(lo, hi), len(subsets))
+        return graphs[graph], subsets[subset]
+
+    return _Level(n, len(graphs) * len(subsets), masks)
+
+
 def _unit_class_failures(n_max, rng, mutations, max_violations) -> list[tuple]:
     """Unit exhaustive verification, n by n, of one instance per isomorphism
     class of (graph, boundary) pairs.  Every check reads graph invariants
@@ -651,7 +778,8 @@ def _unit_class_failures(n_max, rng, mutations, max_violations) -> list[tuple]:
     base = 0
     for n in range(2, n_max + 1):
         reps = _class_orbits(n)
-        level = _verify_instances((_mask_instance(n, *rep) for rep in reps), rng, mutations)
+        level = _verify_masks([_Level(n, len(reps), lambda lo, hi: reps[lo:hi].T)], rng,
+                              mutations)
         if level:
             failures += _labeled_failures(n, base, reps, level)
         if max_violations is not None and len(failures) >= max_violations:
@@ -695,8 +823,10 @@ def verify_corpus(
     unknown = set(mutations) - set(KNOWN_MUTATIONS)
     if unknown:
         raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
-    if max_violations is not None and max_violations < 0:
-        raise GraphError(f"max_violations must be nonnegative, got {max_violations}")
+    if max_violations is not None:
+        _require_integer("max_violations", max_violations)
+        if max_violations < 0:
+            raise GraphError(f"max_violations must be nonnegative, got {max_violations}")
     rng = np.random.default_rng([spec.seed, 1])
     if spec.mode == "random":
         failures = _verify_instances(_random_instances(spec), rng, mutations, max_violations)
@@ -704,8 +834,8 @@ def verify_corpus(
         failures = _unit_class_failures(spec.n_max, rng, mutations, max_violations)
     else:
         draw = np.random.default_rng([spec.seed, 0]), spec.weight_range, spec.measure_range
-        failures = _verify_instances(_small_instances(spec.n_max, *draw), rng, mutations,
-                                     max_violations)
+        levels = map(_labeled_level, range(2, spec.n_max + 1))
+        failures = _verify_masks(levels, rng, mutations, draw, max_violations)
     failures.sort(key=lambda failure: (failure[0], _CHECK_RANK[failure[1]]))
     return [ViolationRecord(index, check, graph_to_json_dict(inst.graph()), details)
             for index, check, details, inst in failures[:max_violations]]

@@ -7,7 +7,9 @@ the stacked kernel in ``steklov.corpus``.  The tests compare the two routes
 record by record, in every corpus mode.
 
 It also keeps a brute-force list of the connected labeled graphs, which the
-tests hold the isomorphism classes of ``steklov.corpus`` to.
+tests hold the isomorphism classes of ``steklov.corpus`` to, and the
+exhaustive corpus as a stream of instances, one object per labeled instance,
+which the tests hold the bitmask feeder of exhaustive mode to.
 """
 
 from functools import lru_cache
@@ -19,15 +21,18 @@ import scipy.linalg
 from steklov import bound_report, check_rigidity, graph_to_json_dict
 from steklov.corpus import (
     ViolationRecord,
+    _boundary_masks,
     _bound_quantities,
     _certificate,
     _details,
     _evaluate,
+    _Instance,
+    _labeled_masks,
+    _mask_instance,
     _random_instances,
 )
 from steklov.spectral import NumericsError, harmonic_extension
 
-from conftest import enumerate_small
 from reference_spectral import edge_energy
 
 
@@ -82,7 +87,8 @@ def reference_verify(spec, mutations=frozenset()) -> list:
     else:
         draw = (np.random.default_rng([spec.seed, 0]), spec.weight_range,
                 spec.measure_range)
-        graphs = enumerate_small(spec.n_max, *(() if spec.unit_only else draw))
+        graphs = map(_Instance.graph,
+                     small_instances(spec.n_max, *(() if spec.unit_only else draw)))
     rng = np.random.default_rng([spec.seed, 1])
     records = []
     for index, g in enumerate(graphs):
@@ -92,6 +98,21 @@ def reference_verify(spec, mutations=frozenset()) -> list:
             for check, details in failures
         )
     return records
+
+
+def small_instances(n_max: int, rng=None, weight_range=None, measure_range=None):
+    """Every connected labeled graph on 2..n_max vertices, crossed with every
+    boundary subset of size >= 2, one instance each: n ascending, then edge
+    bitmask, then boundary bitmask.  With ``rng``, each instance draws its
+    weights and then its measures by ``rng.uniform``, else all are 1."""
+    for n in range(2, n_max + 1):
+        for edge_mask in _labeled_masks(n):
+            for boundary_mask in _boundary_masks(n):
+                inst = _mask_instance(n, edge_mask, boundary_mask)
+                if rng is not None:
+                    inst = inst._replace(w=rng.uniform(*weight_range, size=len(inst.u)),
+                                         m=rng.uniform(*measure_range, size=n))
+                yield inst
 
 
 @lru_cache(maxsize=None)

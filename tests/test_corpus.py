@@ -39,7 +39,6 @@ from steklov.corpus import (
     _permutations,
     _random_instances,
     _relabelled,
-    _small_instances,
     _Stack,
     _stack_quantities,
 )
@@ -52,6 +51,7 @@ from reference_corpus import (
     reference_check_instance,
     reference_quantities,
     reference_verify,
+    small_instances,
 )
 
 
@@ -168,6 +168,31 @@ def test_spec_integers(mode, unit_only, name, value):
     with pytest.raises(GraphError) as excinfo:
         CorpusSpec(mode=mode, unit_only=unit_only, **kwargs)
     assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3", np.int64(3)], ids=repr)
+def test_counts_outside_the_spec_are_integers(monkeypatch, value):
+    """``max_violations`` and the n_max of ``count_exhaustive_instances``
+    that are not integers, or are bools, are one GraphError line in the
+    spec's wording, raised before any corpus work; numpy integers count."""
+    spec = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
+    mutations = frozenset({MUTATION_BOUND_DB})
+    if isinstance(value, np.integer):
+        capped = verify_corpus(spec, max_violations=value, mutations=mutations)
+        assert capped == verify_corpus(spec, mutations=mutations)[:3] and len(capped) == 3
+        assert count_exhaustive_instances(value) == 17
+        return
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("corpus work before the count was checked")
+
+    monkeypatch.setattr(corpus, "_quantities", no_work)
+    monkeypatch.setattr(corpus, "_graph_classes", no_work)
+    for name, call in (("max_violations", lambda: verify_corpus(spec, max_violations=value)),
+                       ("n_max", lambda: count_exhaustive_instances(value))):
+        with pytest.raises(GraphError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
 
 
 class TestEnumeration:
@@ -339,7 +364,7 @@ class TestInstanceStreams:
 
     def test_weighted_stream_is_enumerate_small(self):
         ranges = (0.25, 4.0), (0.5, 2.0)
-        stream = _small_instances(4, np.random.default_rng(13), *ranges)
+        stream = small_instances(4, np.random.default_rng(13), *ranges)
         graphs = enumerate_small(4, np.random.default_rng(13), *ranges)
         count = 0
         for inst, g in zip(stream, graphs, strict=True):
@@ -363,10 +388,15 @@ class TestInstanceStreams:
         def no_masks(n):
             raise AssertionError(f"listed the labeled graphs of n = {n} on a clean unit run")
 
+        def no_instance(*args, **kwargs):
+            raise AssertionError("built an instance object on a clean exhaustive run")
+
         monkeypatch.setattr(corpus, "graph_from_arrays", no_graph)
         monkeypatch.setattr(corpus.np, "argwhere", no_argwhere)
         if spec.unit_only and spec.mode == "exhaustive":
             monkeypatch.setattr(corpus, "_labeled_masks", no_masks)
+        if spec.mode == "exhaustive":
+            monkeypatch.setattr(corpus, "_mask_instance", no_instance)
         assert verify_corpus(spec) == []
 
     @pytest.mark.parametrize("spec", [
@@ -389,6 +419,66 @@ class TestInstanceStreams:
         as_text = lambda g: json.dumps(g, sort_keys=True)  # noqa: E731
         assert sorted(as_text(graph_to_json_dict(g)) for g in built) == sorted(
             as_text(r.graph) for r in records)
+
+
+class TestMaskFeeder:
+    """Both exhaustive modes read the kernel's edge columns off per-window
+    bit tables.  Every stack they build, and every quantity the kernel
+    computes on it, is bitwise what the per-instance path builds from the
+    same instance stream: same windows, same stacks, same drawn weights and
+    measures, same Green-check vectors."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch, run) -> list:
+        """(stack, nb, quantities) of every kernel call of ``run()``."""
+        calls, kernel = [], corpus._quantities
+
+        def recorded(stack, nb, rng, mutations):
+            calls.append((stack, nb, kernel(stack, nb, rng, mutations)))
+            return calls[-1][2]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus, "_quantities", recorded)
+            run()
+        return calls
+
+    @staticmethod
+    def assert_bitwise(ours, theirs, name):
+        ours, theirs = np.asarray(ours), np.asarray(theirs)
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name
+        assert ours.tobytes() == theirs.tobytes(), name
+
+    @pytest.mark.parametrize("cells", [None, 1 << 9], ids=["default", "small-windows"])
+    @pytest.mark.parametrize("mode", ["unit", "weighted"])
+    def test_stacks_match_the_instance_path(self, monkeypatch, mode, cells):
+        if cells is not None:  # every level spans several windows and stacks
+            monkeypatch.setattr(corpus, "_WINDOW_CELLS", cells)
+        if mode == "unit":
+            spec = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)
+            per_level = [[_mask_instance(n, *rep) for rep in _class_orbits(n)]
+                         for n in range(2, 6)]
+        else:
+            spec = CorpusSpec(mode="exhaustive", n_max=4, seed=13)
+            per_level = [small_instances(4, np.random.default_rng([13, 0]),
+                                         spec.weight_range, spec.measure_range)]
+
+        def instance_path():
+            rng = np.random.default_rng([spec.seed, 1])
+            for stream in per_level:
+                assert corpus._verify_instances(stream, rng, frozenset()) == []
+
+        ours = self.kernel_calls(monkeypatch, lambda: verify_corpus(spec))
+        theirs = self.kernel_calls(monkeypatch, instance_path)
+        assert len(ours) == len(theirs) >= (20 if cells else 3)
+        for (stack, nb, q), (ref, ref_nb, ref_q) in zip(ours, theirs):
+            assert nb == ref_nb
+            for name in ("lap", "measures", "dist", "w0", "unit"):
+                self.assert_bitwise(getattr(stack, name), getattr(ref, name), name)
+            assert q.keys() == ref_q.keys()
+            for name, value in ref_q.items():
+                self.assert_bitwise(q[name], value, name)
+        if mode == "weighted":  # a window crosses levels: its stacks are padded
+            assert any((stack.dist == stack.lap.shape[-1]).any() for stack, _, _ in ours)
 
 
 class TestBatchedGeodesics:
