@@ -10,10 +10,9 @@ stack of graphs, and one scatter, ``_column_quantities``, fills that stack
 from edge columns: each graph relabelled boundary-first, stacked by |B| and
 padded to the stack's largest n with edgeless interior vertices, which leave
 every quantity unchanged.  Whether a graph has unit weights is read off its
-stack.  Random mode and ``check_instance`` (a stream of one) concatenate
-array instances into those columns; both exhaustive modes read them off
-per-window tables of edge and boundary bits, with no per-instance object,
-and cut the same windows and stacks as an instance stream would.
+stack.  Every mode feeds it through one window loop, ``_verify_runs``, from
+runs of instances: a random draw or ``check_instance``'s graph is a run of
+one, and an exhaustive level is a run of bitmasks, with no per-instance object.
 
 The isomorphism classes of connected graphs are the one enumerator: the
 labeled edge masks of weighted exhaustive mode are their orbits.  The checks
@@ -21,18 +20,18 @@ read graph invariants only, so unit-weight exhaustive mode verifies one
 instance per class of (graph, boundary) pairs, each class crossed with the
 orbits of its automorphisms on the boundary subsets.  A failing one is
 expanded to its labeled instances, so records still name labeled graphs and
-stream indices; a validated graph is built only for a violation record.
+stream indices.  A record's graph is serialised from its instance's arrays.
 """
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from numbers import Integral
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -41,12 +40,15 @@ from .graph import (
     EmptyBoundaryError,
     GraphError,
     WeightedBoundaryGraph,
+    arrays_to_json,
+    check_ranges,
     component_labels,
     geodesic_layers,
     graph_from_arrays,
-    graph_to_json_dict,
+    index_labels,
     json_number,
     require_connected,
+    require_integer,
     seeded_rng,
 )
 from .rigidity import bound_attained
@@ -125,11 +127,11 @@ class CorpusSpec:
             raise GraphError(f"unknown corpus mode {self.mode!r}")
         for name in ("n_max", "samples", "seed"):
             value = getattr(self, name)
-            _require_integer(name, value)
+            require_integer(name, value)
             if value < 0:
                 raise GraphError(f"{name} must be nonnegative, got {value}")
         _check_n_max(self.mode, self.n_max)
-        _check_ranges(self.weight_range, self.measure_range)
+        check_ranges(weight_range=self.weight_range, measure_range=self.measure_range)
 
 
 @dataclass(frozen=True)
@@ -156,37 +158,36 @@ class ViolationRecord:
 
 class _Instance(namedtuple("_Instance", "n u v w m boundary")):
     """A corpus instance as the kernel reads it: the edges u < v, sorted by
-    (u, v), with weights w, the measures m and the sorted boundary ids."""
+    (u, v), with weights w, the measures m and the sorted boundary ids.  It
+    is a run of one row (:func:`_verify_runs`)."""
 
     __slots__ = ()
+    rows = 1
 
     @classmethod
     def of(cls, g: WeightedBoundaryGraph) -> _Instance:
         return cls(g.n, *g.edge_arrays, g.measures, np.asarray(g.boundary))
 
+    def columns(self, lo: int, hi: int) -> tuple:
+        return (len(self.boundary),), self.boundary, (len(self.u),), self.u, self.v, self.w, self.m
+
     def graph(self) -> WeightedBoundaryGraph:
-        """The validated graph, built only for a violation record."""
+        """The validated graph."""
         return graph_from_arrays(self.m, self.boundary.tolist(),
                                  zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
-
-def _require_integer(name: str, value) -> None:
-    """Counts are integers, numpy's included; a bool or a float is refused."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise GraphError(f"{name} must be an integer, got {value!r}")
+    def json_dict(self) -> dict:
+        """``graph_to_json_dict(self.graph())``, with no graph built."""
+        on_b = np.zeros(self.n, dtype=bool)
+        on_b[self.boundary] = True
+        return json.loads(arrays_to_json(index_labels(self.n), self.m, on_b, self.u, self.v,
+                                         self.w))
 
 
 def _check_n_max(mode: str, n_max: int) -> None:
     """The n_max range of a mode, for the spec and for the exhaustive count."""
     if not 2 <= n_max <= _N_MAX[mode]:
         raise GraphError(f"{mode} mode requires 2 <= n_max <= {_N_MAX[mode]}")
-
-
-def _check_ranges(weight_range, measure_range) -> None:
-    """Ends finite and > 0 make every drawn value so: drawn instances skip validation."""
-    for name, ends in (("weight_range", weight_range), ("measure_range", measure_range)):
-        if len(ends) != 2 or not all(0 < end < np.inf for end in ends):
-            raise GraphError(f"{name} ends must be finite and > 0, got {tuple(ends)}")
 
 
 def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
@@ -203,7 +204,7 @@ def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
         raise GraphError("random graphs need n >= 2")
     if not 1 <= boundary_size <= n:
         raise GraphError("boundary size must be between 1 and n")
-    _check_ranges(weight_range, measure_range)
+    check_ranges(weight_range=weight_range, measure_range=measure_range)
     return _random_instance(n, edge_prob, weight_range, measure_range, boundary_size,
                             seeded_rng(seed), unit).graph()
 
@@ -250,6 +251,26 @@ def _boundary_masks(n: int) -> tuple[int, ...]:
 def _bits(masks, width: int) -> np.ndarray:
     """Bit k of each mask as entry k of a new last axis of length ``width``."""
     return (np.asarray(masks, dtype=np.int64)[..., None] >> np.arange(width)) & 1
+
+
+class _MaskRun(namedtuple("_MaskRun", "n rows masks draw")):
+    """A run of bitmask instances on n vertices: ``masks(lo, hi)`` gives the
+    edge and the boundary bitmasks of rows lo..hi.  ``draw`` draws their
+    weights and measures (:func:`_drawn_values`); without it all are 1."""
+
+    __slots__ = ()
+
+    def columns(self, lo: int, hi: int) -> tuple:
+        edge_masks, boundary_masks = self.masks(lo, hi)
+        tails, heads = _pair_arrays(self.n)
+        gi, k = np.nonzero(_bits(edge_masks, len(tails)))
+        row, bids = np.nonzero(_bits(boundary_masks, self.n))
+        degree, sizes = np.bincount(gi, minlength=hi - lo), np.full(hi - lo, self.n)
+        if self.draw is None:
+            w, m = np.ones(len(k)), np.ones(sizes.sum())
+        else:
+            w, m = _drawn_values(self.draw, degree, sizes)
+        return np.bincount(row, minlength=hi - lo), bids, degree, tails[k], heads[k], w, m
 
 
 def _mask_instance(n: int, edge_mask: int, boundary_mask: int) -> _Instance:
@@ -368,7 +389,7 @@ def _level_count(n: int) -> int:
 def count_exhaustive_instances(n_max: int) -> int:
     """Number of (graph, boundary) instances of the exhaustive corpus, the
     labeled count, summed over isomorphism classes."""
-    _require_integer("n_max", n_max)
+    require_integer("n_max", n_max)
     _check_n_max("exhaustive", n_max)
     return sum(_level_count(n) for n in range(2, n_max + 1))
 
@@ -571,107 +592,31 @@ def _column_quantities(nb: int, sizes, on_b, gi, u, v, w, m, rng, mutations) -> 
     return _quantities(_Stack(lap, measures, pad), nb, rng, mutations)
 
 
-def _stack_quantities(stack: Sequence[_Instance], rng, mutations) -> dict:
-    """The kernel's quantities for instances that share |B|, their arrays
-    concatenated into edge columns."""
-    count, sizes = len(stack), np.array([inst.n for inst in stack])
-    on_b = np.zeros((count, sizes.max()), dtype=bool)
-    on_b[np.arange(count)[:, None], [inst.boundary for inst in stack]] = True
-    gi = np.repeat(np.arange(count), [len(inst.u) for inst in stack])
-    u, v, w, m = (np.concatenate([getattr(inst, name) for inst in stack]) for name in "uvwm")
-    return _column_quantities(len(stack[0].boundary), sizes, on_b, gi, u, v, w, m, rng,
-                              mutations)
-
-
 # Padded matrix cells, instances x (largest n)^2, per window of a graph
 # stream, so every padded stack of a window fits in it.  2^17 holds 145
 # instances at n = 30; a larger window adds peak memory there, not speed.
 _WINDOW_CELLS = 1 << 17
 
 
-def _windows(instances) -> Iterator[list[tuple[int, _Instance]]]:
-    """The (index, instance) stream cut into windows of at most
-    ``_WINDOW_CELLS`` padded cells; a larger instance is a window alone."""
-    window: list[tuple[int, _Instance]] = []
-    side = 0
-    for index, inst in enumerate(instances):
-        if window and (len(window) + 1) * max(side, inst.n) ** 2 > _WINDOW_CELLS:
-            yield window
-            window, side = [], 0
-        window.append((index, inst))
-        side = max(side, inst.n)
-    if window:
-        yield window
-
-
-def _verify_instances(instances, rng, mutations,
-                      max_violations=None) -> list[tuple[int, str, dict, _Instance]]:
-    """Verify an instance stream window by window, each window stacked by
-    |B| and padded; Green-check vectors are drawn per stack.  Returns the
-    (index, check, details, instance) of each failure, stopping after the
-    window that brings them to ``max_violations``."""
-    failures: list[tuple[int, str, dict, _Instance]] = []
-    for window in _windows(instances):
-        stacks: dict[int, list] = {}
-        for index, inst in window:
-            stacks.setdefault(len(inst.boundary), []).append((index, inst))
-        for members in stacks.values():
-            indices, group = zip(*members)
-            q = _stack_quantities(group, rng, mutations)
-            failures += [(indices[gi], check, details, group[gi])
-                         for gi, check, details in _failed_cells(q)]
-        if max_violations is not None and len(failures) >= max_violations:
-            break
-    return failures
-
-
-# A level of bitmask instances: ``masks(lo, hi)`` gives the edge and the
-# boundary bitmasks of its rows lo..hi, all on n vertices.
-_Level = namedtuple("_Level", "n count masks")
-
-
-def _mask_windows(levels) -> Iterator[list[tuple[_Level, int, int, int]]]:
-    """The windows :func:`_windows` cuts from the instances of ``levels``,
-    n ascending, as (level, stream index of row lo, lo, hi) row ranges.
-
-    With n ascending, an instance joins a window of ``length`` instances
-    exactly when ``(length + 1) * n^2`` cells fit, or the window is empty.
-    """
-    window, length, base = [], 0, 0
-    for level in levels:
-        lo, room = 0, _WINDOW_CELLS // level.n**2
-        while lo < level.count:
-            if window and length >= room:
+def _windows(runs) -> Iterator[list[tuple[object, int, int, int]]]:
+    """Cut the instance stream of ``runs`` into windows of at most
+    ``_WINDOW_CELLS`` padded cells, instances x (largest n)^2, as (run,
+    stream index of row lo, lo, hi) row ranges; a larger instance is a
+    window alone.  A run holds ``rows`` instances on ``n`` vertices."""
+    window, length, side, first = [], 0, 0, 0
+    for run in runs:
+        lo = 0
+        while lo < run.rows:
+            if window and length >= _WINDOW_CELLS // max(side, run.n) ** 2:
                 yield window
-                window, length = [], 0
-            hi = min(level.count, lo + max(room - length, 1))
-            window.append((level, base + lo, lo, hi))
+                window, length, side = [], 0, 0
+            side = max(side, run.n)
+            hi = min(run.rows, lo + max(_WINDOW_CELLS // side**2 - length, 1))
+            window.append((run, first + lo, lo, hi))
             length, lo = length + hi - lo, hi
-        base += level.count
+        first += run.rows
     if window:
         yield window
-
-
-def _mask_tables(window) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sizes, stream indices, edge bits, boundary bits) of the rows of a
-    window of :func:`_mask_windows`, the edge bits in the vertex pairs of
-    the window's largest n: one ``_bits`` table per level it spans."""
-    top = window[-1][0].n
-    pair = _pair_index(top)
-    count = sum(hi - lo for _, _, lo, hi in window)
-    sizes, index = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
-    edge = np.zeros((count, top * (top - 1) // 2), dtype=bool)
-    on_b = np.zeros((count, top), dtype=bool)
-    row = 0
-    for (n, _, masks), first, lo, hi in window:
-        rows = slice(row, row + hi - lo)
-        edge_masks, boundary_masks = masks(lo, hi)
-        tails, heads = _pair_arrays(n)
-        edge[rows, pair[tails, heads]] = _bits(edge_masks, len(tails))
-        on_b[rows, :n] = _bits(boundary_masks, n)
-        sizes[rows], index[rows] = n, np.arange(first, first + hi - lo)
-        row = rows.stop
-    return sizes, index, edge, on_b
 
 
 def _drawn_values(draw, degree: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -689,40 +634,42 @@ def _drawn_values(draw, degree: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarr
             m_lo + (m_hi - m_lo) * values[~is_weight])
 
 
-def _verify_masks(levels, rng, mutations, draw=None,
-                  max_violations=None) -> list[tuple[int, str, dict, _Instance]]:
-    """:func:`_verify_instances` over the bitmask instances of ``levels``
-    (n ascending), with the same windows, stacks, drawn values and
-    Green-check vectors, but no per-instance object: the edge columns of a
-    window come off one ``nonzero`` of its edge table, and a stack takes
-    its rows, edges and vertices by one mask each.  ``draw`` draws the weights
-    and measures (:func:`_drawn_values`); without it all are 1.
-    """
+def _verify_runs(runs, rng, mutations,
+                 max_violations=None) -> list[tuple[int, str, dict, _Instance]]:
+    """Verify the instances of ``runs`` window by window (:func:`_windows`);
+    ``run.columns(lo, hi)`` gives rows lo..hi as concatenable columns: |B|
+    per row, the boundary ids, the edge count per row, u, v, w and the
+    measures.  Rows, edges and vertices are ordered into the window's
+    stacks, one per |B| in order of appearance, by one stable argsort each
+    over an int16 stack rank; Green-check vectors are drawn per stack.
+    Returns the (index, check, details, instance) of each failure, stopping
+    after the window that brings them to ``max_violations``."""
     failures: list[tuple[int, str, dict, _Instance]] = []
-    for window in _mask_windows(levels):
-        sizes, index, edge, on_b = _mask_tables(window)
-        tails, heads = _pair_arrays(on_b.shape[1])
-        gi, k = np.nonzero(edge)
-        degree = np.bincount(gi, minlength=len(sizes))
-        if draw is None:
-            w, m = np.ones(len(gi)), np.ones(sizes.sum())
-        else:
-            w, m = _drawn_values(draw, degree, sizes)
-        ends, cells = np.cumsum(degree), np.cumsum(sizes)
-        nb = on_b.sum(axis=1)
-        kinds, seen = np.unique(nb, return_index=True)
-        for b in kinds[np.argsort(seen)].tolist():  # stacks in order of appearance
-            in_stack = nb == b
-            rows, at = np.flatnonzero(in_stack), in_stack[gi]
-            q = _column_quantities(b, sizes[rows], on_b[rows], (np.cumsum(in_stack) - 1)[gi[at]],
-                                   tails[k[at]], heads[k[at]], w[at],
-                                   m[np.repeat(in_stack, sizes)], rng, mutations)
+    for window in _windows(runs):
+        nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(
+            run.columns(lo, hi) for run, _, lo, hi in window)))
+        sizes = np.repeat([run.n for run, *_ in window], [hi - lo for *_, lo, hi in window])
+        count, first = len(sizes), window[0][1]
+        on_b = np.zeros((count, sizes.max()), dtype=bool)
+        on_b[np.repeat(np.arange(count), nb), bids] = True
+        kinds, seen, kind = np.unique(nb, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(seen)).astype(np.int16)[kind]
+        rows, edges, cells = (np.argsort(np.repeat(rank, x), kind="stable")
+                              for x in (1, degree, sizes))
+        sizes, on_b, degree = sizes[rows], on_b[rows], degree[rows]
+        gi, u, v, w, m = np.repeat(np.arange(count), degree), u[edges], v[edges], w[edges], m[cells]
+        row_at = [0, *np.cumsum(np.bincount(rank)).tolist()]
+        edge_at, cell_at = (np.concatenate([[0], np.cumsum(x)]) for x in (degree, sizes))
+        for b, r0, r1 in zip(kinds[np.argsort(seen)].tolist(), row_at, row_at[1:]):
+            e0, e1, c0, c1 = edge_at[r0], edge_at[r1], cell_at[r0], cell_at[r1]
+            q = _column_quantities(b, sizes[r0:r1], on_b[r0:r1], gi[e0:e1] - r0, u[e0:e1],
+                                   v[e0:e1], w[e0:e1], m[c0:c1], rng, mutations)
             for g, check, details in _failed_cells(q):
-                r = rows[g]
-                on = slice(ends[r] - degree[r], ends[r])
-                failures.append((int(index[r]), check, details, _Instance(
-                    int(sizes[r]), tails[k[on]], heads[k[on]], w[on],
-                    m[cells[r] - sizes[r] : cells[r]], np.flatnonzero(on_b[r]))))
+                j = r0 + g
+                on = slice(edge_at[j], edge_at[j + 1])
+                failures.append((first + int(rows[j]), check, details, _Instance(
+                    int(sizes[j]), u[on], v[on], w[on], m[cell_at[j] : cell_at[j + 1]],
+                    np.flatnonzero(on_b[j]))))
         if max_violations is not None and len(failures) >= max_violations:
             break
     return failures
@@ -740,8 +687,8 @@ def check_instance(g: WeightedBoundaryGraph, rng=None,
     if not g.boundary:
         raise EmptyBoundaryError("graph has an empty boundary")
     rng = rng if rng is not None else np.random.default_rng(0)
-    q = _stack_quantities([_Instance.of(g)], rng, mutations)
-    return [(check, details) for _, check, details in _failed_cells(q)]
+    return [(check, details) for _, check, details, _ in _verify_runs([_Instance.of(g)], rng,
+                                                                       mutations)]
 
 
 # --- top-level verification ------------------------------------------------------
@@ -757,15 +704,16 @@ def _random_instances(spec: CorpusSpec) -> Iterator[_Instance]:
                                boundary_size, rng, spec.unit_only)
 
 
-def _labeled_level(n: int) -> _Level:
-    """The labeled instances on n vertices: edge bitmask, then boundary bitmask."""
+def _labeled_level(n: int, draw) -> _MaskRun:
+    """The labeled instances on n vertices: edge bitmask, then boundary
+    bitmask, their values drawn from ``draw``."""
     graphs, subsets = _labeled_masks(n), np.asarray(_boundary_masks(n))
 
     def masks(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         graph, subset = np.divmod(np.arange(lo, hi), len(subsets))
         return graphs[graph], subsets[subset]
 
-    return _Level(n, len(graphs) * len(subsets), masks)
+    return _MaskRun(n, len(graphs) * len(subsets), masks, draw)
 
 
 def _unit_class_failures(n_max, rng, mutations, max_violations) -> list[tuple]:
@@ -778,8 +726,8 @@ def _unit_class_failures(n_max, rng, mutations, max_violations) -> list[tuple]:
     base = 0
     for n in range(2, n_max + 1):
         reps = _class_orbits(n)
-        level = _verify_masks([_Level(n, len(reps), lambda lo, hi: reps[lo:hi].T)], rng,
-                              mutations)
+        level = _verify_runs([_MaskRun(n, len(reps), lambda lo, hi: reps[lo:hi].T, None)], rng,
+                             mutations)
         if level:
             failures += _labeled_failures(n, base, reps, level)
         if max_violations is not None and len(failures) >= max_violations:
@@ -824,18 +772,21 @@ def verify_corpus(
     if unknown:
         raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
     if max_violations is not None:
-        _require_integer("max_violations", max_violations)
+        require_integer("max_violations", max_violations)
         if max_violations < 0:
             raise GraphError(f"max_violations must be nonnegative, got {max_violations}")
     rng = np.random.default_rng([spec.seed, 1])
     if spec.mode == "random":
-        failures = _verify_instances(_random_instances(spec), rng, mutations, max_violations)
+        failures = _verify_runs(_random_instances(spec), rng, mutations, max_violations)
     elif spec.unit_only:
         failures = _unit_class_failures(spec.n_max, rng, mutations, max_violations)
     else:
         draw = np.random.default_rng([spec.seed, 0]), spec.weight_range, spec.measure_range
-        levels = map(_labeled_level, range(2, spec.n_max + 1))
-        failures = _verify_masks(levels, rng, mutations, draw, max_violations)
+        levels = (_labeled_level(n, draw) for n in range(2, spec.n_max + 1))
+        failures = _verify_runs(levels, rng, mutations, max_violations)
     failures.sort(key=lambda failure: (failure[0], _CHECK_RANK[failure[1]]))
-    return [ViolationRecord(index, check, graph_to_json_dict(inst.graph()), details)
-            for index, check, details, inst in failures[:max_violations]]
+    failures = failures[:max_violations]
+    graphs = {index: inst for index, _, _, inst in failures}  # one document per instance
+    graphs = {index: inst.json_dict() for index, inst in graphs.items()}
+    return [ViolationRecord(index, check, graphs[index], details)
+            for index, check, details, _ in failures]

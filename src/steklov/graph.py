@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
+from numbers import Integral, Real
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -131,6 +132,28 @@ def seeded_rng(seed) -> np.random.Generator:
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise GraphError(f"seed must be nonnegative, got {seed}")
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def require_integer(name: str, value) -> None:
+    """Counts are integers, numpy's included; a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise GraphError(f"{name} must be an integer, got {value!r}")
+
+
+def check_ranges(**ranges) -> None:
+    """Each range is two numbers, finite, > 0 and in order, so that every
+    value drawn from it is finite and > 0: drawn values skip validation."""
+    for name, ends in ranges.items():
+        try:
+            lo, hi = ends
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not all(isinstance(end, Real) and not isinstance(end, bool) for end in (lo, hi)):
+            raise GraphError(f"{name} must be two numbers, got {ends!r}")
+        if not all(0 < end < np.inf for end in (lo, hi)):
+            raise GraphError(f"{name} ends must be finite and > 0, got {(lo, hi)}")
+        if lo > hi:
+            raise GraphError(f"{name} ends must be in order, got {(lo, hi)}")
 
 
 # --- construction: whole-column validation ---------------------------------------
@@ -325,6 +348,12 @@ def _graph_from_columns(labels, measures, flags, tails, heads, weights):
     )
 
 
+def index_labels(n: int) -> tuple[str, ...]:
+    """The labels ``v0``..``v{n-1}``, zero-padded so that label order is id order."""
+    width = max(1, len(str(n - 1))) if n else 1
+    return tuple(f"v{i:0{width}d}" for i in range(n))
+
+
 def graph_from_arrays(
     measures: Sequence[float],
     boundary: Iterable[int],
@@ -336,8 +365,7 @@ def graph_from_arrays(
     order preserves the given id order, and the ids need no relabelling.
     """
     n = len(measures)
-    width = max(1, len(str(n - 1))) if n else 1
-    labels = tuple(f"v{i:0{width}d}" for i in range(n))
+    labels = index_labels(n)
     bcol = list(boundary)
     bids = _ids(bcol, n)
     _first_fault([((bids < 0) | (bids >= n),
@@ -465,15 +493,22 @@ def json_number(x: float) -> float | str:
 
 def graph_to_json(g: WeightedBoundaryGraph) -> str:
     """Serialize to the canonical JSON document (single line, sorted order)."""
-    labels = list(map(json.dumps, g.labels))
-    flags = ("true" if b else "false" for b in g.boundary_mask.tolist())
+    return arrays_to_json(g.labels, g.measures, g.boundary_mask, *g.edge_arrays)
+
+
+def arrays_to_json(labels: Sequence[str], measures: np.ndarray, boundary_mask: np.ndarray,
+                   u: np.ndarray, v: np.ndarray, w: np.ndarray) -> str:
+    """The document of :func:`graph_to_json` from a graph's arrays: vertex i
+    is ``labels[i]``, and edge k joins ``u[k]`` and ``v[k]`` with weight ``w[k]``."""
+    labels = list(map(json.dumps, labels))
+    flags = ("true" if b else "false" for b in boundary_mask.tolist())
     vparts = [
         f'{{"id":{lab},"m":{format_number(m)},"boundary":{flag}}}'
-        for lab, m, flag in zip(labels, g.measures.tolist(), flags)
+        for lab, m, flag in zip(labels, measures.tolist(), flags)
     ]
     eparts = [
-        f'{{"u":{labels[u]},"v":{labels[v]},"w":{format_number(w)}}}'
-        for u, v, w in g.edges
+        f'{{"u":{labels[a]},"v":{labels[b]},"w":{format_number(x)}}}'
+        for a, b, x in zip(u.tolist(), v.tolist(), w.tolist())
     ]
     return f'{{"vertices":[{",".join(vparts)}],"edges":[{",".join(eparts)}]}}'
 

@@ -18,11 +18,13 @@ import numpy as np
 from .graph import (
     GraphError,
     WeightedBoundaryGraph,
+    check_ranges,
     component_labels,
     geodesic_layers,
     graph_from_arrays,
     hop_distances,
     is_connected,
+    require_integer,
     seeded_rng,
 )
 
@@ -317,8 +319,14 @@ def random_comb(
     ``measure_range``.  Deterministic for a given seed.
     """
     rng = seeded_rng(seed)
+    require_integer("max_tooth_vertices", max_tooth_vertices)
+    if max_tooth_vertices < 1:
+        raise GraphError(f"max_tooth_vertices must be >= 1, got {max_tooth_vertices}")
+    if not 1.0 <= weight_factor < np.inf:
+        raise GraphError(f"weight_factor must be finite and >= 1, got {weight_factor!r}")
     _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass),
                              ("weight_factor * path weight", weight_factor * path_weight))
+    check_ranges(measure_range=measure_range)
     lo, hi = measure_range
     interior = [float(rng.uniform(lo, hi)) for _ in range(max(0, path_len - 1))]
 

@@ -1,3 +1,4 @@
+import functools
 import json
 from itertools import combinations
 from math import comb, factorial
@@ -40,7 +41,6 @@ from steklov.corpus import (
     _random_instances,
     _relabelled,
     _Stack,
-    _stack_quantities,
 )
 from steklov.graph import geodesic_layers
 from steklov.rigidity import _unique_geodesic, check_rigidity
@@ -53,6 +53,18 @@ from reference_corpus import (
     reference_verify,
     small_instances,
 )
+
+
+def stack_quantities(stack, rng, mutations):
+    """The kernel's quantities of instances that share |B|, stacked as one,
+    their arrays concatenated into the edge columns of ``_column_quantities``."""
+    nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(inst.columns(0, 1)
+                                                            for inst in stack)))
+    count, sizes = len(stack), np.array([inst.n for inst in stack])
+    on_b = np.zeros((count, sizes.max()), dtype=bool)
+    on_b[np.repeat(np.arange(count), nb), bids] = True
+    return corpus._column_quantities(int(nb[0]), sizes, on_b, np.repeat(np.arange(count), degree),
+                                     u, v, w, m, rng, mutations)
 
 
 def connected_labeled_count(n):
@@ -152,6 +164,47 @@ class TestValueRanges:
         with pytest.raises(GraphError) as excinfo:
             CorpusSpec(mode=mode, n_max=4, samples=50, **self.ranges(name, bad))
         self.assert_one_line(excinfo, name)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((2.0, 1.0), "ends must be in order, got (2.0, 1.0)"),
+    (1.0, "must be two numbers, got 1.0"),
+    (("a", "b"), "must be two numbers, got ('a', 'b')"),
+    ((0.5, 1.0, 2.0), "must be two numbers, got (0.5, 1.0, 2.0)"),
+    ((True, 2.0), "must be two numbers, got (True, 2.0)"),
+], ids=str)
+@pytest.mark.parametrize("name", ["weight_range", "measure_range"])
+def test_malformed_ranges(monkeypatch, name, bad, message):
+    """A range that is not two numbers, or whose ends are out of order, is
+    one GraphError line in every mode, raised before any draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the ranges were checked")
+
+    monkeypatch.setattr(corpus, "_random_instance", no_draw)
+    ranges = {"weight_range": (0.5, 2.0), "measure_range": (0.5, 2.0), name: bad}
+    for make in (lambda: random_graph(12, 0.5, ranges["weight_range"], ranges["measure_range"],
+                                      3, seed=0),
+                 lambda: CorpusSpec(mode="random", n_max=4, samples=50, **ranges),
+                 lambda: CorpusSpec(mode="exhaustive", n_max=4, **ranges)):
+        with pytest.raises(GraphError) as excinfo:
+            make()
+        assert str(excinfo.value) == f"{name} {message}"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_tooth_vertices": 0}, "max_tooth_vertices must be >= 1, got 0"),
+    ({"max_tooth_vertices": 2.5}, "max_tooth_vertices must be an integer, got 2.5"),
+    ({"weight_factor": 0.5}, "weight_factor must be finite and >= 1, got 0.5"),
+    ({"weight_factor": float("nan")}, "weight_factor must be finite and >= 1, got nan"),
+    ({"measure_range": (2.0, 1.0)}, "measure_range ends must be in order, got (2.0, 1.0)"),
+    ({"measure_range": 1.0}, "measure_range must be two numbers, got 1.0"),
+], ids=str)
+def test_malformed_comb_parameters(kwargs, message):
+    from steklov import random_comb
+
+    with pytest.raises(GraphError) as excinfo:
+        random_comb(4, 1.0, 2.0, seed=0, **kwargs)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("name, value", [
@@ -405,28 +458,30 @@ class TestInstanceStreams:
         CorpusSpec(mode="exhaustive", n_max=4, unit_only=True),
     ], ids=["random", "weighted", "unit"])
     def test_graphs_built_only_for_violations(self, monkeypatch, spec):
+        """Not even a violation builds a graph: a record's graph is serialised
+        once per instance, straight from its arrays, as ``graph_to_json_dict``
+        writes it."""
         from steklov import graph_to_json_dict
 
-        built = []
+        def no_graph(*args, **kwargs):
+            raise AssertionError("built a graph for a violation record")
 
-        def spy(*args, **kwargs):
-            built.append(graph_from_arrays(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(corpus, "graph_from_arrays", spy)
-        records = verify_corpus(spec, mutations=frozenset({MUTATION_BOUND_DB}))
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus, "graph_from_arrays", no_graph)
+            records = verify_corpus(spec, mutations=frozenset({MUTATION_BOUND_DB}))
         assert records
-        as_text = lambda g: json.dumps(g, sort_keys=True)  # noqa: E731
-        assert sorted(as_text(graph_to_json_dict(g)) for g in built) == sorted(
-            as_text(r.graph) for r in records)
+        documents = {}
+        for r in records:
+            assert documents.setdefault(r.index, r.graph) is r.graph
+            assert r.graph == graph_to_json_dict(parse_graph(json.dumps(r.graph)))
 
 
 class TestMaskFeeder:
-    """Both exhaustive modes read the kernel's edge columns off per-window
-    bit tables.  Every stack they build, and every quantity the kernel
-    computes on it, is bitwise what the per-instance path builds from the
-    same instance stream: same windows, same stacks, same drawn weights and
-    measures, same Green-check vectors."""
+    """Both exhaustive modes read the kernel's edge columns off bitmask
+    runs.  Every stack they build, and every quantity the kernel computes on
+    it, is bitwise what the same window loop builds from the same instances
+    fed one by one as runs of one: same windows, same stacks, same drawn
+    weights and measures, same Green-check vectors."""
 
     @staticmethod
     def kernel_calls(monkeypatch, run) -> list:
@@ -465,7 +520,7 @@ class TestMaskFeeder:
         def instance_path():
             rng = np.random.default_rng([spec.seed, 1])
             for stream in per_level:
-                assert corpus._verify_instances(stream, rng, frozenset()) == []
+                assert corpus._verify_runs(stream, rng, frozenset()) == []
 
         ours = self.kernel_calls(monkeypatch, lambda: verify_corpus(spec))
         theirs = self.kernel_calls(monkeypatch, instance_path)
@@ -540,7 +595,7 @@ class TestBatchedGeodesics:
         assert _unique_geodesic(g, 0, 40) is None
         report = check_rigidity(g)
         assert not report.cond_path and not report.certified_equality
-        q = _stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
+        q = stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
         assert q["cond_boundary"].tolist() == [True]
         assert q["cond_path"].tolist() == [False]
         assert q["certified_equality"].tolist() == [False]
@@ -585,7 +640,7 @@ class TestCheckInstance:
         graphs += [rng_graph(rng, int(rng.integers(1, 13)), unit=bool(k % 2))
                    for k in range(60)]
         for g in graphs:
-            ours = _stack_quantities([_Instance.of(g)], np.random.default_rng(7), mutations)
+            ours = stack_quantities([_Instance.of(g)], np.random.default_rng(7), mutations)
             ref = reference_quantities(g, np.random.default_rng(7), mutations)
             assert ours.keys() == ref.keys()
             for name, value in ref.items():
@@ -597,7 +652,7 @@ class TestCheckInstance:
 
     def test_single_boundary_vertex_skips_bound_rows(self):
         g = graph_from_arrays([1.0, 2.0, 1.5], [1], [(0, 1, 1.0), (1, 2, 0.5)])
-        q = _stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
+        q = stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
         assert "sigma2" not in q and "certified_equality" not in q
         assert check_instance(g) == []
 
@@ -861,13 +916,13 @@ def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes
     rng = np.random.default_rng(2)
     group = [corpus._random_instance(n, 0.5, (0.5, 2.0), (0.5, 2.0), nb, rng, u)
              for n, u in zip(sizes, units)]
-    padded = _stack_quantities(group, np.random.default_rng(0), frozenset())
+    padded = stack_quantities(group, np.random.default_rng(0), frozenset())
     stack = built_stacks[-1]
     top = max(sizes)
     assert stack.lap.shape == (len(sizes), top, top)
     verdicts = {check: ok for check, _, ok in corpus._evaluate(padded)}
     for gi, inst in enumerate(group):
-        alone = _stack_quantities([inst], np.random.default_rng(0), frozenset())
+        alone = stack_quantities([inst], np.random.default_rng(0), frozenset())
         lone = built_stacks[-1]
         assert np.array_equal(stack.dist[gi, :inst.n, :inst.n], lone.dist[0])
         assert (stack.dist[gi, inst.n:] == top).all() and (stack.dist[gi, :, inst.n:] == top).all()
@@ -892,14 +947,54 @@ def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes
         assert (~verdicts["unit_specialization"]).tolist() == units
 
 
+@functools.lru_cache(maxsize=None)
+def reference_keys(spec, mutation):
+    return [(r.index, r.check) for r in reference_verify(spec, frozenset({mutation}))]
+
+
+@pytest.mark.parametrize("cells", [1 << 6, 1 << 9])
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(mode="random", n_max=30, samples=300),
+    CorpusSpec(mode="exhaustive", n_max=4, seed=3),
+], ids=["random", "weighted"])
+def test_window_size_keeps_the_records(monkeypatch, spec, cells):
+    """Small windows take every branch of the windower: random instances
+    larger than the window each fill one alone, levels of bitmask instances
+    are cut across windows, and windows hold several runs.  The failures
+    are those of the default window and of the per-graph reference."""
+    mutations = frozenset({MUTATION_BOUND_DB})
+    key = lambda recs: [(r.index, r.check) for r in recs]  # noqa: E731
+    default = key(verify_corpus(spec, mutations=mutations))
+    windows, cut = [], corpus._windows
+
+    def recorded(runs):
+        for window in cut(runs):
+            windows.append([(run.n, lo, hi) for run, _, lo, hi in window])
+            yield window
+
+    monkeypatch.setattr(corpus, "_WINDOW_CELLS", cells)
+    monkeypatch.setattr(corpus, "_windows", recorded)
+    assert key(verify_corpus(spec, mutations=mutations)) == default
+    assert default == reference_keys(spec, MUTATION_BOUND_DB) and default
+    if spec.mode == "random":
+        assert any(len(parts) == 1 and parts[0][0] ** 2 > cells for parts in windows)
+    else:
+        assert any(lo > 0 for parts in windows for _, lo, _ in parts)
+    assert any(len(parts) > 1 for parts in windows)
+    for parts in windows:
+        side, length = max(n for n, _, _ in parts), sum(hi - lo for _, lo, hi in parts)
+        assert length == 1 or length * side**2 <= cells
+
+
 def test_padded_stacks_fit_the_window(monkeypatch, built_stacks):
     """Random mode pads its stacks, and no window or stack of more than one
     graph exceeds ``_WINDOW_CELLS`` padded cells, instances x (largest n)^2."""
     windows, cut = [], corpus._windows
 
-    def recorded(instances):
-        for window in cut(instances):
-            windows.append((len(window), max(inst.n for _, inst in window)))
+    def recorded(runs):
+        for window in cut(runs):
+            windows.append((sum(hi - lo for *_, lo, hi in window),
+                            max(run.n for run, *_ in window)))
             yield window
 
     monkeypatch.setattr(corpus, "_windows", recorded)
