@@ -14,13 +14,14 @@ stack.  Every mode feeds it through one window loop, ``_verify_runs``, from
 runs of instances: a random draw or ``check_instance``'s graph is a run of
 one, and an exhaustive level is a run of bitmasks, with no per-instance object.
 
-The isomorphism classes of connected graphs are the one enumerator: the
-labeled edge masks of weighted exhaustive mode are their orbits.  The checks
-read graph invariants only, so unit-weight exhaustive mode verifies one
-instance per class of (graph, boundary) pairs, each class crossed with the
-orbits of its automorphisms on the boundary subsets.  A failing one is
-expanded to its labeled instances, so records still name labeled graphs and
-stream indices.  A record's graph is serialised from its instance's arrays.
+Both exhaustive modes stream the rows of the isomorphism classes of
+connected graphs, each class crossed with the orbits of its automorphisms on
+the boundary subsets.  A row stands for its labelings, the labeled instances
+it is a relabelling of.  The checks read graph invariants only, so unit mode
+verifies each row once; weighted mode repeats each row its labelings times
+with fresh i.i.d. values, which is the labeled stream in distribution.  A
+record names the row's representative and its index in the row stream, and
+is serialised from the instance's arrays.
 """
 
 from __future__ import annotations
@@ -136,17 +137,20 @@ class CorpusSpec:
 
 @dataclass(frozen=True)
 class ViolationRecord:
-    """One failed assertion, with the offending graph for reproduction."""
+    """One failed assertion, with the offending graph for reproduction and
+    the number of labeled instances it stands for."""
 
     index: int
     check: str
     graph: dict
     details: dict = field(default_factory=dict)
+    labelings: int = 1
 
     def to_json_dict(self) -> dict:
         return {
             "index": self.index,
             "check": self.check,
+            "labelings": self.labelings,
             "details": {k: json_number(v) if isinstance(v, float) else v
                         for k, v in self.details.items()},
             "graph": self.graph,
@@ -273,14 +277,6 @@ class _MaskRun(namedtuple("_MaskRun", "n rows masks draw")):
         return np.bincount(row, minlength=hi - lo), bids, degree, tails[k], heads[k], w, m
 
 
-def _mask_instance(n: int, edge_mask: int, boundary_mask: int) -> _Instance:
-    """Unit-weight instance of an edge and a boundary bitmask."""
-    tails, heads = _pair_arrays(n)
-    on = np.flatnonzero(_bits(edge_mask, len(tails)))
-    return _Instance(n, tails[on], heads[on], np.ones(len(on)), np.ones(n),
-                     np.flatnonzero(_bits(boundary_mask, n)))
-
-
 def _pair_index(n: int) -> np.ndarray:
     """(n, n) table of the rank of each vertex pair in ``_pair_arrays(n)``."""
     tails, heads = _pair_arrays(n)
@@ -350,48 +346,28 @@ def _graph_classes(n: int) -> tuple[_Class, ...]:
 
 @lru_cache(maxsize=8)
 def _class_orbits(n: int) -> np.ndarray:
-    """(edge mask, boundary mask) rows, read-only, of each class on n
-    vertices crossed with each orbit of its automorphisms on the boundary
-    subsets of size >= 2, the orbit as its least mask: class, then orbit,
-    ascending."""
-    classes, subsets = _graph_classes(n), _boundary_masks(n)
-    orbits = [np.unique(_relabelled(subsets, c.aut).min(axis=1)) for c in classes]
-    reps = np.column_stack([np.repeat([c.mask for c in classes], list(map(len, orbits))),
-                            np.concatenate(orbits)])
-    reps.setflags(write=False)
-    return reps
-
-
-@lru_cache(maxsize=8)
-def _labeled_masks(n: int) -> np.ndarray:
-    """Edge bitmasks of all connected labeled graphs on n vertices,
-    ascending; bit k of a mask is the k-th pair of ``_pair_arrays(n)``.
-
-    They are the orbits of the classes under relabelling.  Orbits of
-    different classes are disjoint, so only repeats within a row go.
-    """
-    orbits = []
-    for rows in _relabellings(n, [c.mask for c in _graph_classes(n)]):
-        rows.sort(axis=1)
-        orbits.append(rows[np.diff(rows, axis=1, prepend=-1) != 0])
-    masks = np.sort(np.concatenate(orbits))
-    masks.setflags(write=False)
-    return masks
-
-
-def _level_count(n: int) -> int:
-    """Labeled instances on n vertices: n!/|Aut| labelings per class, each
-    crossed with every boundary subset, which the class's orbits partition."""
-    labelings = sum(factorial(n) // len(c.aut) for c in _graph_classes(n))
-    return labelings * len(_boundary_masks(n))
+    """(edge mask, boundary mask, labelings) rows, read-only, of each class
+    on n vertices crossed with each orbit of its automorphisms on the
+    boundary subsets of size >= 2, the orbit as its least mask: class, then
+    orbit, ascending.  A row stands for its labelings labeled instances:
+    n!/|Aut| relabellings of the class times the orbit's size."""
+    rows = []
+    for c in _graph_classes(n):
+        reps, sizes = np.unique(_relabelled(_boundary_masks(n), c.aut).min(axis=1),
+                                return_counts=True)
+        rows.append(np.column_stack([np.full(len(reps), c.mask), reps,
+                                     factorial(n) // len(c.aut) * sizes]))
+    rows = np.concatenate(rows)
+    rows.setflags(write=False)
+    return rows
 
 
 def count_exhaustive_instances(n_max: int) -> int:
     """Number of (graph, boundary) instances of the exhaustive corpus, the
-    labeled count, summed over isomorphism classes."""
+    labeled count: the labelings of the class rows."""
     require_integer("n_max", n_max)
     _check_n_max("exhaustive", n_max)
-    return sum(_level_count(n) for n in range(2, n_max + 1))
+    return sum(int(_class_orbits(n)[:, 2].sum()) for n in range(2, n_max + 1))
 
 
 # --- the check table's evaluator and its shared quantities ---------------------
@@ -704,54 +680,18 @@ def _random_instances(spec: CorpusSpec) -> Iterator[_Instance]:
                                boundary_size, rng, spec.unit_only)
 
 
-def _labeled_level(n: int, draw) -> _MaskRun:
-    """The labeled instances on n vertices: edge bitmask, then boundary
-    bitmask, their values drawn from ``draw``."""
-    graphs, subsets = _labeled_masks(n), np.asarray(_boundary_masks(n))
-
-    def masks(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        graph, subset = np.divmod(np.arange(lo, hi), len(subsets))
-        return graphs[graph], subsets[subset]
-
-    return _MaskRun(n, len(graphs) * len(subsets), masks, draw)
-
-
-def _unit_class_failures(n_max, rng, mutations, max_violations) -> list[tuple]:
-    """Unit exhaustive verification, n by n, of one instance per isomorphism
-    class of (graph, boundary) pairs.  Every check reads graph invariants
-    only, so the labeled instances of a class share its verdicts: a failing
-    class instance becomes the failures of its labeled instances, up to the
-    level that brings them to ``max_violations``."""
-    failures: list[tuple] = []
-    base = 0
+def _class_runs(n_max: int, draw) -> Iterator[_MaskRun]:
+    """The class rows on 2..n_max vertices, n ascending: each row once, or,
+    with ``draw``, each repeated its labelings times, each repeat with
+    values of its own."""
     for n in range(2, n_max + 1):
-        reps = _class_orbits(n)
-        level = _verify_runs([_MaskRun(n, len(reps), lambda lo, hi: reps[lo:hi].T, None)], rng,
-                             mutations)
-        if level:
-            failures += _labeled_failures(n, base, reps, level)
-        if max_violations is not None and len(failures) >= max_violations:
-            break
-        base += _level_count(n)
-    return failures
+        rows = _class_orbits(n)
+        ends = np.cumsum(rows[:, 2] if draw else np.ones_like(rows[:, 2]))
 
+        def masks(lo: int, hi: int, rows=rows, ends=ends) -> np.ndarray:
+            return rows[np.searchsorted(ends, np.arange(lo, hi), side="right"), :2].T
 
-def _labeled_failures(n: int, base: int, reps, level) -> list[tuple]:
-    """The failures of the labeled instances on n vertices of the failing
-    class instances ``reps[index]`` of ``level``, stream indices from
-    ``base``."""
-    perms, moves = _permutations(n)
-    graphs, subsets = _labeled_masks(n), np.asarray(_boundary_masks(n))
-    failures = []
-    for index, check, details, _ in level:
-        edge_masks = _relabelled([reps[index][0]], moves)[0]
-        boundary_masks = _relabelled([reps[index][1]], perms)[0]
-        ranks = (np.searchsorted(graphs, edge_masks) * len(subsets)
-                 + np.searchsorted(subsets, boundary_masks))
-        ranks, first = np.unique(ranks, return_index=True)
-        failures += [(base + rank, check, details, _mask_instance(n, g, b)) for rank, g, b in zip(
-            ranks.tolist(), edge_masks[first].tolist(), boundary_masks[first].tolist())]
-    return failures
+        yield _MaskRun(n, int(ends[-1]), masks, draw)
 
 
 def verify_corpus(
@@ -775,18 +715,21 @@ def verify_corpus(
         require_integer("max_violations", max_violations)
         if max_violations < 0:
             raise GraphError(f"max_violations must be nonnegative, got {max_violations}")
-    rng = np.random.default_rng([spec.seed, 1])
+    labelings = None  # a record of one labeled instance
     if spec.mode == "random":
-        failures = _verify_runs(_random_instances(spec), rng, mutations, max_violations)
+        runs = _random_instances(spec)
     elif spec.unit_only:
-        failures = _unit_class_failures(spec.n_max, rng, mutations, max_violations)
+        runs = _class_runs(spec.n_max, None)
+        labelings = np.concatenate([_class_orbits(n)[:, 2] for n in range(2, spec.n_max + 1)])
     else:
         draw = np.random.default_rng([spec.seed, 0]), spec.weight_range, spec.measure_range
-        levels = (_labeled_level(n, draw) for n in range(2, spec.n_max + 1))
-        failures = _verify_runs(levels, rng, mutations, max_violations)
+        runs = _class_runs(spec.n_max, draw)
+    failures = _verify_runs(runs, np.random.default_rng([spec.seed, 1]), mutations,
+                            max_violations)
     failures.sort(key=lambda failure: (failure[0], _CHECK_RANK[failure[1]]))
     failures = failures[:max_violations]
     graphs = {index: inst for index, _, _, inst in failures}  # one document per instance
     graphs = {index: inst.json_dict() for index, inst in graphs.items()}
-    return [ViolationRecord(index, check, graphs[index], details)
+    return [ViolationRecord(index, check, graphs[index], details,
+                            1 if labelings is None else int(labelings[index]))
             for index, check, details, _ in failures]

@@ -88,7 +88,8 @@ def test_criterion_3_rigidity_biconditional_exhaustive():
     structural certificate on every one of the 1,541,491 instances.  Every
     check reads graph invariants, so the verifier runs one instance per
     isomorphism class of (graph, boundary) pairs, 3,678 of them, and a
-    failure would name each labeled instance of its class."""
+    failure would name its class's representative, with the number of
+    labeled instances it stands for."""
     start = time.perf_counter()
     spec = CorpusSpec(mode="exhaustive", n_max=6, unit_only=True, seed=0)
     records = verify_corpus(spec)

@@ -34,8 +34,6 @@ from steklov.corpus import (
     _geodesic_conditions,
     _graph_classes,
     _Instance,
-    _labeled_masks,
-    _mask_instance,
     _pair_arrays,
     _permutations,
     _random_instances,
@@ -47,7 +45,10 @@ from steklov.rigidity import _unique_geodesic, check_rigidity
 from conftest import enumerate_small, unit_path
 from reference_graph import geodesic_count_oracle
 from reference_corpus import (
+    class_row_instances,
     connected_edge_masks,
+    labeled_masks,
+    mask_instance,
     reference_check_instance,
     reference_quantities,
     reference_verify,
@@ -255,18 +256,32 @@ class TestEnumeration:
         assert connected_labeled_count(3) == 4
         assert connected_labeled_count(4) == 38
         assert connected_labeled_count(7) == 1_866_256
+        total = 0
         for n in range(2, 8):
-            assert len(_labeled_masks(n)) == connected_labeled_count(n)
+            assert len(labeled_masks(n)) == connected_labeled_count(n)
+            # the labelings column: a class row stands for n!/|Aut|
+            # relabellings of its class times its orbit's size, and the
+            # orbits of a class partition the boundary subsets
+            rows = _class_orbits(n)
+            relabellings = {c.mask: factorial(n) // len(c.aut) for c in _graph_classes(n)}
+            orbit_sizes = dict.fromkeys(relabellings, 0)
+            for mask, _, labelings in rows.tolist():
+                assert labelings % relabellings[mask] == 0
+                orbit_sizes[mask] += labelings // relabellings[mask]
+            assert orbit_sizes == dict.fromkeys(relabellings, 2**n - n - 1)
+            assert rows[:, 2].sum() == connected_labeled_count(n) * (2**n - n - 1)
+            total += int(rows[:, 2].sum())
+            assert count_exhaustive_instances(n) == total
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_masks_are_the_connected_graphs(self, n):
         """The labeled masks, read off the orbits of the classes, are the
         brute-force list of connected labeled graphs, in the same order."""
-        masks = _labeled_masks(n).tolist()
+        masks = labeled_masks(n).tolist()
         assert masks == list(connected_edge_masks(n))
         if n <= 5:  # and that list is what the library calls connected
             assert masks == [mask for mask in range(1 << (n * (n - 1) // 2))
-                             if is_connected(_mask_instance(n, mask, 0).graph())]
+                             if is_connected(mask_instance(n, mask, 0).graph())]
 
     def test_n2_single_instance(self):
         graphs = list(enumerate_small(2))
@@ -317,7 +332,7 @@ class TestEnumeration:
         def no_enumeration(n):
             raise AssertionError(f"enumerated the graphs of n = {n}")
 
-        monkeypatch.setattr(corpus, "_labeled_masks", no_enumeration)
+        monkeypatch.setattr(corpus, "_class_orbits", no_enumeration)
         monkeypatch.setattr(corpus, "_graph_classes", no_enumeration)
         with pytest.raises(GraphError, match="2 <= n_max <= 7"):
             count_exhaustive_instances(n_max)
@@ -363,7 +378,10 @@ class TestGraphClasses:
         subsets = _relabelled(_boundary_masks(n), perms)
         pairs = (graphs[:, None, :] << n | subsets[None, :, :]).min(axis=-1)
         reps = _class_orbits(n)
-        assert sorted(g << n | b for g, b in reps) == np.unique(pairs).tolist()
+        keys, labelings = np.unique(pairs, return_counts=True)
+        assert sorted(g << n | b for g, b, _ in reps) == keys.tolist()
+        # and a row's labelings are the labeled pairs in its class
+        assert reps[np.argsort(reps[:, 0] << n | reps[:, 1]), 2].tolist() == labelings.tolist()
 
     def test_classes_match_networkx_atlas(self):
         nx = pytest.importorskip("networkx")
@@ -374,23 +392,29 @@ class TestGraphClasses:
             assert sorted(_canonical_masks(n, masks).tolist()) == [
                 c.mask for c in _graph_classes(n)]
 
-    @pytest.mark.parametrize("mutation, count, first, last", [
-        (MUTATION_BOUND_DB, 21_398, (0, "unit_specialization"), (19_362, "unit_specialization")),
-        (MUTATION_COMB_SKIP, 4_691, (13, "equality_iff_certified"),
-         (19_355, "equality_iff_certified")),
+    @pytest.mark.parametrize("mutation, rows, count, first, last", [
+        (MUTATION_BOUND_DB, 355, 21_398, (0, "unit_specialization"), (313, "unit_specialization")),
+        (MUTATION_COMB_SKIP, 65, 4_691, (4, "equality_iff_certified"),
+         (310, "equality_iff_certified")),
     ], ids=["bound_db", "comb_skip"])
-    def test_expansion_matches_labeled_engine(self, mutation, count, first, last):
-        """A failing class instance expands to the records of its labeled
-        instances, in stream order: on unit n <= 5 the counts and the first
-        and last (index, check) are those of the engine that verified every
-        labeled instance, and a cap keeps the first records."""
-        spec = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)
-        records = verify_corpus(spec, mutations=frozenset({mutation}))
+    def test_expansion_matches_labeled_engine(self, mutation, rows, count, first, last):
+        """A failing class row stands for its labeled instances: on unit
+        n <= 5 the labelings of the records sum to the failure count of the
+        engine that verified every labeled instance.  In both exhaustive
+        modes a capped run returns the first k records of the uncapped run."""
+        mutations = frozenset({mutation})
+        unit = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)
+        records = verify_corpus(unit, mutations=mutations)
         keys = [(r.index, r.check) for r in records]
-        assert (len(keys), keys[0], keys[-1]) == (count, first, last)
+        assert (len(keys), keys[0], keys[-1]) == (rows, first, last)
+        assert sum(r.labelings for r in records) == count
         assert keys == sorted(keys, key=lambda k: (k[0], corpus._CHECK_RANK[k[1]]))
-        capped = verify_corpus(spec, max_violations=100, mutations=frozenset({mutation}))
-        assert [r.to_json_dict() for r in capped] == [r.to_json_dict() for r in records[:100]]
+        weighted = CorpusSpec(mode="exhaustive", n_max=4, seed=3)
+        for spec in (unit, weighted):
+            full = [r.to_json_dict() for r in verify_corpus(spec, mutations=mutations)]
+            for k in (1, 7, 100):
+                capped = verify_corpus(spec, max_violations=k, mutations=mutations)
+                assert [r.to_json_dict() for r in capped] == full[:k], (spec, k)
 
 
 class TestInstanceStreams:
@@ -438,18 +462,13 @@ class TestInstanceStreams:
         def no_argwhere(*args, **kwargs):
             raise AssertionError("searched a check row whose verdicts all hold")
 
-        def no_masks(n):
-            raise AssertionError(f"listed the labeled graphs of n = {n} on a clean unit run")
-
         def no_instance(*args, **kwargs):
             raise AssertionError("built an instance object on a clean exhaustive run")
 
         monkeypatch.setattr(corpus, "graph_from_arrays", no_graph)
         monkeypatch.setattr(corpus.np, "argwhere", no_argwhere)
-        if spec.unit_only and spec.mode == "exhaustive":
-            monkeypatch.setattr(corpus, "_labeled_masks", no_masks)
         if spec.mode == "exhaustive":
-            monkeypatch.setattr(corpus, "_mask_instance", no_instance)
+            monkeypatch.setattr(corpus, "_Instance", no_instance)
         assert verify_corpus(spec) == []
 
     @pytest.mark.parametrize("spec", [
@@ -510,17 +529,16 @@ class TestMaskFeeder:
             monkeypatch.setattr(corpus, "_WINDOW_CELLS", cells)
         if mode == "unit":
             spec = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)
-            per_level = [[_mask_instance(n, *rep) for rep in _class_orbits(n)]
-                         for n in range(2, 6)]
+            stream = (mask_instance(n, edge, b) for n in range(2, 6)
+                      for edge, b, _ in _class_orbits(n))
         else:
             spec = CorpusSpec(mode="exhaustive", n_max=4, seed=13)
-            per_level = [small_instances(4, np.random.default_rng([13, 0]),
-                                         spec.weight_range, spec.measure_range)]
+            stream = class_row_instances(4, np.random.default_rng([13, 0]),
+                                         spec.weight_range, spec.measure_range)
 
         def instance_path():
             rng = np.random.default_rng([spec.seed, 1])
-            for stream in per_level:
-                assert corpus._verify_runs(stream, rng, frozenset()) == []
+            assert corpus._verify_runs(stream, rng, frozenset()) == []
 
         ours = self.kernel_calls(monkeypatch, lambda: verify_corpus(spec))
         theirs = self.kernel_calls(monkeypatch, instance_path)
@@ -532,8 +550,8 @@ class TestMaskFeeder:
             assert q.keys() == ref_q.keys()
             for name, value in ref_q.items():
                 self.assert_bitwise(q[name], value, name)
-        if mode == "weighted":  # a window crosses levels: its stacks are padded
-            assert any((stack.dist == stack.lap.shape[-1]).any() for stack, _, _ in ours)
+        # a window crosses levels: its stacks are padded
+        assert any((stack.dist == stack.lap.shape[-1]).any() for stack, _, _ in ours)
 
 
 class TestBatchedGeodesics:
@@ -542,7 +560,7 @@ class TestBatchedGeodesics:
         """Distances from the reach powers equal hop_distance_matrix, the
         layer flags mark exactly the pairs with one geodesic, and the
         vectorized comb test agrees with is_comb_over on every such pair."""
-        masks = _labeled_masks(n)
+        masks = labeled_masks(n)
         u, v = _pair_arrays(n)
         lap = np.zeros((len(masks), n, n))
         lap[:, u, v] = lap[:, v, u] = -_bits(masks, len(u))
@@ -553,7 +571,7 @@ class TestBatchedGeodesics:
         on, flags = geodesic_layers(dist[:, px], dist[:, py])
         cells, expected = [], []
         for gi, mask in enumerate(masks):
-            g = _mask_instance(n, mask, (1 << n) - 1).graph()
+            g = mask_instance(n, mask, (1 << n) - 1).graph()
             assert dist[gi].tolist() == hop_distance_matrix(g).tolist()
             for k, (x, y) in enumerate(pairs):
                 geodesics = all_geodesics(g, x, y)
@@ -688,10 +706,12 @@ class TestCheckInstance:
         if routine == "solve":
             return
         random = CorpusSpec(mode="random", n_max=5, samples=20)
-        for spec, instances in ((random, random.samples), (unit, count_exhaustive_instances(3))):
+        for spec, rows in ((random, random.samples), (unit, 1 + 5)):  # 5 class rows on n = 3
             records = verify_corpus(spec)
             assert {r.check for r in records} == {"numerics_failure"}
-            assert [r.index for r in records] == list(range(instances))
+            assert [r.index for r in records] == list(range(rows))
+            assert sum(r.labelings for r in records) == (
+                rows if spec.mode == "random" else count_exhaustive_instances(3))
 
     def test_unit_classes_check_the_lowest_eigenvector(self, monkeypatch):
         """Unit exhaustive mode runs the sigma1_constant_vector row like
@@ -700,7 +720,8 @@ class TestCheckInstance:
         spec = CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)
         records = verify_corpus(spec)
         assert {r.check for r in records} == {"sigma1_constant_vector"}
-        assert [r.index for r in records] == list(range(count_exhaustive_instances(4)))
+        assert [r.index for r in records] == list(range(1 + 5 + 33))  # class rows, n <= 4
+        assert sum(r.labelings for r in records) == count_exhaustive_instances(4)
 
     @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
     @pytest.mark.parametrize("scaled", ["weights", "measures"])
@@ -815,13 +836,15 @@ class TestVerifyCorpus:
     ], ids=["unit", "weighted", "random", "random-unit"])
     def test_kernel_and_reference_agree(self, spec, mutation):
         """The stacked kernel and the per-graph reference route flag exactly
-        the same instances for the same reasons, with the same details.
-        Stacked streams draw their Green vectors per stack, so only the
-        schur_form/energy pair is left out."""
+        the same instances for the same reasons, with the same details.  In
+        unit mode the reference checks every labeled instance and folds its
+        failures by class row: per check, the kernel's labelings sum to the
+        reference's labeled failure count.  Stacked streams draw their Green
+        vectors per stack, so only the schur_form/energy pair is left out."""
         mutations = frozenset({mutation} - {""})
         ours = verify_corpus(spec, mutations=mutations)
         reference = reference_verify(spec, mutations)
-        key = lambda recs: [(r.index, r.check) for r in recs]
+        key = lambda recs: [(r.index, r.check, r.labelings) for r in recs]
         assert key(ours) == key(reference)
         assert (len(ours) > 0) == (mutation == MUTATION_BOUND_DB or (
             mutation == MUTATION_COMB_SKIP and spec.unit_only))
