@@ -9,10 +9,12 @@ One kernel, ``_quantities``, computes every quantity the table reads for a
 stack of graphs, and one scatter, ``_column_quantities``, fills that stack
 from edge columns: each graph relabelled boundary-first, stacked by |B| and
 padded to the stack's largest n with edgeless interior vertices, which leave
-every quantity unchanged.  Whether a graph has unit weights is read off its
-stack.  Every mode feeds it through one window loop, ``_verify_runs``, from
-runs of instances: a random draw or ``check_instance``'s graph is a run of
-one, and an exhaustive level is a run of bitmasks, with no per-instance object.
+every quantity unchanged.  It eigensolves for eigenvalues only, as the
+per-graph analysis does, and takes hop distances from the boundary vertices
+only.  Whether a graph has unit weights is read off its stack.  Every mode
+feeds it through one window loop, ``_verify_runs``, from runs of instances:
+a random draw or ``check_instance``'s graph is a run of one, and an
+exhaustive level is a run of bitmasks, with no per-instance object.
 
 Both exhaustive modes stream the rows of the isomorphism classes of
 connected graphs, each class crossed with the orbits of its automorphisms on
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
+from numbers import Real
 from typing import Iterator
 
 import numpy as np
@@ -80,7 +83,8 @@ MUTATION_COMB_SKIP = "comb_skip_disjointness"
 KNOWN_MUTATIONS = frozenset({MUTATION_BOUND_DB, MUTATION_COMB_SKIP})
 
 # The check table: (check, predicate over the named quantities, quantities a
-# violation reports); the Steklov matrix's own rows are ``OPERATOR_CHECKS``.
+# violation reports); the Steklov matrix's own rows are ``OPERATOR_CHECKS``,
+# and ``misalignment`` is the Davis-Kahan bound of :func:`steklov_operator`.
 # A row runs only when every quantity it reports is present: sigma_2, the
 # bounds and the certificate need |B| >= 2, and a failed solve or eigensolve
 # leaves only its error.  Predicates also work elementwise; ``unit`` may be a
@@ -202,8 +206,13 @@ def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
     Weights and measures are uniform in the given ranges (or all 1 with
     ``unit=True``), the boundary is a uniform subset of the requested size.
     Deterministic for a given seed; raises after ``RANDOM_RETRIES`` failed
-    connectivity draws.
+    connectivity draws, and checks every argument before the first draw.
     """
+    require_integer("n", n)
+    require_integer("boundary_size", boundary_size)
+    if not (isinstance(edge_prob, Real) and not isinstance(edge_prob, bool)
+            and 0 < edge_prob <= 1):
+        raise GraphError(f"edge_prob must be a number in (0, 1], got {edge_prob!r}")
     if n < 2:
         raise GraphError("random graphs need n >= 2")
     if not 1 <= boundary_size <= n:
@@ -417,35 +426,35 @@ def _certificate(cond_boundary, cond_path, cond_comb, mutations) -> dict:
 # --- the kernel -----------------------------------------------------------------
 
 
-def _distance_tables(lap: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """Hop distances of connected graphs from their (G, n, n) Laplacians.
+def _distance_tables(lap: np.ndarray, pad: np.ndarray, nb: int) -> np.ndarray:
+    """(G, nb, n) hop distances from the first ``nb`` vertices, none of them
+    padding, of connected graphs with (G, n, n) Laplacians.
 
     d(x, y) counts the hop counts at which y is still out of x's reach, by
     boolean reach powers reach <- min(reach (A + I), 1), held in float32:
     exact, since no count exceeds n < 2^24, and one product per hop, at most
-    n - 1 of them.  Pairs with a padding vertex (``pad``, (G, n)) start in
-    reach, so they never keep the loop running, and end at distance n: off
-    every geodesic.
+    n - 1 of them.  Padding vertices (``pad``, (G, n)) start in reach, so
+    they never keep the loop running, and end at distance n: off every
+    geodesic.
     """
     n = lap.shape[-1]
-    eye = np.eye(n, dtype=bool)
-    step = ((lap < 0) | eye).astype(np.float32)
-    padded = pad[:, :, None] | pad[:, None, :]
-    reach = (padded | eye).astype(np.float32)
-    dist = np.zeros(lap.shape, dtype=np.int64)
+    step = ((lap < 0) | np.eye(n, dtype=bool)).astype(np.float32)
+    reach = (np.eye(nb, n, dtype=bool) | pad[:, None, :]).astype(np.float32)
+    dist = np.zeros(reach.shape, dtype=np.int64)
     for _ in range(n - 1):
         apart = reach == 0
         if not apart.any():
             break
         dist += apart
         reach = np.minimum(reach @ step, 1)
-    dist[padded] = n
-    return dist
+    return np.where(pad[:, None, :], n, dist)
 
 
 class _Stack:
-    """G graphs on n vertices: the (G, n, n) Laplacians, the (G, n) measures
-    (or one (1, n) row shared by every graph) and the (G, n) padding mask.
+    """G graphs on n vertices, the first ``nb`` of them the boundary: the
+    (G, n, n) Laplacians, the (G, n) measures (or one (1, n) row shared by
+    every graph), the (G, n) padding mask and the (G, nb, n) hop distances
+    from the boundary.
 
     ``lap`` comes holding -w on each edge and 0 elsewhere; its diagonal is
     set here, in place, to the weighted degree plus ``pad``.  Padding
@@ -456,13 +465,13 @@ class _Stack:
     and measures are all 1.
     """
 
-    def __init__(self, lap: np.ndarray, measures: np.ndarray, pad: np.ndarray):
+    def __init__(self, lap: np.ndarray, measures: np.ndarray, pad: np.ndarray, nb: int):
         n = lap.shape[-1]
         lap[:, np.arange(n), np.arange(n)] = pad - lap.sum(axis=2)
         self.lap, self.measures = lap, measures
         self.w0 = -np.where(lap < 0, lap, -np.inf).max(axis=(1, 2))
         self.unit = (measures == 1).all(1) & ((lap >= 0) | (lap == -1)).all((1, 2))
-        self.dist = _distance_tables(lap, pad)
+        self.dist = _distance_tables(lap, pad, nb)
 
 
 def _quantities(stack: _Stack, nb: int, rng, mutations) -> dict:
@@ -476,14 +485,9 @@ def _quantities(stack: _Stack, nb: int, rng, mutations) -> dict:
         if n > nb:
             l_ob = lap[:, nb:, :nb]
             interior_map = np.linalg.solve(lap[:, nb:, nb:], l_ob)
-        schur, eig, vecs, q = steklov_operator(lap[:, :nb, :nb], l_ob, interior_map, mass,
-                                               vectors=True)
+        schur, eig, q = steklov_operator(lap[:, :nb, :nb], l_ob, interior_map, mass)
     except np.linalg.LinAlgError as exc:
         return {"error": np.full(count, str(exc))}
-    # v1 is m-normalized; its residual off the constants:
-    v1 = vecs[..., 0] / np.sqrt(mass)
-    resid = v1 - (v1 * mass).sum(-1, keepdims=True) / mass.sum(-1, keepdims=True)
-    q["misalignment"] = np.sqrt((resid * resid * mass).sum(-1))
 
     # Green symmetry: <Lambda f, h>_B (Schur route) against the energy
     # pairing of the harmonic extensions
@@ -498,7 +502,7 @@ def _quantities(stack: _Stack, nb: int, rng, mutations) -> dict:
     q["energy"] = np.einsum("gi,gij,gj->g", extend(f), lap, extend(h))
 
     if nb >= 2:
-        d_b = stack.dist[:, :nb, :nb].max(axis=(1, 2))
+        d_b = stack.dist[:, :, :nb].max(axis=(1, 2))
         q.update(_bound_quantities(eig[:, 1], stack.w0, mass.min(-1), mass.sum(-1), d_b, nb,
                                    mutations))
         q["unit"] = stack.unit
@@ -565,7 +569,7 @@ def _column_quantities(nb: int, sizes, on_b, gi, u, v, w, m, rng, mutations) -> 
     lap[gi, u, v] = lap[gi, v, u] = -w
     measures = np.ones((count, n))
     measures[np.nonzero(~pad)[0], label[~pad]] = m
-    return _quantities(_Stack(lap, measures, pad), nb, rng, mutations)
+    return _quantities(_Stack(lap, measures, pad, nb), nb, rng, mutations)
 
 
 # Padded matrix cells, instances x (largest n)^2, per window of a graph

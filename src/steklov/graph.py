@@ -128,9 +128,11 @@ class WeightedBoundaryGraph:
 
 def seeded_rng(seed) -> np.random.Generator:
     """``seed`` itself if it is a Generator, else a new one seeded with it;
-    a negative integer seed is a :class:`GraphError`."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise GraphError(f"seed must be nonnegative, got {seed}")
+    a bool, a float, a string or a negative integer is a :class:`GraphError`."""
+    if isinstance(seed, (Real, np.bool_, str, bytes)):
+        require_integer("seed", seed)
+        if seed < 0:
+            raise GraphError(f"seed must be nonnegative, got {seed}")
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 

@@ -4,7 +4,8 @@ The Steklov operator maps boundary values to the outward normal derivative of
 their harmonic extension.  Its matrix (scaled by the boundary masses) is the
 Schur complement of the weighted Laplacian onto the boundary block, and the
 eigenvalues come from the generalized symmetric problem ``S v = sigma M_B v``
-solved through the diagonal mass reduction.
+solved through the diagonal mass reduction.  No eigenvector is computed: the
+one check on sigma_1's eigenvector reads a Davis-Kahan bound instead.
 """
 
 from __future__ import annotations
@@ -249,19 +250,20 @@ class SteklovSystem:
     boundary_order: tuple[int, ...]
 
 
-def steklov_operator(l_bb, l_ob, interior_map, mass, vectors: bool = False):
+def steklov_operator(l_bb, l_ob, interior_map, mass):
     """The Steklov matrix, its spectrum and its invariant quantities, over any
     leading axes: the algebra after the interior solve, shared by the
     per-graph analysis and the corpus kernel.
 
     ``l_bb`` and ``l_ob`` are the L_BB and L_OB blocks, ``interior_map`` is
     X = L_OO^-1 L_OB (None without an interior) and ``mass`` holds the
-    boundary masses; when all are 1, M^-1/2 S M^-1/2 is S bitwise, and the
-    reduction is skipped.  Returns
-    ``(S, eigenvalues, eigenvectors, quantities)``: the symmetrized S, the
-    ascending eigenvalues of ``M^-1/2 S M^-1/2``, its eigenvectors when
-    ``vectors`` (else None), and the quantities that ``OPERATOR_CHECKS``
-    reads.
+    boundary masses; when all are 1, A = M^-1/2 S M^-1/2 is S bitwise, and
+    the reduction is skipped.  Returns ``(S, eigenvalues, quantities)``: the
+    symmetrized S, the ascending eigenvalues of A, and the quantities that
+    ``OPERATOR_CHECKS`` reads, with ``misalignment``: the Davis-Kahan bound
+    |A v - rho v| / (sigma_2 - rho), rho = v^T A v, on the angle between
+    sigma_1's eigenvector and v = M^1/2 1 / |M^1/2 1|, read off A so that a
+    faulty mass reduction shows; 0 for |B| = 1 (v is exact), +inf if sigma_2 <= rho.
     """
     if interior_map is not None:  # rebound, so the L_BB slice is freed
         l_bb = l_bb - np.swapaxes(l_ob, -1, -2) @ interior_map
@@ -273,13 +275,21 @@ def steklov_operator(l_bb, l_ob, interior_map, mass, vectors: bool = False):
         inv_sqrt = 1.0 / np.sqrt(mass)
         reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
         reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
-    eig, vecs = np.linalg.eigh(reduced) if vectors else (np.linalg.eigvalsh(reduced), None)
-    return schur, eig, vecs, {
+    eig = np.linalg.eigvalsh(reduced)
+    with np.errstate(all="ignore"):  # a bound that is not finite fails its row
+        v = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass), axis=-1, keepdims=True)
+        av = (reduced @ v[..., None])[..., 0]
+        rho = (v * av).sum(axis=-1)
+        gap = eig[..., 1:].min(axis=-1, initial=np.inf) - rho  # sigma_2 = +inf at |B| = 1
+        residual = np.linalg.norm(av - rho[..., None] * v, axis=-1)
+        misalignment = np.where(gap > 0, residual / gap, np.inf)
+    return schur, eig, {
         "asymmetry": asymmetry,
         "residual": np.abs(schur.sum(axis=-1)).max(axis=-1),
         "schur_scale": np.abs(schur).max(axis=(-1, -2), initial=1.0),
         "sigma1": eig[..., 0],
         "eig_scale": np.abs(eig).max(axis=-1, initial=1.0),
+        "misalignment": misalignment,
     }
 
 
@@ -367,7 +377,7 @@ class GraphAnalysis:
         mass = self.graph.measures[self.bidx]
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                schur, eig, _, q = steklov_operator(blocks.l_bb, l_ob, interior_map, mass)
+                schur, eig, q = steklov_operator(blocks.l_bb, l_ob, interior_map, mass)
             if not np.isfinite(eig).all():  # LAPACK gives nan or raises on such input
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:

@@ -51,13 +51,7 @@ def reference_quantities(g, rng, mutations=frozenset()) -> dict:
     """
     system, _, operator = g.analysis.operator
     q = dict(operator)
-
-    # lowest eigenvector must be constant: residual after projecting onto 1
-    # in the m-inner product (scipy's v1 is m-normalized already)
-    mass = system.boundary_mass
-    v1 = scipy.linalg.eigh(system.schur, np.diag(mass))[1][:, 0]
-    resid = v1 - float(np.dot(v1, mass)) / float(mass.sum())
-    q["misalignment"] = float(np.sqrt(np.dot(resid * resid, mass)))
+    q["misalignment"] = eigenvector_angle(system.schur, system.boundary_mass)
 
     # Green symmetry: <Lambda f, h>_B (Schur route) against <du_f, du_h>
     # (harmonic extension route)
@@ -76,6 +70,16 @@ def reference_quantities(g, rng, mutations=frozenset()) -> dict:
             rigidity.cond_boundary, rigidity.cond_path, rigidity.cond_comb, mutations
         ))
     return q
+
+
+def eigenvector_angle(schur, mass) -> float:
+    """Sine of the angle between sigma_1's eigenvector of ``S v = sigma M v``,
+    by scipy's generalized eigh, and the constants: the M-norm of its
+    residual after projecting onto 1 (scipy's v1 is M-normalized already).
+    The kernel's ``misalignment`` is the Davis-Kahan bound on it."""
+    v1 = scipy.linalg.eigh(schur, np.diag(mass))[1][:, 0]
+    resid = v1 - float(np.dot(v1, mass)) / float(mass.sum())
+    return float(np.sqrt(np.dot(resid * resid, mass)))
 
 
 def reference_check_instance(g, rng=None, mutations=frozenset()) -> list:

@@ -17,6 +17,7 @@ from steklov import (
     is_comb_over,
     is_connected,
     parse_graph,
+    random_comb,
     random_graph,
     verify_corpus,
 )
@@ -42,11 +43,13 @@ from steklov.corpus import (
 )
 from steklov.graph import geodesic_layers
 from steklov.rigidity import _unique_geodesic, check_rigidity
+from steklov.spectral import steklov_operator
 from conftest import enumerate_small, unit_path
 from reference_graph import geodesic_count_oracle
 from reference_corpus import (
     class_row_instances,
     connected_edge_masks,
+    eigenvector_angle,
     labeled_masks,
     mask_instance,
     reference_check_instance,
@@ -123,16 +126,46 @@ class TestRandomGraph:
         with pytest.raises(GraphError, match="no connected draw"):
             random_graph(8, 1e-9, (0.5, 2.0), (0.5, 2.0), 2, seed=0)
 
-    def test_validates_arguments(self):
-        with pytest.raises(GraphError):
-            random_graph(1, 0.5, (0.5, 2.0), (0.5, 2.0), 1, seed=0)
-        with pytest.raises(GraphError):
-            random_graph(4, 0.5, (0.5, 2.0), (0.5, 2.0), 5, seed=0)
+    def test_validates_arguments(self, monkeypatch):
+        """Each bad argument is one GraphError line, raised before any draw."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the arguments were checked")
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-7)], ids=["int", "numpy"])
-    def test_negative_seed_is_a_graph_error(self, seed):
-        with pytest.raises(GraphError, match=r"^seed must be nonnegative, got -\d+$"):
-            random_graph(5, 0.5, (0.5, 2), (0.5, 2), 2, seed=seed)
+        monkeypatch.setattr(corpus, "_random_instance", no_draw)
+        for args, message in [
+            ((1, 0.5, 1), "random graphs need n >= 2"),
+            ((4, 0.5, 5), "boundary size must be between 1 and n"),
+            ((2.5, 0.5, 2), "n must be an integer, got 2.5"),
+            ((5, 0.5, 2.5), "boundary_size must be an integer, got 2.5"),
+            ((5, 0.5, True), "boundary_size must be an integer, got True"),
+            ((5, float("nan"), 2), "edge_prob must be a number in (0, 1], got nan"),
+            ((5, -0.5, 2), "edge_prob must be a number in (0, 1], got -0.5"),
+            ((5, 0.0, 2), "edge_prob must be a number in (0, 1], got 0.0"),
+            ((5, 1.5, 2), "edge_prob must be a number in (0, 1], got 1.5"),
+            ((5, "0.5", 2), "edge_prob must be a number in (0, 1], got '0.5'"),
+        ]:
+            n, p, size = args
+            with pytest.raises(GraphError) as excinfo:
+                random_graph(n, p, (0.5, 2.0), (0.5, 2.0), size, seed=0)
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("seed, message", [
+        pytest.param(-1, "seed must be nonnegative, got -1", id="int"),
+        pytest.param(np.int64(-7), "seed must be nonnegative, got -7", id="numpy"),
+        pytest.param(1.5, "seed must be an integer, got 1.5", id="float"),
+        pytest.param(np.float64(2.0), "seed must be an integer, got np.float64(2.0)",
+                     id="numpy-float"),
+        pytest.param(True, "seed must be an integer, got True", id="bool"),
+        pytest.param("7", "seed must be an integer, got '7'", id="string"),
+    ])
+    def test_negative_seed_is_a_graph_error(self, seed, message):
+        """A negative integer, a float, a bool or a string is not a seed:
+        one GraphError line from random_graph and from random_comb."""
+        for draw in (lambda: random_graph(5, 0.5, (0.5, 2), (0.5, 2), 2, seed=seed),
+                     lambda: random_comb(4, 1.0, 2.0, seed)):
+            with pytest.raises(GraphError) as excinfo:
+                draw()
+            assert str(excinfo.value) == message
 
 
 BAD_RANGES = [(float("nan"), 1.0), (0.5, float("inf")), (-1.0, 2.0), (0.0, 1.0),
@@ -564,7 +597,7 @@ class TestBatchedGeodesics:
         u, v = _pair_arrays(n)
         lap = np.zeros((len(masks), n, n))
         lap[:, u, v] = lap[:, v, u] = -_bits(masks, len(u))
-        stack = _Stack(lap, np.ones((1, n)), np.zeros((len(masks), n), dtype=bool))
+        stack = _Stack(lap, np.ones((1, n)), np.zeros((len(masks), n), dtype=bool), n)
         dist = stack.dist
         pairs = list(combinations(range(n), 2))
         px, py = np.array(pairs).T
@@ -596,7 +629,7 @@ class TestBatchedGeodesics:
         lap = np.zeros((1, g.n, g.n))
         lap[0, u, v] = lap[0, v, u] = -w
         with np.errstate(all="raise"):
-            dist = _distance_tables(lap, np.zeros((1, g.n), dtype=bool))
+            dist = _distance_tables(lap, np.zeros((1, g.n), dtype=bool), g.n)
         assert dist[0].tolist() == hop_distance_matrix(g).tolist()
         assert dist.max() >= 3
         _, flags = geodesic_layers(dist[0][:, None], dist[0][None, :])  # cell (x, y)
@@ -687,24 +720,25 @@ class TestCheckInstance:
     @pytest.mark.parametrize("routine", ["solve", "eigh", "eigvalsh"])
     def test_linalg_error_is_a_numerics_failure(self, monkeypatch, routine):
         """A LinAlgError fails every instance of its stack, one record each.
-        The kernel eigensolves with eigh in every mode; only the per-graph route
-        calls eigvalsh."""
+        Both routes eigensolve with eigvalsh, and the per-graph route reports
+        its failure as a matrix that is not finite; neither calls eigh."""
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced failure")
 
         monkeypatch.setattr(np.linalg, routine, fail)
         unit = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
-        if routine == "eigvalsh":
-            assert reference_check_instance(unit_path(4)) == [
-                ("numerics_failure", {"error": "mass-reduced Steklov matrix is not finite"})
-            ]
-            assert check_instance(unit_path(4)) == [] and verify_corpus(unit) == []
+        if routine == "eigh":
+            assert reference_check_instance(unit_path(4)) == check_instance(unit_path(4)) == []
+            assert verify_corpus(unit) == []
             return
         assert check_instance(unit_path(4)) == [
             ("numerics_failure", {"error": "forced failure"})
         ]
         if routine == "solve":
             return
+        assert reference_check_instance(unit_path(4)) == [
+            ("numerics_failure", {"error": "mass-reduced Steklov matrix is not finite"})
+        ]
         random = CorpusSpec(mode="random", n_max=5, samples=20)
         for spec, rows in ((random, random.samples), (unit, 1 + 5)):  # 5 class rows on n = 3
             records = verify_corpus(spec)
@@ -712,6 +746,49 @@ class TestCheckInstance:
             assert [r.index for r in records] == list(range(rows))
             assert sum(r.labelings for r in records) == (
                 rows if spec.mode == "random" else count_exhaustive_instances(3))
+
+    @pytest.mark.parametrize("a, delta", [(1.0, 1e-6), (1e-6, 1e-12), (1.0, 1.0)])
+    @pytest.mark.parametrize("mass", [1.0, 4.0])
+    def test_misalignment_is_the_davis_kahan_bound(self, a, delta, mass):
+        """S = c [[a + delta, -a], [-a, a]] with both masses c has A = S / c,
+        v = (1, 1) / sqrt 2 and rho = delta / 2, so the bound
+        |A v - rho v| / (sigma_2 - rho) is delta / (2a + sqrt(4a^2 + delta^2))
+        at every scale.  Reading S in place of A is off by about c, and the
+        gap sigma_2 - sigma_1 in place of sigma_2 - rho is 5% off at
+        delta = a.  Each case fails the sigma1_constant_vector row."""
+        s = mass * np.array([[a + delta, -a], [-a, a]])
+        q = steklov_operator(s, None, None, np.full(2, mass))[2]
+        bound = delta / (2 * a + np.sqrt(4 * a * a + delta * delta))
+        assert q["misalignment"] == pytest.approx(bound, rel=1e-8)
+        holds = {check: holds for check, holds, _ in corpus._CHECKS}
+        assert not holds["sigma1_constant_vector"](q)
+
+    def test_misalignment_without_a_gap(self):
+        """One boundary vertex makes v exact, so the bound is 0; when
+        sigma_2 <= rho there is no bound, and it is +inf, with no warning."""
+        q = steklov_operator(np.array([[1e-3]]), None, None, np.array([2.0]))[2]
+        assert q["misalignment"] == 0.0
+        for s in (np.ones((3, 3)), np.zeros((2, 2))):  # rho = 3 > sigma_2 = 0; 0 / 0
+            assert steklov_operator(s, None, None, np.ones(len(s)))[2]["misalignment"] == np.inf
+
+    @pytest.mark.parametrize("path_len", [20, 200])
+    def test_heavy_comb_fails_the_eigenvector_row(self, monkeypatch, path_len):
+        """On a comb whose tree teeth weigh up to 1e12 times its path, the
+        kernel's unpruned S is off enough that sigma_1's eigenvector leaves
+        the constants: the row still fails, and its bound is within 1% of
+        the angle scipy's generalized eigh measures on the same S."""
+        operators, operator = [], corpus.steklov_operator
+
+        def recorded(l_bb, l_ob, interior_map, mass):
+            out = operator(l_bb, l_ob, interior_map, mass)
+            operators.append((out[0][0], mass[0]))
+            return out
+
+        monkeypatch.setattr(corpus, "steklov_operator", recorded)
+        failed = dict(check_instance(random_comb(path_len, 1, 2, seed=1, weight_factor=1e12)))
+        (schur, mass), = operators
+        assert failed["sigma1_constant_vector"]["misalignment"] == pytest.approx(
+            eigenvector_angle(schur, mass), rel=0.01)
 
     def test_unit_classes_check_the_lowest_eigenvector(self, monkeypatch):
         """Unit exhaustive mode runs the sigma1_constant_vector row like
@@ -931,10 +1008,12 @@ _RESIDUES = {"asymmetry": "schur_scale", "residual": "schur_scale",
 ], ids=["one-vertex", "weighted", "unit", "mixed"])
 def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes, unit):
     """A |B| group of mixed n, padded to its largest n, gives each instance
-    the quantities, verdicts and hop distances it gets stacked alone.  The
-    member with n = |B| has no interior; with |B| = 1 it is a one-vertex
-    graph, whose degree is 0 like a padding vertex's.  A group may mix unit
-    and weighted draws: each member's unit weights are its own."""
+    the quantities, verdicts and hop distances from the boundary it gets
+    stacked alone, and the padding columns of the (G, |B|, n) distances are
+    at the stack's n.  The member with n = |B| has no interior; with
+    |B| = 1 it is a one-vertex graph, whose degree is 0 like a padding
+    vertex's.  A group may mix unit and weighted draws: each member's unit
+    weights are its own."""
     units = unit if isinstance(unit, list) else [unit] * len(sizes)
     rng = np.random.default_rng(2)
     group = [corpus._random_instance(n, 0.5, (0.5, 2.0), (0.5, 2.0), nb, rng, u)
@@ -943,12 +1022,13 @@ def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes
     stack = built_stacks[-1]
     top = max(sizes)
     assert stack.lap.shape == (len(sizes), top, top)
+    assert stack.dist.shape == (len(sizes), nb, top)
     verdicts = {check: ok for check, _, ok in corpus._evaluate(padded)}
     for gi, inst in enumerate(group):
         alone = stack_quantities([inst], np.random.default_rng(0), frozenset())
         lone = built_stacks[-1]
-        assert np.array_equal(stack.dist[gi, :inst.n, :inst.n], lone.dist[0])
-        assert (stack.dist[gi, inst.n:] == top).all() and (stack.dist[gi, :, inst.n:] == top).all()
+        assert np.array_equal(stack.dist[gi, :, :inst.n], lone.dist[0])
+        assert (stack.dist[gi, :, inst.n:] == top).all()
         assert alone.keys() == padded.keys()
         for name, value in alone.items():
             if name in ("schur_form", "energy"):

@@ -317,7 +317,7 @@ class TestInteriorRoutes:
     def operator_by(route, g):
         blocks = spectral.interior_blocks(g)
         interior_map = route(*blocks.l_oo)(blocks.l_ob)
-        schur, eig, _, _ = spectral.steklov_operator(
+        schur, eig, _ = spectral.steklov_operator(
             blocks.l_bb, blocks.l_ob, interior_map, g.measures[list(g.boundary)])
         return len(blocks.interior), schur, eig
 
