@@ -12,9 +12,9 @@ padded to the stack's largest n with edgeless interior vertices, which leave
 every quantity unchanged.  It eigensolves for eigenvalues only, as the
 per-graph analysis does, and takes hop distances from the boundary vertices
 only.  Whether a graph has unit weights is read off its stack.  Every mode
-feeds it through one window loop, ``_verify_runs``, from runs of instances:
-a random draw or ``check_instance``'s graph is a run of one, and an
-exhaustive level is a run of bitmasks, with no per-instance object.
+feeds it through one window loop, ``_verify_runs``, from runs of instances
+with no per-instance object: a random batch (``_random_run``), a run of
+one for ``check_instance``, or an exhaustive level of bitmasks.
 
 Both exhaustive modes stream the rows of the isomorphism classes of
 connected graphs, each class crossed with the orbits of its automorphisms on
@@ -177,7 +177,7 @@ class _Instance(namedtuple("_Instance", "n u v w m boundary")):
         return cls(g.n, *g.edge_arrays, g.measures, np.asarray(g.boundary))
 
     def columns(self, lo: int, hi: int) -> tuple:
-        return (len(self.boundary),), self.boundary, (len(self.u),), self.u, self.v, self.w, self.m
+        return (self.n,), (len(self.boundary),), self.boundary, (len(self.u),), *self[1:5]
 
     def graph(self) -> WeightedBoundaryGraph:
         """The validated graph."""
@@ -218,28 +218,61 @@ def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
     if not 1 <= boundary_size <= n:
         raise GraphError("boundary size must be between 1 and n")
     check_ranges(weight_range=weight_range, measure_range=measure_range)
-    return _random_instance(n, edge_prob, weight_range, measure_range, boundary_size,
-                            seeded_rng(seed), unit).graph()
+    run = _random_run(seeded_rng(seed), np.array([n]), np.array([edge_prob], dtype=float),
+                      np.array([boundary_size]), weight_range, measure_range, unit)
+    return _Instance(n, run.u, run.v, run.w, run.m, run.bids).graph()
 
 
-def _random_instance(n, edge_prob, weight_range, measure_range, boundary_size, rng,
-                     unit) -> _Instance:
-    """The draw of :func:`random_graph`, as an instance."""
-    tails, heads = _pair_arrays(n)
+class _DrawnRun(namedtuple("_DrawnRun", "n rows sizes nb bids degree u v w m")):
+    """Drawn rows as whole columns, row r with ``sizes[r]`` vertices, ``nb[r]``
+    boundary ids and ``degree[r]`` edges; ``n`` is the largest size."""
+
+    __slots__ = ()
+
+    def columns(self, lo: int, hi: int) -> tuple:
+        b, e, c = (slice(*np.r_[0, np.cumsum(x)][[lo, hi]])
+                   for x in (self.nb, self.degree, self.sizes))
+        return (self.sizes[lo:hi], self.nb[lo:hi], self.bids[b], self.degree[lo:hi], self.u[e],
+                self.v[e], self.w[e], self.m[c])
+
+
+def _random_run(rng, n, edge_prob, boundary_size, weight_range, measure_range,
+                unit) -> _DrawnRun:
+    """Rows r of G(n[r], edge_prob[r]) conditioned on connectivity, with a
+    uniform boundary of ``boundary_size[r]`` vertices.  Each rejection round
+    is one ``rng.random`` over the vertex pairs of every pending row (rows in
+    order, ``_pair_arrays`` order within a row) and one component labelling
+    of their disjoint union, which keeps the connected rows.  Then the values
+    (:func:`_drawn_values`, or all 1 with ``unit``) and one sorted
+    ``rng.choice`` boundary per row: a batch of one draws as ``random_graph``
+    always has."""
+    tails, heads = _pair_arrays(int(n.max()))
+    edge, pending = np.zeros((len(n), len(tails)), dtype=bool), np.arange(len(n))
     for _ in range(RANDOM_RETRIES):
-        keep = rng.random(len(tails)) < edge_prob
-        u, v = tails[keep], heads[keep]
-        if not component_labels(n, u, v).any():
+        sizes = n[pending]
+        row, k = np.nonzero(heads < sizes[:, None])
+        on = rng.random(len(k)) < edge_prob[pending][row]
+        edge[pending[row], k] = on
+        row, k = row[on], k[on]
+        start = np.cumsum(sizes) - sizes
+        labels = component_labels(start[-1] + sizes[-1], start[row] + tails[k],
+                                  start[row] + heads[k])
+        pending = pending[np.logical_or.reduceat(labels != np.repeat(start, sizes), start)]
+        if not len(pending):
             break
     else:
-        raise GraphError(f"no connected draw in {RANDOM_RETRIES} tries (n={n}, p={edge_prob})")
+        raise GraphError(f"no connected draw in {RANDOM_RETRIES} tries "
+                         f"(n={int(n[pending[0]])}, p={float(edge_prob[pending[0]])})")
+    row, k = np.nonzero(edge)
+    degree = np.bincount(row, minlength=len(n))
     if unit:
-        weights, measures = np.ones(len(u)), np.ones(n)
+        w, m = np.ones(len(k)), np.ones(n.sum())
     else:
-        weights = rng.uniform(*weight_range, size=len(u))
-        measures = rng.uniform(*measure_range, size=n)
-    boundary = np.sort(rng.choice(n, size=boundary_size, replace=False))
-    return _Instance(n, u, v, weights, measures, boundary)
+        w, m = _drawn_values((rng, weight_range, measure_range), degree, n)
+    bids = np.concatenate([np.sort(rng.choice(size, nb, replace=False))
+                           for size, nb in zip(n.tolist(), boundary_size.tolist())])
+    return _DrawnRun(int(n.max()), len(n), n, boundary_size, bids, degree, tails[k], heads[k],
+                     w, m)
 
 
 @lru_cache(maxsize=64)
@@ -283,7 +316,7 @@ class _MaskRun(namedtuple("_MaskRun", "n rows masks draw")):
             w, m = np.ones(len(k)), np.ones(sizes.sum())
         else:
             w, m = _drawn_values(self.draw, degree, sizes)
-        return np.bincount(row, minlength=hi - lo), bids, degree, tails[k], heads[k], w, m
+        return sizes, np.bincount(row, minlength=hi - lo), bids, degree, tails[k], heads[k], w, m
 
 
 def _pair_index(n: int) -> np.ndarray:
@@ -582,7 +615,7 @@ def _windows(runs) -> Iterator[list[tuple[object, int, int, int]]]:
     """Cut the instance stream of ``runs`` into windows of at most
     ``_WINDOW_CELLS`` padded cells, instances x (largest n)^2, as (run,
     stream index of row lo, lo, hi) row ranges; a larger instance is a
-    window alone.  A run holds ``rows`` instances on ``n`` vertices."""
+    window alone.  A run holds ``rows`` instances on at most ``n`` vertices."""
     window, length, side, first = [], 0, 0, 0
     for run in runs:
         lo = 0
@@ -617,8 +650,8 @@ def _drawn_values(draw, degree: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarr
 def _verify_runs(runs, rng, mutations,
                  max_violations=None) -> list[tuple[int, str, dict, _Instance]]:
     """Verify the instances of ``runs`` window by window (:func:`_windows`);
-    ``run.columns(lo, hi)`` gives rows lo..hi as concatenable columns: |B|
-    per row, the boundary ids, the edge count per row, u, v, w and the
+    ``run.columns(lo, hi)`` gives rows lo..hi as concatenable columns: n and
+    |B| per row, the boundary ids, the edge count per row, u, v, w and the
     measures.  Rows, edges and vertices are ordered into the window's
     stacks, one per |B| in order of appearance, by one stable argsort each
     over an int16 stack rank; Green-check vectors are drawn per stack.
@@ -626,9 +659,8 @@ def _verify_runs(runs, rng, mutations,
     after the window that brings them to ``max_violations``."""
     failures: list[tuple[int, str, dict, _Instance]] = []
     for window in _windows(runs):
-        nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(
+        sizes, nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(
             run.columns(lo, hi) for run, _, lo, hi in window)))
-        sizes = np.repeat([run.n for run, *_ in window], [hi - lo for *_, lo, hi in window])
         count, first = len(sizes), window[0][1]
         on_b = np.zeros((count, sizes.max()), dtype=bool)
         on_b[np.repeat(np.arange(count), nb), bids] = True
@@ -674,14 +706,20 @@ def check_instance(g: WeightedBoundaryGraph, rng=None,
 # --- top-level verification ------------------------------------------------------
 
 
-def _random_instances(spec: CorpusSpec) -> Iterator[_Instance]:
+# Vertex pairs per random batch: a rejection round draws at most 2^16 uniforms
+# unless one row has more.  150 rows at n_max = 30, one from n_max = 257 on.
+_DRAW_PAIRS = 1 << 16
+
+
+def _random_runs(spec: CorpusSpec) -> Iterator[_DrawnRun]:
+    """The random corpus, batch by batch: every row's n, edge probability
+    and boundary size, then the rows."""
     rng = np.random.default_rng([spec.seed, 0])
-    for _ in range(spec.samples):
-        n = int(rng.integers(2, spec.n_max + 1))
-        edge_prob = float(rng.uniform(0.2, 0.9))
-        boundary_size = int(rng.integers(2, n + 1))
-        yield _random_instance(n, edge_prob, spec.weight_range, spec.measure_range,
-                               boundary_size, rng, spec.unit_only)
+    step = max(1, _DRAW_PAIRS // (spec.n_max * (spec.n_max - 1) // 2))
+    for lo in range(0, spec.samples, step):
+        n = rng.integers(2, spec.n_max + 1, size=min(step, spec.samples - lo))
+        yield _random_run(rng, n, rng.uniform(0.2, 0.9, size=len(n)), rng.integers(2, n + 1),
+                          spec.weight_range, spec.measure_range, spec.unit_only)
 
 
 def _class_runs(n_max: int, draw) -> Iterator[_MaskRun]:
@@ -721,7 +759,7 @@ def verify_corpus(
             raise GraphError(f"max_violations must be nonnegative, got {max_violations}")
     labelings = None  # a record of one labeled instance
     if spec.mode == "random":
-        runs = _random_instances(spec)
+        runs = _random_runs(spec)
     elif spec.unit_only:
         runs = _class_runs(spec.n_max, None)
         labelings = np.concatenate([_class_orbits(n)[:, 2] for n in range(2, spec.n_max + 1)])

@@ -128,11 +128,16 @@ class WeightedBoundaryGraph:
 
 def seeded_rng(seed) -> np.random.Generator:
     """``seed`` itself if it is a Generator, else a new one seeded with it;
-    a bool, a float, a string or a negative integer is a :class:`GraphError`."""
+    a bool, a float, a string or a negative integer, alone or as an entry of
+    a sequence seed, is a :class:`GraphError`."""
     if isinstance(seed, (Real, np.bool_, str, bytes)):
         require_integer("seed", seed)
         if seed < 0:
             raise GraphError(f"seed must be nonnegative, got {seed}")
+    elif isinstance(seed, (Sequence, np.ndarray)):
+        for entry in seed.ravel().tolist() if isinstance(seed, np.ndarray) else seed:
+            if isinstance(entry, bool) or not isinstance(entry, Integral) or entry < 0:
+                raise GraphError(f"seed entries must be nonnegative integers, got {entry!r}")
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 

@@ -5,7 +5,8 @@ their harmonic extension.  Its matrix (scaled by the boundary masses) is the
 Schur complement of the weighted Laplacian onto the boundary block, and the
 eigenvalues come from the generalized symmetric problem ``S v = sigma M_B v``
 solved through the diagonal mass reduction.  No eigenvector is computed: the
-one check on sigma_1's eigenvector reads a Davis-Kahan bound instead.
+one check on sigma_1's eigenvector reads a Davis-Kahan bound instead.  scipy
+is imported by the first interior factorization, not with the module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .graph import (
     EmptyBoundaryError,
@@ -196,6 +196,18 @@ def interior_blocks(g: WeightedBoundaryGraph) -> InteriorBlocks:
 
 def _factorization_failed(detail) -> NumericsError:
     return NumericsError(f"interior block factorization failed: {detail}")
+
+
+def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
+    """``scipy.linalg.cho_factor``, imported on first use."""
+    import scipy.linalg
+    return scipy.linalg.cho_factor(a, lower, overwrite_a, check_finite)
+
+
+def cho_solve(c_and_lower, b, overwrite_b=False, check_finite=True):
+    """``scipy.linalg.cho_solve``, imported on first use."""
+    import scipy.linalg
+    return scipy.linalg.cho_solve(c_and_lower, b, overwrite_b, check_finite)
 
 
 def cholesky_interior(data, indices, indptr):

@@ -11,18 +11,30 @@ needs: a brute-force list of the connected labeled graphs, the orbits of the
 isomorphism classes under relabelling, and the exhaustive corpus as a stream
 of instances, one object per labeled instance or per repeated class row.  In
 unit mode the reference checks every labeled instance and folds the failures
-by canonical (class, orbit) row, which is what the kernel reports.
+by canonical (class, orbit) row, which is what the kernel reports.  The
+random corpus is drawn one row at a time (:func:`random_instances`), in the
+order that the batched draw of ``steklov.corpus`` consumes the generator.
 """
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import scipy.linalg
 
-from steklov import bound_report, check_rigidity, graph_to_json_dict
+from steklov import (
+    GraphError,
+    bound_report,
+    check_rigidity,
+    graph_from_arrays,
+    graph_to_json_dict,
+    is_connected,
+)
 from steklov.corpus import (
+    RANDOM_RETRIES,
     ViolationRecord,
+    _DRAW_PAIRS,
     _bits,
     _boundary_masks,
     _CHECK_RANK,
@@ -35,7 +47,6 @@ from steklov.corpus import (
     _Instance,
     _pair_arrays,
     _permutations,
-    _random_instances,
     _relabelled,
     _relabellings,
 )
@@ -100,7 +111,7 @@ def reference_verify(spec, mutations=frozenset()) -> list:
     if spec.mode == "exhaustive" and spec.unit_only:
         return fold_by_class_row(spec.n_max, rng, mutations)
     if spec.mode == "random":
-        instances = _random_instances(spec)
+        instances = random_instances(spec)
     else:
         instances = class_row_instances(spec.n_max, np.random.default_rng([spec.seed, 0]),
                                         spec.weight_range, spec.measure_range)
@@ -110,6 +121,50 @@ def reference_verify(spec, mutations=frozenset()) -> list:
         records.extend(ViolationRecord(index, check, graph_to_json_dict(g), details)
                        for check, details in reference_check_instance(g, rng, mutations))
     return records
+
+
+def random_instances(spec):
+    """The random corpus one row at a time.  Per batch of
+    ``_DRAW_PAIRS // (n_max choose 2)`` rows (at least one): every row's n,
+    then every edge probability, then every boundary size; then rejection
+    rounds, each drawing ``rng.random`` over the vertex pairs of one pending
+    row after another and then testing each row's graph for connectivity;
+    then each row's weights and measures by ``rng.uniform``; then each row's
+    boundary by ``rng.choice``."""
+    rng = np.random.default_rng([spec.seed, 0])
+    step = max(1, _DRAW_PAIRS // comb(spec.n_max, 2))
+    for lo in range(0, spec.samples, step):
+        rows = min(step, spec.samples - lo)
+        sizes = rng.integers(2, spec.n_max + 1, size=rows).tolist()
+        probs = rng.uniform(0.2, 0.9, size=rows).tolist()
+        boundary_sizes = rng.integers(2, np.array(sizes) + 1).tolist()
+        edges = draw_connected(rng, sizes, probs)
+        values = []
+        for n, (u, _) in zip(sizes, edges):
+            if spec.unit_only:
+                values.append((np.ones(len(u)), np.ones(n)))
+            else:
+                values.append((rng.uniform(*spec.weight_range, size=len(u)),
+                               rng.uniform(*spec.measure_range, size=n)))
+        for n, nb, (u, v), (w, m) in zip(sizes, boundary_sizes, edges, values):
+            boundary = np.sort(rng.choice(n, size=nb, replace=False))
+            yield _Instance(n, u, v, w, m, boundary)
+
+
+def draw_connected(rng, sizes, probs) -> list:
+    """(tails, heads) of a connected G(n, p) draw per row, by rejection
+    rounds over the rows still pending, in row order."""
+    edges, pending = [None] * len(sizes), list(range(len(sizes)))
+    for _ in range(RANDOM_RETRIES):
+        for r in pending:
+            pairs = np.array(list(combinations(range(sizes[r]), 2))).reshape(-1, 2)
+            on = rng.random(len(pairs)) < probs[r]
+            edges[r] = pairs[on, 0], pairs[on, 1]
+        pending = [r for r in pending if not is_connected(graph_from_arrays(
+            np.ones(sizes[r]), [0], zip(*(x.tolist() for x in edges[r]), [1.0] * len(edges[r][0]))))]
+        if not pending:
+            return edges
+    raise GraphError(f"no connected draw in {RANDOM_RETRIES} tries")
 
 
 def fold_by_class_row(n_max: int, rng, mutations=frozenset()) -> list:

@@ -37,7 +37,7 @@ from steklov.corpus import (
     _Instance,
     _pair_arrays,
     _permutations,
-    _random_instances,
+    _random_runs,
     _relabelled,
     _Stack,
 )
@@ -52,6 +52,7 @@ from reference_corpus import (
     eigenvector_angle,
     labeled_masks,
     mask_instance,
+    random_instances,
     reference_check_instance,
     reference_quantities,
     reference_verify,
@@ -62,13 +63,29 @@ from reference_corpus import (
 def stack_quantities(stack, rng, mutations):
     """The kernel's quantities of instances that share |B|, stacked as one,
     their arrays concatenated into the edge columns of ``_column_quantities``."""
-    nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(inst.columns(0, 1)
-                                                            for inst in stack)))
-    count, sizes = len(stack), np.array([inst.n for inst in stack])
+    sizes, nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(inst.columns(0, 1)
+                                                                   for inst in stack)))
+    count = len(stack)
     on_b = np.zeros((count, sizes.max()), dtype=bool)
     on_b[np.repeat(np.arange(count), nb), bids] = True
     return corpus._column_quantities(int(nb[0]), sizes, on_b, np.repeat(np.arange(count), degree),
                                      u, v, w, m, rng, mutations)
+
+
+def run_instances(run) -> list:
+    """The rows of a run as instances, sliced off its columns one by one."""
+    out = []
+    for r in range(run.rows):
+        (n,), _, boundary, _, u, v, w, m = run.columns(r, r + 1)
+        out.append(_Instance(int(n), u, v, w, m, boundary))
+    return out
+
+
+def drawn_instance(rng, n, edge_prob, boundary_size, unit=False) -> _Instance:
+    """One row of the draw routine, as an instance."""
+    run = corpus._random_run(rng, np.array([n]), np.array([edge_prob]),
+                             np.array([boundary_size]), (0.5, 2.0), (0.5, 2.0), unit)
+    return run_instances(run)[0]
 
 
 def connected_labeled_count(n):
@@ -131,7 +148,7 @@ class TestRandomGraph:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before the arguments were checked")
 
-        monkeypatch.setattr(corpus, "_random_instance", no_draw)
+        monkeypatch.setattr(corpus, "_random_run", no_draw)
         for args, message in [
             ((1, 0.5, 1), "random graphs need n >= 2"),
             ((4, 0.5, 5), "boundary size must be between 1 and n"),
@@ -157,15 +174,32 @@ class TestRandomGraph:
                      id="numpy-float"),
         pytest.param(True, "seed must be an integer, got True", id="bool"),
         pytest.param("7", "seed must be an integer, got '7'", id="string"),
+        pytest.param([1.5], "seed entries must be nonnegative integers, got 1.5",
+                     id="sequence-float"),
+        pytest.param(["a"], "seed entries must be nonnegative integers, got 'a'",
+                     id="sequence-string"),
+        pytest.param([-1], "seed entries must be nonnegative integers, got -1",
+                     id="sequence-negative"),
+        pytest.param([True], "seed entries must be nonnegative integers, got True",
+                     id="sequence-bool"),
     ])
     def test_negative_seed_is_a_graph_error(self, seed, message):
-        """A negative integer, a float, a bool or a string is not a seed:
-        one GraphError line from random_graph and from random_comb."""
+        """A negative integer, a float, a bool or a string is not a seed,
+        alone or as an entry of a sequence seed: one GraphError line from
+        random_graph and from random_comb."""
         for draw in (lambda: random_graph(5, 0.5, (0.5, 2), (0.5, 2), 2, seed=seed),
                      lambda: random_comb(4, 1.0, 2.0, seed)):
             with pytest.raises(GraphError) as excinfo:
                 draw()
             assert str(excinfo.value) == message
+
+    def test_seeds_that_numpy_takes(self):
+        """An integer, a sequence of nonnegative integers and a Generator
+        still seed the draw, each as numpy seeds it."""
+        draw = functools.partial(random_graph, 12, 0.4, (0.5, 2.0), (0.5, 2.0), 3)
+        assert draw(seed=7) == draw(seed=np.int64(7)) == draw(seed=np.random.default_rng(7))
+        assert draw(seed=[7, 0]) == draw(seed=np.random.default_rng([7, 0]))
+        assert draw(seed=(7, np.int64(0))) == draw(seed=np.array([7, 0]))
 
 
 BAD_RANGES = [(float("nan"), 1.0), (0.5, float("inf")), (-1.0, 2.0), (0.0, 1.0),
@@ -214,7 +248,7 @@ def test_malformed_ranges(monkeypatch, name, bad, message):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before the ranges were checked")
 
-    monkeypatch.setattr(corpus, "_random_instance", no_draw)
+    monkeypatch.setattr(corpus, "_random_run", no_draw)
     ranges = {"weight_range": (0.5, 2.0), "measure_range": (0.5, 2.0), name: bad}
     for make in (lambda: random_graph(12, 0.5, ranges["weight_range"], ranges["measure_range"],
                                       3, seed=0),
@@ -462,15 +496,42 @@ class TestInstanceStreams:
             assert np.asarray(ours).dtype.kind == np.asarray(theirs).dtype.kind
 
     @pytest.mark.parametrize("unit_only", [False, True])
-    def test_random_stream_is_random_graph(self, unit_only):
+    def test_random_stream_is_random_graph(self, monkeypatch, unit_only):
+        """In batches of one, the random stream is successive ``random_graph``
+        calls on one generator, bitwise.  Batches are one row from n_max =
+        257 on; here the pair budget is cut to make them so at n_max = 30."""
+        big = CorpusSpec(mode="random", n_max=257, samples=3, seed=4, unit_only=unit_only)
+        assert [run.rows for run in _random_runs(big)] == [1, 1, 1]
+        monkeypatch.setattr(corpus, "_DRAW_PAIRS", 1)
         spec = CorpusSpec(mode="random", n_max=30, samples=300, seed=4, unit_only=unit_only)
         rng = np.random.default_rng([spec.seed, 0])
-        for inst in _random_instances(spec):
+        runs = list(_random_runs(spec))
+        assert len(runs) == spec.samples and {run.rows for run in runs} == {1}
+        for run in runs:
             n = int(rng.integers(2, spec.n_max + 1))
             p = float(rng.uniform(0.2, 0.9))
             g = random_graph(n, p, spec.weight_range, spec.measure_range,
                              int(rng.integers(2, n + 1)), rng, unit=unit_only)
-            self.assert_instance_is_graph(inst, g)
+            self.assert_instance_is_graph(run_instances(run)[0], g)
+
+    @pytest.mark.parametrize("unit_only", [False, True])
+    @pytest.mark.parametrize("n_max, samples", [(8, 2400), (30, 300), (60, 100)])
+    def test_batched_stream_is_the_reference_draw(self, n_max, samples, unit_only):
+        """The batched draw is bitwise the per-row reference draw of
+        ``reference_corpus.random_instances``, over two or more batches."""
+        spec = CorpusSpec(mode="random", n_max=n_max, samples=samples, seed=6,
+                          unit_only=unit_only)
+        runs = list(_random_runs(spec))
+        assert len(runs) >= 2 and sum(run.rows for run in runs) == samples
+        ours = [inst for run in runs for inst in run_instances(run)]
+        theirs = list(random_instances(spec))
+        assert len(ours) == len(theirs) == samples
+        for inst, ref in zip(ours, theirs):
+            assert inst.n == ref.n
+            for a, b in zip(inst[1:], ref[1:]):
+                assert np.asarray(a).dtype.kind == np.asarray(b).dtype.kind
+                assert np.array_equal(a, b)
+        assert any(inst.n < run.n for run in runs for inst in run_instances(run))
 
     def test_weighted_stream_is_enumerate_small(self):
         ranges = (0.25, 4.0), (0.5, 2.0)
@@ -1016,8 +1077,7 @@ def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes
     weights are its own."""
     units = unit if isinstance(unit, list) else [unit] * len(sizes)
     rng = np.random.default_rng(2)
-    group = [corpus._random_instance(n, 0.5, (0.5, 2.0), (0.5, 2.0), nb, rng, u)
-             for n, u in zip(sizes, units)]
+    group = [drawn_instance(rng, n, 0.5, nb, u) for n, u in zip(sizes, units)]
     padded = stack_quantities(group, np.random.default_rng(0), frozenset())
     stack = built_stacks[-1]
     top = max(sizes)
@@ -1055,16 +1115,17 @@ def reference_keys(spec, mutation):
     return [(r.index, r.check) for r in reference_verify(spec, frozenset({mutation}))]
 
 
-@pytest.mark.parametrize("cells", [1 << 6, 1 << 9])
+@pytest.mark.parametrize("cells", [1 << 6, 1 << 9, 1 << 12])
 @pytest.mark.parametrize("spec", [
     CorpusSpec(mode="random", n_max=30, samples=300),
     CorpusSpec(mode="exhaustive", n_max=4, seed=3),
 ], ids=["random", "weighted"])
 def test_window_size_keeps_the_records(monkeypatch, spec, cells):
-    """Small windows take every branch of the windower: random instances
-    larger than the window each fill one alone, levels of bitmask instances
-    are cut across windows, and windows hold several runs.  The failures
-    are those of the default window and of the per-graph reference."""
+    """Small windows take every branch of the windower: runs (random
+    batches, levels of bitmask instances) are cut across windows; where a
+    row of the run's largest n is larger than the window, each row fills
+    one alone, and otherwise windows hold several runs.  The failures are
+    those of the default window and of the per-graph reference."""
     mutations = frozenset({MUTATION_BOUND_DB})
     key = lambda recs: [(r.index, r.check) for r in recs]  # noqa: E731
     default = key(verify_corpus(spec, mutations=mutations))
@@ -1079,11 +1140,11 @@ def test_window_size_keeps_the_records(monkeypatch, spec, cells):
     monkeypatch.setattr(corpus, "_windows", recorded)
     assert key(verify_corpus(spec, mutations=mutations)) == default
     assert default == reference_keys(spec, MUTATION_BOUND_DB) and default
-    if spec.mode == "random":
+    assert any(lo > 0 for parts in windows for _, lo, _ in parts)
+    if max(n for parts in windows for n, _, _ in parts) ** 2 > cells:
         assert any(len(parts) == 1 and parts[0][0] ** 2 > cells for parts in windows)
     else:
-        assert any(lo > 0 for parts in windows for _, lo, _ in parts)
-    assert any(len(parts) > 1 for parts in windows)
+        assert any(len(parts) > 1 for parts in windows)
     for parts in windows:
         side, length = max(n for n, _, _ in parts), sum(hi - lo for _, lo, hi in parts)
         assert length == 1 or length * side**2 <= cells
