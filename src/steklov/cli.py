@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from .bounds import bound_report
-from .corpus import RANDOM_N_MAX, CorpusSpec, count_exhaustive_instances, verify_corpus
+from .corpus import (RANDOM_N_MAX, CorpusSpec, count_class_rows, count_exhaustive_instances,
+                     verify_corpus)
 from .graph import (
     Check,
     GraphError,
@@ -234,17 +235,11 @@ def _cmd_verify(args) -> int:
     records = verify_corpus(spec)
     for record in records:
         print(json.dumps(record.to_json_dict(), allow_nan=False))
-    instances = (
-        spec.samples if spec.mode == "random"
-        else count_exhaustive_instances(spec.n_max)
-    )
-    summary = {
-        "summary": True,
-        "mode": spec.mode,
-        "instances": instances,
-        "violations": len(records),
-        "seed": spec.seed,
-    }
+    summary = {"summary": True, "mode": spec.mode, "instances": spec.samples}
+    if spec.mode == "exhaustive":
+        summary["instances"] = count_exhaustive_instances(spec.n_max)
+        summary["class_rows"] = count_class_rows(spec.n_max)
+    summary.update(violations=len(records), seed=spec.seed)
     print(json.dumps(summary), file=sys.stderr)
     return 1 if records else 0
 

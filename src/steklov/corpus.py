@@ -11,8 +11,9 @@ from edge columns: each graph relabelled boundary-first, stacked by |B| and
 padded to the stack's largest n with edgeless interior vertices, which leave
 every quantity unchanged.  It eigensolves for eigenvalues only, as the
 per-graph analysis does, and takes hop distances from the boundary vertices
-only.  Whether a graph has unit weights is read off its stack.  Every mode
-feeds it through one window loop, ``_verify_runs``, from runs of instances
+only.  Its comb test is ``is_comb_over``'s, ``shared_components``, over the
+edge columns the stack keeps.  Whether a graph has unit weights is read off
+its stack.  Every mode feeds it through one window loop, ``_verify_runs``, from runs of instances
 with no per-instance object: a random batch (``_random_run``), a run of
 one for ``check_instance``, or an exhaustive level of bitmasks.
 
@@ -54,6 +55,7 @@ from .graph import (
     require_connected,
     require_integer,
     seeded_rng,
+    shared_components,
 )
 from .rigidity import bound_attained
 from .spectral import OPERATOR_CHECKS, steklov_operator
@@ -193,7 +195,8 @@ class _Instance(namedtuple("_Instance", "n u v w m boundary")):
 
 
 def _check_n_max(mode: str, n_max: int) -> None:
-    """The n_max range of a mode, for the spec and for the exhaustive count."""
+    """The n_max range of a mode, for the spec and for the exhaustive counts."""
+    require_integer("n_max", n_max)
     if not 2 <= n_max <= _N_MAX[mode]:
         raise GraphError(f"{mode} mode requires 2 <= n_max <= {_N_MAX[mode]}")
 
@@ -407,9 +410,14 @@ def _class_orbits(n: int) -> np.ndarray:
 def count_exhaustive_instances(n_max: int) -> int:
     """Number of (graph, boundary) instances of the exhaustive corpus, the
     labeled count: the labelings of the class rows."""
-    require_integer("n_max", n_max)
     _check_n_max("exhaustive", n_max)
     return sum(int(_class_orbits(n)[:, 2].sum()) for n in range(2, n_max + 1))
+
+
+def count_class_rows(n_max: int) -> int:
+    """Number of class rows of the exhaustive corpus, the rows it verifies."""
+    _check_n_max("exhaustive", n_max)
+    return sum(len(_class_orbits(n)) for n in range(2, n_max + 1))
 
 
 # --- the check table's evaluator and its shared quantities ---------------------
@@ -486,8 +494,9 @@ def _distance_tables(lap: np.ndarray, pad: np.ndarray, nb: int) -> np.ndarray:
 class _Stack:
     """G graphs on n vertices, the first ``nb`` of them the boundary: the
     (G, n, n) Laplacians, the (G, n) measures (or one (1, n) row shared by
-    every graph), the (G, n) padding mask and the (G, nb, n) hop distances
-    from the boundary.
+    every graph), the (G, n) padding mask, the edge columns (graph, tail,
+    head, weight) that ``lap`` was scattered from and the (G, nb, n) hop
+    distances from the boundary.
 
     ``lap`` comes holding -w on each edge and 0 elsewhere; its diagonal is
     set here, in place, to the weighted degree plus ``pad``.  Padding
@@ -498,10 +507,10 @@ class _Stack:
     and measures are all 1.
     """
 
-    def __init__(self, lap: np.ndarray, measures: np.ndarray, pad: np.ndarray, nb: int):
+    def __init__(self, lap: np.ndarray, measures: np.ndarray, pad: np.ndarray, nb: int, edges):
         n = lap.shape[-1]
         lap[:, np.arange(n), np.arange(n)] = pad - lap.sum(axis=2)
-        self.lap, self.measures = lap, measures
+        self.lap, self.measures, self.edges = lap, measures, edges
         self.w0 = -np.where(lap < 0, lap, -np.inf).max(axis=(1, 2))
         self.unit = (measures == 1).all(1) & ((lap >= 0) | (lap == -1)).all((1, 2))
         self.dist = _distance_tables(lap, pad, nb)
@@ -543,31 +552,28 @@ def _quantities(stack: _Stack, nb: int, rng, mutations) -> dict:
         if nb == 2:
             cond[0] = mass[:, 0] == mass[:, 1]
             on, unique = geodesic_layers(stack.dist[:, 0], stack.dist[:, 1])
-            gi = np.flatnonzero(unique)
-            cond[1:, gi] = _geodesic_conditions(stack, gi, on[gi])
+            cond[1:] = _geodesic_conditions(stack, on & unique[:, None]) & unique
         q.update(_certificate(*cond, mutations))
     return q
 
 
-def _geodesic_conditions(stack: _Stack, gi, on) -> tuple[np.ndarray, np.ndarray]:
-    """cond_path and cond_comb of graph ``gi[k]`` over the unique geodesic
-    whose vertex mask is ``on[k]`` (:func:`~steklov.graph.geodesic_layers`).
-
-    Its edges are the edges among those vertices (no chord), each weighing
-    w0 bitwise for the path condition.  The graph is a comb when no two of
-    those vertices are joined once those edges are removed: a closure by
-    repeated boolean squaring.
+def _geodesic_conditions(stack: _Stack, on: np.ndarray) -> np.ndarray:
+    """cond_path and cond_comb, (2, G), of each graph of ``stack`` over the
+    unique geodesic whose vertex mask is its row of ``on``, read off the
+    edge columns.  The geodesic's edges are those with both ends on it (a
+    shortest path has no chord), and each must weigh w0 bitwise.  The comb
+    test is ``shared_components`` over the stack's other edges as one
+    disjoint union, in which vertex x of graph g is g n + x.
     """
-    n = on.shape[-1]
-    on_pairs = on[:, :, None] & on[:, None, :]
-    lap = stack.lap[gi]
-    edge = lap < 0
-    cond_path = ~(edge & on_pairs & (lap != -stack.w0[gi, None, None])).any(axis=(1, 2))
-    eye = np.eye(n, dtype=bool)
-    reach = edge & ~on_pairs | eye
-    for _ in range((n - 2).bit_length()):
-        reach = reach @ reach
-    return cond_path, ~(reach & on_pairs & ~eye).any(axis=(1, 2))
+    gi, u, v, w = stack.edges
+    count, n = on.shape
+    on_path = on[gi, u] & on[gi, v]
+    off, marked = gi[~on_path] * n, np.flatnonzero(on)
+    _, shared = shared_components(count * n, off + u[~on_path], off + v[~on_path], marked)
+    cond = np.ones((2, count), dtype=bool)
+    cond[0, gi[on_path & (w != stack.w0[gi])]] = False
+    cond[1, marked[shared] // n] = False
+    return cond
 
 
 def _failed_cells(q: dict) -> Iterator[tuple[int, str, dict]]:
@@ -602,7 +608,7 @@ def _column_quantities(nb: int, sizes, on_b, gi, u, v, w, m, rng, mutations) -> 
     lap[gi, u, v] = lap[gi, v, u] = -w
     measures = np.ones((count, n))
     measures[np.nonzero(~pad)[0], label[~pad]] = m
-    return _quantities(_Stack(lap, measures, pad, nb), nb, rng, mutations)
+    return _quantities(_Stack(lap, measures, pad, nb, (gi, u, v, w)), nb, rng, mutations)
 
 
 # Padded matrix cells, instances x (largest n)^2, per window of a graph

@@ -551,6 +551,16 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = jumped
 
 
+def shared_components(n: int, u: np.ndarray, v: np.ndarray, marked: np.ndarray):
+    """The :func:`component_labels` of the graph on 0..n-1 with edges
+    ``(u[k], v[k])``, and whether each of the distinct vertices ``marked``
+    shares its component with another: the comb test, since G is a comb over
+    a path iff no path vertex does once the path's edges are removed."""
+    labels = component_labels(n, u, v)
+    at = labels[marked]
+    return labels, np.bincount(at, minlength=n)[at] > 1
+
+
 def is_connected(g: WeightedBoundaryGraph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
     u, v, _ = g.edge_arrays

@@ -19,13 +19,13 @@ from .graph import (
     GraphError,
     WeightedBoundaryGraph,
     check_ranges,
-    component_labels,
     geodesic_layers,
     graph_from_arrays,
     hop_distances,
     is_connected,
     require_integer,
     seeded_rng,
+    shared_components,
 )
 
 EQUALITY_TOL = 1e-8
@@ -82,14 +82,16 @@ def is_comb_over(
     ``path`` must be a simple path in g (consecutive vertices adjacent, no
     repeats).  Only the path's edges are removed; all vertices remain.
     """
-    path = tuple(int(v) for v in path)
+    path = tuple(path)
+    for v in path:
+        require_integer("invalid path: vertex", v)
+        if not 0 <= v < g.n:
+            raise GraphError(f"invalid path: unknown vertex {v}")
+    path = tuple(map(int, path))
     if len(path) == 0:
         raise GraphError("invalid path: empty")
     if len(set(path)) != len(path):
         raise GraphError("invalid path: repeated vertex")
-    for v in path:
-        if not 0 <= v < g.n:
-            raise GraphError(f"invalid path: unknown vertex {v}")
     removed = []
     for a, b in zip(path, path[1:]):
         key = (min(a, b), max(a, b))
@@ -100,15 +102,13 @@ def is_comb_over(
     tails, heads, _ = g.edge_arrays
     kept = np.ones(len(tails), dtype=bool)
     kept[removed] = False
-    comp = component_labels(g.n, tails[kept], heads[kept]).tolist()
+    labels, shared = shared_components(g.n, tails[kept], heads[kept], np.array(path))
+    labels = labels.tolist()
     members: dict[int, set[int]] = {}
-    for x in range(g.n):
-        members.setdefault(comp[x], set()).add(x)
-    components = tuple(frozenset(members[comp[v]]) for v in path)
-    is_comb = len({comp[v] for v in path}) == len(path)
-    return CombDecomposition(
-        path_vertices=path, components=components, is_comb=is_comb
-    )
+    for x, label in enumerate(labels):
+        members.setdefault(label, set()).add(x)
+    components = tuple(frozenset(members[labels[v]]) for v in path)
+    return CombDecomposition(path_vertices=path, components=components, is_comb=not shared.any())
 
 
 def bound_attained(sigma2, bound, tol: float = EQUALITY_TOL):
@@ -255,6 +255,7 @@ def comb_graph(
     each tooth may touch only one path vertex so the geodesic stays unique.
     The resulting sigma_2 equals ``2 path_weight / (endpoint_mass path_len)``.
     """
+    require_integer("path_len", path_len)
     if path_len < 1:
         raise GraphError("path length must be at least 1")
     _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass))
@@ -278,18 +279,14 @@ def comb_graph(
             if not (0 <= a < k and 0 <= b < k):
                 raise GraphError(f"tooth edge ({a}, {b}) out of range")
             if w < path_weight:
-                raise GraphError(
-                    f"tooth edge weight {w!r} below path weight {path_weight!r}"
-                )
+                raise GraphError(f"tooth edge weight {w!r} below path weight {path_weight!r}")
         for t, p, w in teeth.attachments:
             if not 0 <= t < k:
                 raise GraphError(f"attachment tooth vertex {t} out of range")
             if not 0 <= p <= path_len:
                 raise GraphError(f"attachment path index {p} out of range")
             if w < path_weight:
-                raise GraphError(
-                    f"tooth edge weight {w!r} below path weight {path_weight!r}"
-                )
+                raise GraphError(f"tooth edge weight {w!r} below path weight {path_weight!r}")
         measures.extend(teeth.measures)
         edges.extend((n_path + a, n_path + b, w) for a, b, w in teeth.edges)
         edges.extend((n_path + t, p, w) for t, p, w in teeth.attachments)
@@ -319,6 +316,7 @@ def random_comb(
     ``measure_range``.  Deterministic for a given seed.
     """
     rng = seeded_rng(seed)
+    require_integer("path_len", path_len)
     require_integer("max_tooth_vertices", max_tooth_vertices)
     if max_tooth_vertices < 1:
         raise GraphError(f"max_tooth_vertices must be >= 1, got {max_tooth_vertices}")
@@ -348,17 +346,5 @@ def random_comb(
         root = offset + int(rng.integers(0, size))
         attachments.append((root, index, rand_weight()))
 
-    teeth = None
-    if measures:
-        teeth = ToothSet(
-            measures=tuple(measures),
-            edges=tuple(tooth_edges),
-            attachments=tuple(attachments),
-        )
-    return comb_graph(
-        path_len=path_len,
-        path_weight=path_weight,
-        endpoint_mass=endpoint_mass,
-        teeth=teeth,
-        interior_masses=interior,
-    )
+    teeth = ToothSet(tuple(measures), tuple(tooth_edges), tuple(attachments)) if measures else None
+    return comb_graph(path_len, path_weight, endpoint_mass, teeth, interior_masses=interior)

@@ -284,6 +284,16 @@ class TestVerify:
         assert summary["instances"] == 435
         assert summary["seed"] == 0
 
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+    def test_exhaustive_summary_counts_class_rows(self, capsys, unit):
+        """Beside the 435 labeled instances with n <= 4, the summary gives
+        the 1 + 5 + 33 class rows the run verified; stdout stays empty."""
+        code, out, err = run(capsys, "verify", "--mode", "exhaustive", "--n-max", "4",
+                             *(["--unit-only"] if unit else []))
+        assert (code, out) == (0, "")
+        summary = json.loads(err.strip().splitlines()[-1])
+        assert (summary["instances"], summary["class_rows"]) == (435, 39)
+
     def test_random_clean_run(self, capsys):
         code, out, err = run(
             capsys, "verify", "--mode", "random", "--n-max", "8",

@@ -648,18 +648,26 @@ class TestMaskFeeder:
         assert any((stack.dist == stack.lap.shape[-1]).any() for stack, _, _ in ours)
 
 
+def unit_stack(n: int, masks: np.ndarray) -> _Stack:
+    """The stack of the unit-weight graphs on n vertices with these edge
+    masks, every vertex a boundary vertex, with its edge columns."""
+    u, v = _pair_arrays(n)
+    gi, k = np.nonzero(_bits(masks, len(u)))
+    lap = np.zeros((len(masks), n, n))
+    lap[gi, u[k], v[k]] = lap[gi, v[k], u[k]] = -1.0
+    return _Stack(lap, np.ones((1, n)), np.zeros((len(masks), n), dtype=bool), n,
+                  (gi, u[k], v[k], np.ones(len(k))))
+
+
 class TestBatchedGeodesics:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_walk_counts_and_comb_match_per_graph_route(self, n):
         """Distances from the reach powers equal hop_distance_matrix, the
         layer flags mark exactly the pairs with one geodesic, and the
-        vectorized comb test agrees with is_comb_over on every such pair."""
+        vectorized comb test agrees with is_comb_over on every such pair:
+        the stack of cells holds graph gi once per pair with one geodesic."""
         masks = labeled_masks(n)
-        u, v = _pair_arrays(n)
-        lap = np.zeros((len(masks), n, n))
-        lap[:, u, v] = lap[:, v, u] = -_bits(masks, len(u))
-        stack = _Stack(lap, np.ones((1, n)), np.zeros((len(masks), n), dtype=bool), n)
-        dist = stack.dist
+        dist = unit_stack(n, masks).dist
         pairs = list(combinations(range(n), 2))
         px, py = np.array(pairs).T
         on, flags = geodesic_layers(dist[:, px], dist[:, py])
@@ -675,7 +683,7 @@ class TestBatchedGeodesics:
                     cells.append((gi, k))
                     expected.append(is_comb_over(g, geodesics[0]).is_comb)
         gi, k = np.array(cells).T
-        cond_path, cond_comb = _geodesic_conditions(stack, gi, on[gi, k])
+        cond_path, cond_comb = _geodesic_conditions(unit_stack(n, masks[gi]), on[gi, k])
         assert cond_path.all()  # unit weights: every geodesic edge is w0
         assert cond_comb.tolist() == expected
         if n >= 3:
@@ -711,6 +719,32 @@ class TestBatchedGeodesics:
         assert q["cond_boundary"].tolist() == [True]
         assert q["cond_path"].tolist() == [False]
         assert q["certified_equality"].tolist() == [False]
+
+    @pytest.mark.parametrize("weight_factor", [1.0, 10.0, 1e4])
+    @pytest.mark.parametrize("path_len", [20, 60, 200])
+    def test_comb_certificate_matches_check_rigidity(self, path_len, weight_factor):
+        """Both engines' cond_path and cond_comb agree on combs with up to
+        about 900 vertices and on two near-combs of each: a chord between
+        the teeth of path vertices 1 and 2 (the geodesic stays unique, the
+        comb goes), and path edge 0-1 raised to 2.5 (the path condition
+        goes).  Combs are clean; the comb sentinel trips on the chord."""
+        g = random_comb(path_len, 1.0, 2.0, seed=path_len, weight_factor=weight_factor)
+        u, v, _ = g.edge_arrays
+        tooth = [int(v[(u == i) & (v > path_len)].min()) for i in (1, 2)]
+        chord = graph_from_arrays(g.measures, g.boundary, [*g.edges, (*tooth, 1.0)])
+        raised = graph_from_arrays(g.measures, g.boundary, [
+            (a, b, 2.5 if (a, b) == (0, 1) else w) for a, b, w in g.edges])
+        skip = frozenset({MUTATION_COMB_SKIP})
+        for graph, conds, mutations in ((g, (True, True), frozenset()),
+                                        (chord, (True, False), skip),
+                                        (raised, (False, True), frozenset())):
+            q = stack_quantities([_Instance.of(graph)], np.random.default_rng(0), mutations)
+            report = check_rigidity(graph)
+            assert (q["cond_path"].tolist(), q["cond_comb"].tolist()) == ([conds[0]], [conds[1]])
+            assert (report.cond_path, report.cond_comb) == conds
+            assert q["equality"].tolist() == [report.equality] == [conds == (True, True)]
+            failed = [check for _, check, _ in corpus._failed_cells(q)]
+            assert failed == (["equality_iff_certified"] if graph is chord else [])
 
 
 class TestCheckInstance:

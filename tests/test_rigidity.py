@@ -79,6 +79,18 @@ class TestCombCheck:
             is_comb_over(path3, [])
         with pytest.raises(GraphError, match="unknown vertex"):
             is_comb_over(path3, [0, 1, 7])
+        for path, bad in (([0, 1.9, 2], "1.9"), ([True, 0], "True")):
+            with pytest.raises(GraphError) as excinfo:
+                is_comb_over(path3, path)
+            assert str(excinfo.value) == f"invalid path: vertex must be an integer, got {bad}"
+
+    def test_chord_stays(self):
+        """Only the path's edges are removed: the chord 0-2 of a triangle
+        joins the path's ends."""
+        triangle = graph_from_arrays([1.0] * 3, [0, 2], [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        deco = is_comb_over(triangle, [0, 1, 2])
+        assert not deco.is_comb
+        assert deco.components[0] == deco.components[2] == frozenset({0, 2})
 
 
 class TestCheckRigidity:
@@ -232,6 +244,14 @@ class TestCombGraph:
     def test_path_length_validated(self):
         with pytest.raises(GraphError, match="at least 1"):
             comb_graph(0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("path_len", [2.5, "3", True], ids=repr)
+    @pytest.mark.parametrize("make", [comb_graph, random_comb])
+    def test_path_length_is_an_integer(self, make, path_len):
+        args = (path_len, 1.0, 1.0) if make is comb_graph else (path_len, 1.0, 1.0, 0)
+        with pytest.raises(GraphError) as excinfo:
+            make(*args)
+        assert str(excinfo.value) == f"path_len must be an integer, got {path_len!r}"
 
     def test_sigma2_formula(self):
         # two teeth sharing one path vertex are still a single valid comb
