@@ -6,16 +6,16 @@ spectral invariants.  Violations come back as data, never as exceptions.
 Each assertion is written once, as a row of the check table ``_CHECKS``.
 
 One kernel, ``_quantities``, computes every quantity the table reads for a
-stack of graphs, and one scatter, ``_column_quantities``, fills that stack
-from edge columns: each graph relabelled boundary-first, stacked by |B| and
-padded to the stack's largest n with edgeless interior vertices, which leave
-every quantity unchanged.  It eigensolves for eigenvalues only, as the
-per-graph analysis does, and takes hop distances from the boundary vertices
-only.  Its comb test is ``is_comb_over``'s, ``shared_components``, over the
-edge columns the stack keeps.  Whether a graph has unit weights is read off
-its stack.  Every mode feeds it through one window loop, ``_verify_runs``, from runs of instances
-with no per-instance object: a random batch (``_random_run``), a run of
-one for ``check_instance``, or an exhaustive level of bitmasks.
+stack of graphs given as edge columns: it scatters them into Laplacians,
+each graph relabelled boundary-first, stacked by |B| and padded to the
+stack's largest n with edgeless interior vertices, which leave every
+quantity unchanged.  It eigensolves for eigenvalues only, as the per-graph
+analysis does, and takes hop distances from the boundary vertices only.
+w0, the unit flag and the comb test (``is_comb_over``'s,
+``shared_components``) read the edge columns, not the Laplacians.  Every
+mode feeds it through one window loop, ``_verify_runs``, from runs of
+instances with no per-instance object: a random batch (``_random_run``), a
+run of one for ``check_instance``, or an exhaustive level of bitmasks.
 
 Both exhaustive modes stream the rows of the isomorphism classes of
 connected graphs, each class crossed with the orbits of its automorphisms on
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from numbers import Real
 from typing import Iterator
 
 import numpy as np
@@ -51,6 +50,7 @@ from .graph import (
     geodesic_layers,
     graph_from_arrays,
     index_labels,
+    is_real,
     json_number,
     require_connected,
     require_integer,
@@ -139,6 +139,8 @@ class CorpusSpec:
                 raise GraphError(f"{name} must be nonnegative, got {value}")
         _check_n_max(self.mode, self.n_max)
         check_ranges(weight_range=self.weight_range, measure_range=self.measure_range)
+        if not isinstance(self.unit_only, (bool, np.bool_)):
+            raise GraphError(f"unit_only must be true or false, got {self.unit_only!r}")
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,13 @@ class _Instance(namedtuple("_Instance", "n u v w m boundary")):
                                          self.w))
 
 
+def _check_mutations(mutations) -> None:
+    """Every mutation name is one of ``KNOWN_MUTATIONS``."""
+    unknown = set(mutations) - KNOWN_MUTATIONS
+    if unknown:
+        raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
+
+
 def _check_n_max(mode: str, n_max: int) -> None:
     """The n_max range of a mode, for the spec and for the exhaustive counts."""
     require_integer("n_max", n_max)
@@ -213,8 +222,7 @@ def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
     """
     require_integer("n", n)
     require_integer("boundary_size", boundary_size)
-    if not (isinstance(edge_prob, Real) and not isinstance(edge_prob, bool)
-            and 0 < edge_prob <= 1):
+    if not (is_real(edge_prob) and 0 < edge_prob <= 1):
         raise GraphError(f"edge_prob must be a number in (0, 1], got {edge_prob!r}")
     if n < 2:
         raise GraphError("random graphs need n >= 2")
@@ -438,10 +446,12 @@ def _details(q: dict, keys: tuple[str, ...], at: tuple = ()) -> dict:
 
 def _bound_quantities(sigma2, w0, m0, v_b, d_b, nb: int, mutations) -> dict:
     """sigma_2, the three bounds and the numeric equality verdict; the
-    ``bound_db_plus_one`` sentinel shifts d_B in the extended bound only."""
-    unit, general, extended = bound_formulas(w0, m0, v_b, d_b, nb)
-    if MUTATION_BOUND_DB in mutations:
-        extended = bound_formulas(w0, m0, v_b, d_b + 1, nb)[2]
+    ``bound_db_plus_one`` sentinel shifts d_B in the extended bound only.
+    Bounds out of binary64 range are 0 or inf with no warning, as per graph."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        unit, general, extended = bound_formulas(w0, m0, v_b, d_b, nb)
+        if MUTATION_BOUND_DB in mutations:
+            extended = bound_formulas(w0, m0, v_b, d_b + 1, nb)[2]
     return {
         "sigma2": sigma2,
         "bound_extended": extended,
@@ -491,37 +501,33 @@ def _distance_tables(lap: np.ndarray, pad: np.ndarray, nb: int) -> np.ndarray:
     return np.where(pad[:, None, :], n, dist)
 
 
-class _Stack:
-    """G graphs on n vertices, the first ``nb`` of them the boundary: the
-    (G, n, n) Laplacians, the (G, n) measures (or one (1, n) row shared by
-    every graph), the (G, n) padding mask, the edge columns (graph, tail,
-    head, weight) that ``lap`` was scattered from and the (G, nb, n) hop
-    distances from the boundary.
+def _quantities(nb: int, sizes, on_b, gi, u, v, w, m, rng, mutations) -> dict:
+    """Every quantity the check table reads, as (G,) arrays over a stack of
+    graphs that share |B| = ``nb``, given as edge columns: graph ``gi[k]``
+    has the edge ``u[k]``-``v[k]`` of weight ``w[k]``.  Graph g has
+    ``sizes[g]`` vertices, row g of ``on_b`` marks its boundary (columns past
+    its size are ignored), and ``m`` holds the measures of every graph's
+    vertices, graph after graph.
 
-    ``lap`` comes holding -w on each edge and 0 elsewhere; its diagonal is
-    set here, in place, to the weighted degree plus ``pad``.  Padding
-    vertices are interior, with no edge and Laplacian diagonal 1.  L_OO is
-    then block diagonal with an identity block and the padded rows of L_OB
-    are 0, so the padded rows of X = L_OO^-1 L_OB are 0 and S, the Green
-    energy and d_B do not change.  ``unit`` marks the graphs whose weights
-    and measures are all 1.
+    One fancy assignment scatters every edge into (G, n, n) Laplacians, each
+    graph relabelled boundary-first and padded after its interior to the
+    stack's largest n with edgeless vertices of Laplacian diagonal 1.  L_OO
+    is then block diagonal with an identity block and the padded rows of
+    L_OB are 0, so the padded rows of X = L_OO^-1 L_OB are 0 and S, the
+    Green energy and d_B do not change.
     """
+    count, n = len(sizes), int(sizes.max())
+    pad = np.arange(n) >= sizes[:, None]
+    on_b = on_b[:, :n]
+    counted = on_b.cumsum(axis=1)
+    label = np.where(on_b, counted - 1, nb + np.arange(n) - counted)
+    u, v = label[gi, u], label[gi, v]
+    lap = np.zeros((count, n, n))
+    lap[gi, u, v] = lap[gi, v, u] = -w
+    lap[:, np.arange(n), np.arange(n)] = pad - lap.sum(axis=2)
+    mass = m[on_b[~pad]].reshape(count, nb)  # the boundary measures, in label order
+    dist = _distance_tables(lap, pad, nb)
 
-    def __init__(self, lap: np.ndarray, measures: np.ndarray, pad: np.ndarray, nb: int, edges):
-        n = lap.shape[-1]
-        lap[:, np.arange(n), np.arange(n)] = pad - lap.sum(axis=2)
-        self.lap, self.measures, self.edges = lap, measures, edges
-        self.w0 = -np.where(lap < 0, lap, -np.inf).max(axis=(1, 2))
-        self.unit = (measures == 1).all(1) & ((lap >= 0) | (lap == -1)).all((1, 2))
-        self.dist = _distance_tables(lap, pad, nb)
-
-
-def _quantities(stack: _Stack, nb: int, rng, mutations) -> dict:
-    """Every quantity the check table reads, as (G,) arrays over the graphs
-    of ``stack``, whose first ``nb`` vertices are the boundary.
-    """
-    lap, (count, n) = stack.lap, stack.lap.shape[:2]
-    mass = stack.measures[:, :nb]
     l_ob = interior_map = None
     try:
         if n > nb:
@@ -544,34 +550,38 @@ def _quantities(stack: _Stack, nb: int, rng, mutations) -> dict:
     q["energy"] = np.einsum("gi,gij,gj->g", extend(f), lap, extend(h))
 
     if nb >= 2:
-        d_b = stack.dist[:, :, :nb].max(axis=(1, 2))
-        q.update(_bound_quantities(eig[:, 1], stack.w0, mass.min(-1), mass.sum(-1), d_b, nb,
+        w0 = np.full(count, np.inf)  # each graph's least weight
+        np.minimum.at(w0, gi, w)
+        d_b = dist[:, :, :nb].max(axis=(1, 2))
+        q.update(_bound_quantities(eig[:, 1], w0, mass.min(-1), mass.sum(-1), d_b, nb,
                                    mutations))
-        q["unit"] = stack.unit
+        # unit: no weight and no measure other than 1
+        off_unit = np.concatenate([gi[w != 1], np.nonzero(~pad)[0][m != 1]])
+        q["unit"] = np.bincount(off_unit, minlength=count) == 0
         cond = np.zeros((3, count), dtype=bool)
         if nb == 2:
             cond[0] = mass[:, 0] == mass[:, 1]
-            on, unique = geodesic_layers(stack.dist[:, 0], stack.dist[:, 1])
-            cond[1:] = _geodesic_conditions(stack, on & unique[:, None]) & unique
+            on, unique = geodesic_layers(dist[:, 0], dist[:, 1])
+            cond[1:] = _geodesic_conditions(on & unique[:, None], gi, u, v, w, w0) & unique
         q.update(_certificate(*cond, mutations))
     return q
 
 
-def _geodesic_conditions(stack: _Stack, on: np.ndarray) -> np.ndarray:
-    """cond_path and cond_comb, (2, G), of each graph of ``stack`` over the
-    unique geodesic whose vertex mask is its row of ``on``, read off the
-    edge columns.  The geodesic's edges are those with both ends on it (a
-    shortest path has no chord), and each must weigh w0 bitwise.  The comb
-    test is ``shared_components`` over the stack's other edges as one
-    disjoint union, in which vertex x of graph g is g n + x.
+def _geodesic_conditions(on: np.ndarray, gi, u, v, w, w0) -> np.ndarray:
+    """cond_path and cond_comb, (2, G), of each graph over the unique
+    geodesic whose vertex mask is its row of ``on``, read off the edge
+    columns (graph ``gi``, tail ``u``, head ``v``, weight ``w``) and the
+    least weights ``w0``.  The geodesic's edges are those with both ends on
+    it (a shortest path has no chord), and each must weigh w0 bitwise.  The
+    comb test is ``shared_components`` over the other edges as one disjoint
+    union, in which vertex x of graph g is g n + x.
     """
-    gi, u, v, w = stack.edges
     count, n = on.shape
     on_path = on[gi, u] & on[gi, v]
     off, marked = gi[~on_path] * n, np.flatnonzero(on)
     _, shared = shared_components(count * n, off + u[~on_path], off + v[~on_path], marked)
     cond = np.ones((2, count), dtype=bool)
-    cond[0, gi[on_path & (w != stack.w0[gi])]] = False
+    cond[0, gi[on_path & (w != w0[gi])]] = False
     cond[1, marked[shared] // n] = False
     return cond
 
@@ -587,34 +597,13 @@ def _failed_cells(q: dict) -> Iterator[tuple[int, str, dict]]:
 # --- the feeders ----------------------------------------------------------------
 
 
-def _column_quantities(nb: int, sizes, on_b, gi, u, v, w, m, rng, mutations) -> dict:
-    """The kernel's quantities for a stack of graphs that share |B| = ``nb``,
-    given as edge columns: graph ``gi[k]`` has the edge ``u[k]``-``v[k]`` of
-    weight ``w[k]``.  Graph g has ``sizes[g]`` vertices, row g of ``on_b``
-    marks its boundary (columns past its size are ignored), and ``m`` holds
-    the measures of every graph's vertices, graph after graph.
-
-    Each graph is relabelled boundary-first and padded after its interior to
-    the stack's largest n (see :class:`_Stack`).  One fancy assignment
-    scatters every edge of the stack.
-    """
-    count, n = len(sizes), int(sizes.max())
-    pad = np.arange(n) >= sizes[:, None]
-    on_b = on_b[:, :n]
-    counted = on_b.cumsum(axis=1)
-    label = np.where(on_b, counted - 1, nb + np.arange(n) - counted)
-    u, v = label[gi, u], label[gi, v]
-    lap = np.zeros((count, n, n))
-    lap[gi, u, v] = lap[gi, v, u] = -w
-    measures = np.ones((count, n))
-    measures[np.nonzero(~pad)[0], label[~pad]] = m
-    return _quantities(_Stack(lap, measures, pad, nb, (gi, u, v, w)), nb, rng, mutations)
-
-
 # Padded matrix cells, instances x (largest n)^2, per window of a graph
-# stream, so every padded stack of a window fits in it.  2^17 holds 145
-# instances at n = 30; a larger window adds peak memory there, not speed.
-_WINDOW_CELLS = 1 << 17
+# stream, so every padded stack of a window fits in it.  2^19 holds 582
+# instances at n = 30.  Each stack pays a fixed cost, so fewer, larger stacks
+# are faster: 10^4 random instances (n <= 30) took 0.84-1.03 s at 2^19 and
+# 1.58-2.0 s at 2^17, peaking 5 MB higher; weighted exhaustive n <= 6 gained
+# less than its spread and peaks 14 MB higher (2 vCPUs, one BLAS thread).
+_WINDOW_CELLS = 1 << 19
 
 
 def _windows(runs) -> Iterator[list[tuple[object, int, int, int]]]:
@@ -680,8 +669,8 @@ def _verify_runs(runs, rng, mutations,
         edge_at, cell_at = (np.concatenate([[0], np.cumsum(x)]) for x in (degree, sizes))
         for b, r0, r1 in zip(kinds[np.argsort(seen)].tolist(), row_at, row_at[1:]):
             e0, e1, c0, c1 = edge_at[r0], edge_at[r1], cell_at[r0], cell_at[r1]
-            q = _column_quantities(b, sizes[r0:r1], on_b[r0:r1], gi[e0:e1] - r0, u[e0:e1],
-                                   v[e0:e1], w[e0:e1], m[c0:c1], rng, mutations)
+            q = _quantities(b, sizes[r0:r1], on_b[r0:r1], gi[e0:e1] - r0, u[e0:e1], v[e0:e1],
+                            w[e0:e1], m[c0:c1], rng, mutations)
             for g, check, details in _failed_cells(q):
                 j = r0 + g
                 on = slice(edge_at[j], edge_at[j + 1])
@@ -701,6 +690,7 @@ def check_instance(g: WeightedBoundaryGraph, rng=None,
     ``verify_corpus``.  Raises :class:`~steklov.graph.DisconnectedGraphError`
     and :class:`~steklov.graph.EmptyBoundaryError` like the per-graph analysis.
     """
+    _check_mutations(mutations)
     require_connected(g)
     if not g.boundary:
         raise EmptyBoundaryError("graph has an empty boundary")
@@ -756,9 +746,7 @@ def verify_corpus(
     deliberately corrupts the checks (see ``KNOWN_MUTATIONS``) so tests can
     prove the suite is not vacuous.
     """
-    unknown = set(mutations) - set(KNOWN_MUTATIONS)
-    if unknown:
-        raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
+    _check_mutations(mutations)
     if max_violations is not None:
         require_integer("max_violations", max_violations)
         if max_violations < 0:

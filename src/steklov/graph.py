@@ -147,6 +147,11 @@ def require_integer(name: str, value) -> None:
         raise GraphError(f"{name} must be an integer, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """A real number, numpy's included; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def check_ranges(**ranges) -> None:
     """Each range is two numbers, finite, > 0 and in order, so that every
     value drawn from it is finite and > 0: drawn values skip validation."""
@@ -155,7 +160,7 @@ def check_ranges(**ranges) -> None:
             lo, hi = ends
         except (TypeError, ValueError):
             lo = hi = None
-        if not all(isinstance(end, Real) and not isinstance(end, bool) for end in (lo, hi)):
+        if not all(map(is_real, (lo, hi))):
             raise GraphError(f"{name} must be two numbers, got {ends!r}")
         if not all(0 < end < np.inf for end in (lo, hi)):
             raise GraphError(f"{name} ends must be finite and > 0, got {(lo, hi)}")

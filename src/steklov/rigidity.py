@@ -23,6 +23,7 @@ from .graph import (
     graph_from_arrays,
     hop_distances,
     is_connected,
+    is_real,
     require_integer,
     seeded_rng,
     shared_components,
@@ -156,7 +157,7 @@ def check_rigidity(
     tolerance.  Both must be finite and nonnegative.
     """
     for name, value in (("tol", tol), ("weight_tol", weight_tol)):
-        if not 0.0 <= value < np.inf:
+        if not (is_real(value) and 0.0 <= value < np.inf):
             raise GraphError(f"{name} must be finite and nonnegative, got {value!r}")
     report = g.analysis.bound_report
     if len(g.boundary) < 2:
@@ -234,9 +235,10 @@ class ToothSet:
 
 
 def _require_positive_finite(*named: tuple[str, float]) -> None:
-    """Raise :class:`GraphError` for the first (name, value) not in (0, inf)."""
+    """Raise :class:`GraphError` for the first (name, value) that is not a
+    real number in (0, inf); a bool is not one."""
     for name, value in named:
-        if not 0.0 < value < np.inf:
+        if not (is_real(value) and 0.0 < value < np.inf):
             raise GraphError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -260,14 +262,15 @@ def comb_graph(
         raise GraphError("path length must be at least 1")
     _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass))
     n_path = path_len + 1
-    if isinstance(interior_masses, (int, float)):
-        inner = [float(interior_masses)] * max(0, path_len - 1)
-    else:
-        inner = [float(m) for m in interior_masses]
-        if len(inner) != path_len - 1:
-            raise GraphError(
-                f"expected {path_len - 1} interior masses, got {len(inner)}"
-            )
+    if is_real(interior_masses):
+        interior_masses = [interior_masses] * max(0, path_len - 1)
+    try:  # entries are validated with the graph, numpy scalars as Python ones
+        inner = [m.item() if isinstance(m, np.generic) else m for m in interior_masses]
+    except TypeError:
+        raise GraphError("interior_masses must be a number or a sequence, "
+                         f"got {interior_masses!r}") from None
+    if len(inner) != path_len - 1:
+        raise GraphError(f"expected {path_len - 1} interior masses, got {len(inner)}")
     measures = [endpoint_mass, *inner, endpoint_mass]
     edges: list[tuple[int, int, float]] = [
         (i, i + 1, path_weight) for i in range(path_len)
@@ -320,10 +323,10 @@ def random_comb(
     require_integer("max_tooth_vertices", max_tooth_vertices)
     if max_tooth_vertices < 1:
         raise GraphError(f"max_tooth_vertices must be >= 1, got {max_tooth_vertices}")
-    if not 1.0 <= weight_factor < np.inf:
+    _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass))
+    if not (is_real(weight_factor) and 1.0 <= weight_factor < np.inf):
         raise GraphError(f"weight_factor must be finite and >= 1, got {weight_factor!r}")
-    _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass),
-                             ("weight_factor * path weight", weight_factor * path_weight))
+    _require_positive_finite(("weight_factor * path weight", weight_factor * path_weight))
     check_ranges(measure_range=measure_range)
     lo, hi = measure_range
     interior = [float(rng.uniform(lo, hi)) for _ in range(max(0, path_len - 1))]

@@ -1,5 +1,6 @@
 import functools
 import json
+from collections import namedtuple
 from itertools import combinations
 from math import comb, factorial
 
@@ -39,7 +40,6 @@ from steklov.corpus import (
     _permutations,
     _random_runs,
     _relabelled,
-    _Stack,
 )
 from steklov.graph import geodesic_layers
 from steklov.rigidity import _unique_geodesic, check_rigidity
@@ -62,14 +62,14 @@ from reference_corpus import (
 
 def stack_quantities(stack, rng, mutations):
     """The kernel's quantities of instances that share |B|, stacked as one,
-    their arrays concatenated into the edge columns of ``_column_quantities``."""
+    their arrays concatenated into the kernel's edge columns."""
     sizes, nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(inst.columns(0, 1)
                                                                    for inst in stack)))
     count = len(stack)
     on_b = np.zeros((count, sizes.max()), dtype=bool)
     on_b[np.repeat(np.arange(count), nb), bids] = True
-    return corpus._column_quantities(int(nb[0]), sizes, on_b, np.repeat(np.arange(count), degree),
-                                     u, v, w, m, rng, mutations)
+    return corpus._quantities(int(nb[0]), sizes, on_b, np.repeat(np.arange(count), degree), u, v,
+                              w, m, rng, mutations)
 
 
 def run_instances(run) -> list:
@@ -591,18 +591,20 @@ class TestInstanceStreams:
 
 class TestMaskFeeder:
     """Both exhaustive modes read the kernel's edge columns off bitmask
-    runs.  Every stack they build, and every quantity the kernel computes on
-    it, is bitwise what the same window loop builds from the same instances
-    fed one by one as runs of one: same windows, same stacks, same drawn
-    weights and measures, same Green-check vectors."""
+    runs.  Every stack they feed the kernel, and every quantity the kernel
+    computes on it, is bitwise what the same window loop feeds it from the
+    same instances fed one by one as runs of one: same windows, same
+    columns, same drawn weights and measures, same Green-check vectors."""
+
+    COLUMNS = ("sizes", "on_b", "gi", "u", "v", "w", "m")
 
     @staticmethod
     def kernel_calls(monkeypatch, run) -> list:
-        """(stack, nb, quantities) of every kernel call of ``run()``."""
+        """(nb, input columns, quantities) of every kernel call of ``run()``."""
         calls, kernel = [], corpus._quantities
 
-        def recorded(stack, nb, rng, mutations):
-            calls.append((stack, nb, kernel(stack, nb, rng, mutations)))
+        def recorded(nb, *args):
+            calls.append((nb, args[:7], kernel(nb, *args)))
             return calls[-1][2]
 
         with monkeypatch.context() as patch:
@@ -637,26 +639,32 @@ class TestMaskFeeder:
         ours = self.kernel_calls(monkeypatch, lambda: verify_corpus(spec))
         theirs = self.kernel_calls(monkeypatch, instance_path)
         assert len(ours) == len(theirs) >= (20 if cells else 3)
-        for (stack, nb, q), (ref, ref_nb, ref_q) in zip(ours, theirs):
+        for (nb, columns, q), (ref_nb, ref_columns, ref_q) in zip(ours, theirs):
             assert nb == ref_nb
-            for name in ("lap", "measures", "dist", "w0", "unit"):
-                self.assert_bitwise(getattr(stack, name), getattr(ref, name), name)
+            for name, ours_, theirs_ in zip(self.COLUMNS, columns, ref_columns):
+                self.assert_bitwise(ours_, theirs_, name)
             assert q.keys() == ref_q.keys()
             for name, value in ref_q.items():
                 self.assert_bitwise(q[name], value, name)
         # a window crosses levels: its stacks are padded
-        assert any((stack.dist == stack.lap.shape[-1]).any() for stack, _, _ in ours)
+        assert any(columns[0].min() < columns[0].max() for _, columns, _ in ours)
 
 
-def unit_stack(n: int, masks: np.ndarray) -> _Stack:
-    """The stack of the unit-weight graphs on n vertices with these edge
-    masks, every vertex a boundary vertex, with its edge columns."""
+def unit_columns(n: int, masks: np.ndarray) -> tuple:
+    """The edge columns (graph, tail, head, weight) of the unit-weight
+    graphs on n vertices with these edge masks."""
     u, v = _pair_arrays(n)
     gi, k = np.nonzero(_bits(masks, len(u)))
+    return gi, u[k], v[k], np.ones(len(k))
+
+
+def unit_distances(n: int, masks: np.ndarray) -> np.ndarray:
+    """The kernel's hop distances of those graphs, every vertex a boundary
+    vertex."""
+    gi, u, v, w = unit_columns(n, masks)
     lap = np.zeros((len(masks), n, n))
-    lap[gi, u[k], v[k]] = lap[gi, v[k], u[k]] = -1.0
-    return _Stack(lap, np.ones((1, n)), np.zeros((len(masks), n), dtype=bool), n,
-                  (gi, u[k], v[k], np.ones(len(k))))
+    lap[gi, u, v] = lap[gi, v, u] = -w
+    return _distance_tables(lap, np.zeros((len(masks), n), dtype=bool), n)
 
 
 class TestBatchedGeodesics:
@@ -667,7 +675,7 @@ class TestBatchedGeodesics:
         vectorized comb test agrees with is_comb_over on every such pair:
         the stack of cells holds graph gi once per pair with one geodesic."""
         masks = labeled_masks(n)
-        dist = unit_stack(n, masks).dist
+        dist = unit_distances(n, masks)
         pairs = list(combinations(range(n), 2))
         px, py = np.array(pairs).T
         on, flags = geodesic_layers(dist[:, px], dist[:, py])
@@ -683,7 +691,8 @@ class TestBatchedGeodesics:
                     cells.append((gi, k))
                     expected.append(is_comb_over(g, geodesics[0]).is_comb)
         gi, k = np.array(cells).T
-        cond_path, cond_comb = _geodesic_conditions(unit_stack(n, masks[gi]), on[gi, k])
+        cond_path, cond_comb = _geodesic_conditions(on[gi, k], *unit_columns(n, masks[gi]),
+                                                    np.ones(len(gi)))
         assert cond_path.all()  # unit weights: every geodesic edge is w0
         assert cond_comb.tolist() == expected
         if n >= 3:
@@ -972,10 +981,36 @@ class TestVerifyCorpus:
         spec = CorpusSpec(mode="random", n_max=14, samples=300, seed=17)
         assert verify_corpus(spec) == []
 
-    def test_unknown_mutation_rejected(self):
+    def test_unknown_mutation_rejected(self, path3):
+        """A misspelt sentinel is one GraphError line in every entry point,
+        so it cannot pass silently."""
         spec = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
-        with pytest.raises(GraphError, match="unknown mutation"):
-            verify_corpus(spec, mutations=frozenset({"nope"}))
+        for call in (lambda: verify_corpus(spec, mutations=frozenset({"nope"})),
+                     lambda: check_instance(path3, mutations=frozenset({"nope"}))):
+            with pytest.raises(GraphError) as excinfo:
+                call()
+            assert str(excinfo.value) == "unknown mutation 'nope'"
+
+    @pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    def test_unit_only_is_a_bool(self, mode, value):
+        with pytest.raises(GraphError) as excinfo:
+            CorpusSpec(mode=mode, unit_only=value)
+        assert str(excinfo.value) == f"unit_only must be true or false, got {value!r}"
+        assert CorpusSpec(mode=mode, unit_only=np.True_).unit_only
+
+    @pytest.mark.parametrize("weight_range, measure_range", [
+        ((1e-300, 1e-299), (1e300, 1e301)),
+        ((1.0, 2.0), (1e-300, 2e-300)),
+    ], ids=["overflow", "underflow"])
+    def test_bounds_out_of_range_do_not_warn(self, weight_range, measure_range):
+        """Bounds that leave binary64 range are 0 or inf, as on the
+        per-graph route, with no RuntimeWarning (which the suite makes an
+        error); which rows these runs report is left open."""
+        spec = CorpusSpec(mode="random", n_max=8, samples=50, weight_range=weight_range,
+                          measure_range=measure_range)
+        for mutations in (frozenset(), frozenset({MUTATION_BOUND_DB})):
+            verify_corpus(spec, mutations=mutations)
 
     def test_spec_validation(self):
         with pytest.raises(GraphError, match="unknown corpus mode"):
@@ -1076,17 +1111,20 @@ class TestVerifyCorpus:
         assert record.check in names
 
 
+BuiltStack = namedtuple("BuiltStack", "lap dist")
+
+
 @pytest.fixture
 def built_stacks(monkeypatch):
-    """Every ``_Stack`` the kernel builds, in order."""
-    stacks = []
+    """The Laplacians and hop distances of every stack the kernel builds, in
+    order, as its ``_distance_tables`` calls see them."""
+    stacks, tables = [], corpus._distance_tables
 
-    class Recorded(_Stack):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            stacks.append(self)
+    def recorded(lap, pad, nb):
+        stacks.append(BuiltStack(lap, tables(lap, pad, nb)))
+        return stacks[-1].dist
 
-    monkeypatch.setattr(corpus, "_Stack", Recorded)
+    monkeypatch.setattr(corpus, "_distance_tables", recorded)
     return stacks
 
 

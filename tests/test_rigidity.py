@@ -245,6 +245,42 @@ class TestCombGraph:
         with pytest.raises(GraphError, match="at least 1"):
             comb_graph(0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: comb_graph(3, "1", 1.0), "path weight must be positive and finite, got '1'"),
+        (lambda: comb_graph(3, None, 1.0), "path weight must be positive and finite, got None"),
+        (lambda: comb_graph(3, 1.0, True), "endpoint mass must be positive and finite, got True"),
+        (lambda: random_comb(3, "1", 1.0, seed=0),
+         "path weight must be positive and finite, got '1'"),
+        (lambda: random_comb(3, 1.0, 1.0, seed=0, weight_factor="2"),
+         "weight_factor must be finite and >= 1, got '2'"),
+        (lambda: random_comb(3, 1.0, 1.0, seed=0, weight_factor=True),
+         "weight_factor must be finite and >= 1, got True"),
+        (lambda: comb_graph(3, 1.0, 1.0, interior_masses=True),
+         "interior_masses must be a number or a sequence, got True"),
+        (lambda: comb_graph(3, 1.0, 1.0, interior_masses=[1, "x"]),
+         "vertices[2]: measure must be a number, got 'x'"),
+        (lambda: comb_graph(3, 1.0, 1.0, interior_masses=[1, True]),
+         "vertices[2]: measure must be a number, got True"),
+        (lambda: check_rigidity(comb_graph(2, 1.0, 1.0), tol=None),
+         "tol must be finite and nonnegative, got None"),
+        (lambda: check_rigidity(comb_graph(2, 1.0, 1.0), tol=True),
+         "tol must be finite and nonnegative, got True"),
+        (lambda: check_rigidity(comb_graph(2, 1.0, 1.0), weight_tol="0"),
+         "weight_tol must be finite and nonnegative, got '0'"),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    def test_scalar_arguments_are_real_numbers(self, call, message):
+        """A scalar argument that is not a real number, or is a bool, is one
+        GraphError line."""
+        with pytest.raises(GraphError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("masses", [np.int64(2), np.float32(2.0), 2, [2, np.int64(2)],
+                                        np.array([2, 2])], ids=repr)
+    def test_interior_masses_take_numpy_numbers(self, masses):
+        assert comb_graph(3, 1.0, 1.0, interior_masses=masses).measures.tolist() == [
+            1.0, 2.0, 2.0, 1.0]
+
     @pytest.mark.parametrize("path_len", [2.5, "3", True], ids=repr)
     @pytest.mark.parametrize("make", [comb_graph, random_comb])
     def test_path_length_is_an_integer(self, make, path_len):
