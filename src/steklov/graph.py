@@ -192,18 +192,23 @@ def _all_types(column, ok: Callable[[type], bool]) -> bool:
 
 
 def _is_number_type(t: type) -> bool:
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
+    """Python and numpy integers and floats; bools (``np.bool_`` too) are not."""
+    return issubclass(t, (int, float, np.integer, np.floating)) and not issubclass(t, bool)
 
 
 def _is_float(x) -> bool:
     """True iff x is a number (not a bool) that converts to binary64."""
-    if not _is_number_type(type(x)):
-        return False
+    return _is_number_type(type(x)) and _binary64(x) is not None
+
+
+def _binary64(values) -> np.ndarray | None:
+    """``values`` as a binary64 array, or None if one is beyond its range: a
+    Python int raises, a numpy long double overflows in the cast."""
     try:
-        float(x)
-    except OverflowError:
-        return False
-    return True
+        with np.errstate(over="raise"):
+            return np.array(values, dtype=float)
+    except (OverflowError, FloatingPointError):
+        return None
 
 
 def _number_column(column, what: str, where: str) -> tuple[np.ndarray, list[Check]]:
@@ -215,12 +220,7 @@ def _number_column(column, what: str, where: str) -> tuple[np.ndarray, list[Chec
     """
     if isinstance(column, np.ndarray):
         column = column.tolist()
-    values = None
-    if _all_types(column, _is_number_type):
-        try:
-            values = np.array(column, dtype=float)
-        except OverflowError:
-            pass
+    values = _binary64(column) if _all_types(column, _is_number_type) else None
     not_number = too_large = np.zeros(len(column), dtype=bool)
     if values is None:  # find the entries that stopped the conversion
         not_number = ~np.fromiter(map(_is_number_type, map(type, column)), bool,

@@ -264,8 +264,8 @@ def comb_graph(
     n_path = path_len + 1
     if is_real(interior_masses):
         interior_masses = [interior_masses] * max(0, path_len - 1)
-    try:  # entries are validated with the graph, numpy scalars as Python ones
-        inner = [m.item() if isinstance(m, np.generic) else m for m in interior_masses]
+    try:  # entries are validated with the graph
+        inner = list(interior_masses)
     except TypeError:
         raise GraphError("interior_masses must be a number or a sequence, "
                          f"got {interior_masses!r}") from None
@@ -278,6 +278,14 @@ def comb_graph(
 
     if teeth is not None:
         k = len(teeth.measures)
+        rows = [(f"tooth edge {i}", ("tooth vertex",) * 2, e) for i, e in enumerate(teeth.edges)]
+        rows += [(f"attachment {i}", ("tooth vertex", "path index"), e)
+                 for i, e in enumerate(teeth.attachments)]
+        for row, names, (a, b, w) in rows:  # ids are integers, weights numbers, bools neither
+            for name, value in zip(names, (a, b)):
+                require_integer(f"{row}: {name}", value)
+            if not is_real(w):
+                raise GraphError(f"{row}: weight must be a real number, got {w!r}")
         for a, b, w in teeth.edges:
             if not (0 <= a < k and 0 <= b < k):
                 raise GraphError(f"tooth edge ({a}, {b}) out of range")

@@ -101,9 +101,9 @@ class InteriorBlocks:
 
     ``interior`` holds the kept interior vertex ids O in block order, and the
     boundary B is ``g.boundary``.  ``l_bb`` (|B| x |B|) and ``l_ob``
-    (|O| x |B|) are dense; ``l_oo`` is L_OO in compressed sparse column
-    form, ``(data, indices, indptr)``: both triangles and the diagonal, row
-    indices ascending within each column.
+    (|O| x |B|) are dense; ``l_oo`` is L_OO as a COO triple ``(data, rows,
+    cols)`` in block positions, both orientations of every kept interior
+    edge, then the diagonal; each factorization converts it itself.
     ``pruned`` holds one ``(leaves, parents)`` pair per peeling round: each
     leaf was dropped as an interior vertex of degree 1 hanging from its
     parent.
@@ -148,7 +148,7 @@ def _peel_dangling_trees(g: WeightedBoundaryGraph):
 
 def interior_blocks(g: WeightedBoundaryGraph) -> InteriorBlocks:
     """Prune the dangling trees of g, then assemble its boundary-first
-    Laplacian blocks straight from the kept edges.
+    Laplacian blocks from one COO triple of the kept edges and degrees.
 
     Pruning is exact: a dangling interior tree carries no current, so S and
     the spectrum do not change, and the degrees are sums over kept edges
@@ -167,30 +167,20 @@ def interior_blocks(g: WeightedBoundaryGraph) -> InteriorBlocks:
     if bad.any():
         raise NumericsError(f"weighted degree of vertex {g.labels[int(np.argmax(bad))]!r} "
                             "is not finite")
-    on_b = g.boundary_mask
-    bidx = np.flatnonzero(on_b)
-    interior = np.flatnonzero(kept & ~on_b)
-    nb, no = len(bidx), len(interior)
-    pos = np.zeros(g.n, dtype=np.intp)  # position within B, or within O
-    pos[bidx], pos[interior] = np.arange(nb), np.arange(no)
-    pu, pv, bu, bv = pos[u], pos[v], on_b[u], on_b[v]
-
-    l_bb = np.zeros((nb, nb))
-    l_bb[np.diag_indices(nb)] = degree[bidx]
-    bb = bu & bv
-    l_bb[pu[bb], pv[bb]] = l_bb[pv[bb], pu[bb]] = -w[bb]
-    l_ob = np.zeros((no, nb))
-    ob, bo = ~bu & bv, bu & ~bv
-    l_ob[pu[ob], pv[ob]] = -w[ob]
-    l_ob[pv[bo], pu[bo]] = -w[bo]
-    oo = ~(bu | bv)
-    diagonal = np.arange(no)
-    rows = np.concatenate([pu[oo], pv[oo], diagonal])
-    cols = np.concatenate([pv[oo], pu[oo], diagonal])
-    order = np.lexsort((rows, cols))
-    indptr = np.zeros(no + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cols, minlength=no), out=indptr[1:])
-    l_oo = (np.concatenate([-w[oo], -w[oo], degree[interior]])[order], rows[order], indptr)
+    interior = np.flatnonzero(kept & ~g.boundary_mask)
+    nb, no = len(g.boundary), len(interior)
+    order = np.concatenate([g.boundary, interior])  # kept vertices, boundary first
+    pos = np.zeros(g.n, dtype=np.intp)
+    pos[order] = np.arange(nb + no)
+    rows = pos[np.concatenate([u, v, order])]
+    cols = pos[np.concatenate([v, u, order])]
+    data = np.concatenate([-w, -w, degree[order]])
+    row_b, col_b = rows < nb, cols < nb
+    bb, ob, oo = row_b & col_b, ~row_b & col_b, ~(row_b | col_b)
+    l_bb, l_ob = np.zeros((nb, nb)), np.zeros((no, nb))
+    l_bb[rows[bb], cols[bb]] = data[bb]
+    l_ob[rows[ob] - nb, cols[ob]] = data[ob]
+    l_oo = (data[oo], rows[oo] - nb, cols[oo] - nb)
     return InteriorBlocks(l_bb, l_ob, l_oo, interior, pruned)
 
 
@@ -210,11 +200,11 @@ def cho_solve(c_and_lower, b, overwrite_b=False, check_finite=True):
     return scipy.linalg.cho_solve(c_and_lower, b, overwrite_b, check_finite)
 
 
-def cholesky_interior(data, indices, indptr):
-    """Solver of ``L_OO x = b`` by dense Cholesky of the CSC matrix."""
-    size = len(indptr) - 1
+def cholesky_interior(data, rows, cols):
+    """Solver of ``L_OO x = b`` by dense Cholesky of the COO matrix."""
+    size = int(rows.max()) + 1  # every vertex of O has its diagonal entry
     a = np.zeros((size, size))
-    a[indices, np.repeat(np.arange(size), np.diff(indptr))] = data
+    a[rows, cols] = data
     try:
         factor = cho_factor(a, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
@@ -222,8 +212,9 @@ def cholesky_interior(data, indices, indptr):
     return lambda b: cho_solve(factor, b)
 
 
-def superlu_interior(data, indices, indptr):
-    """Solver of ``L_OO x = b`` by SuperLU on the CSC matrix.
+def superlu_interior(data, rows, cols):
+    """Solver of ``L_OO x = b`` by SuperLU on the COO matrix, which scipy
+    sorts into canonical compressed sparse columns.
 
     The fill-reducing order is minimum degree on A^T + A with diagonal
     pivots, so the pivots are those of a symmetric elimination; for the
@@ -234,9 +225,8 @@ def superlu_interior(data, indices, indptr):
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
-    size = len(indptr) - 1
-    try:
-        lu = splu(csc_array((data, indices, indptr), shape=(size, size)),
+    try:  # the diagonal gives the shape
+        lu = splu(csc_array((data, (rows, cols))),
                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:  # how SuperLU reports an exactly singular factor

@@ -336,6 +336,27 @@ class TestCoercion:
         with pytest.raises(GraphError, match="must be a string"):
             make_graph([(1, 1.0, True), (2, 1.0, True)], [(1, 2, 1.0)])
 
+    @pytest.mark.parametrize("build, measures, weights", [
+        (lambda: comb_graph(2, np.int64(1), 1.0), [1.0] * 3, [1.0] * 2),
+        (lambda: graph_from_arrays([1.0, 1.0], [0, 1], [(0, 1, np.int64(2))]),
+         [1.0] * 2, [2.0]),
+        (lambda: graph_from_arrays([np.float32(1.0), 1.0], [0, 1], [(0, 1, 1.0)]),
+         [1.0] * 2, [1.0]),
+    ], ids=["comb_int64_weight", "int64_weight", "float32_measure"])
+    def test_numpy_numbers_are_numbers(self, build, measures, weights):
+        g = build()
+        assert g.measures.tolist() == measures
+        assert g.edge_arrays[2].tolist() == weights
+
+    @pytest.mark.parametrize("weight, message", [
+        (np.True_, "edges[0]: weight must be a number, got np.True_"),
+        (np.longdouble("1e400"), "edges[0]: weight is too large for binary64"),
+    ], ids=repr)
+    def test_numpy_bool_and_long_double_overflow_are_refused(self, weight, message):
+        with pytest.raises(GraphError) as excinfo:
+            graph_from_arrays([1.0, 1.0], [0, 1], [(0, 1, weight)])
+        assert str(excinfo.value) == message
+
 
 @st.composite
 def boundary_heavy_graphs(draw):

@@ -237,6 +237,23 @@ class TestCombGraph:
         with pytest.raises(GraphError, match="out of range"):
             comb_graph(2, 1.0, 1.0, teeth=ToothSet(measures=(1.0,), attachments=((0, 5, 1.0),)))
 
+    @pytest.mark.parametrize("teeth, message", [
+        (ToothSet((1.0,), (), ((0, 1, "2"),)),
+         "attachment 0: weight must be a real number, got '2'"),
+        (ToothSet((1.0,), (), ((0, "1", 2.0),)),
+         "attachment 0: path index must be an integer, got '1'"),
+        (ToothSet((1.0, 1.0), ((0, 1, None),), ((0, 1, 2.0),)),
+         "tooth edge 0: weight must be a real number, got None"),
+        (ToothSet((1.0,), (), ((0.0, 1, 2.0),)),
+         "attachment 0: tooth vertex must be an integer, got 0.0"),
+    ], ids=["str_weight", "str_path_index", "none_weight", "float_tooth_id"])
+    def test_tooth_rows_are_checked_before_compared(self, teeth, message):
+        """A ToothSet row with a non-integer id or a non-number weight is one
+        GraphError line naming that row, not a TypeError or a graph row."""
+        with pytest.raises(GraphError) as excinfo:
+            comb_graph(3, 1.0, 1.0, teeth=teeth)
+        assert str(excinfo.value) == message
+
     def test_interior_mass_count_validated(self):
         with pytest.raises(GraphError, match="interior masses"):
             comb_graph(3, 1.0, 1.0, interior_masses=[1.0])

@@ -387,3 +387,46 @@ class TestPruning:
         for root, edges in self.TREES.items():
             tree = sorted({v for _, v, _ in edges})
             assert (u_full[tree] == u_full[root]).all()
+
+
+def _adjacent_boundary_graph():
+    # boundary 0-1-2 is a path of its own; interior 3, 4 joins all three
+    return graph_from_arrays([1.0, 0.5, 2.0, 1.5, 0.75], [0, 1, 2],
+                             [(0, 1, 1.25), (1, 2, 0.5), (0, 3, 2.0), (3, 4, 0.3),
+                              (4, 2, 1.1), (3, 1, 0.9), (0, 2, 3.0)])
+
+
+def _empty_interior_graph():
+    # boundary edge 0-1 with an interior tree 2-3 hanging off 0: pruned away
+    return graph_from_arrays([1.0, 2.0, 0.5, 1.5], [0, 1], [(0, 1, 1.5), (0, 2, 2.0),
+                                                           (2, 3, 0.25)])
+
+
+class TestBlockAssembly:
+    """The blocks of :func:`spectral.interior_blocks` are those of the dense
+    Laplacian of the kept subgraph, boundary first."""
+
+    @pytest.mark.parametrize("build, no", [
+        (lambda: TestPruning().graphs()[0], 5),
+        (lambda: weighted_grid(17, np.random.default_rng(17)), 15 * 15),
+        (_adjacent_boundary_graph, 2),
+        (_empty_interior_graph, 0),
+    ], ids=["pruned_trees", "grid_above_sparse_min", "adjacent_boundary", "empty_interior"])
+    def test_blocks_match_dense_laplacian(self, build, no):
+        g = build()
+        blocks = spectral.interior_blocks(g)
+        nb = len(g.boundary)
+        assert len(blocks.interior) == no
+        kept = np.concatenate([np.asarray(g.boundary, dtype=np.intp), blocks.interior])
+        dense = laplacian(g)[0][np.ix_(kept, kept)]
+        diagonal = np.diag_indices(nb + no)
+        dense[diagonal] = 0.0
+        dense[diagonal] = -dense.sum(axis=1)  # degrees over kept edges only
+        data, rows, cols = blocks.l_oo
+        l_oo = np.zeros((no, no))
+        l_oo[rows, cols] = data
+        assert len(data) == len(set(zip(rows.tolist(), cols.tolist())))
+        assembled = np.block([[blocks.l_bb, blocks.l_ob.T], [blocks.l_ob, l_oo]])
+        off = ~np.eye(nb + no, dtype=bool)
+        assert np.array_equal(assembled[off], dense[off])
+        assert np.allclose(assembled[diagonal], dense[diagonal], rtol=1e-14, atol=0.0)
