@@ -5,17 +5,17 @@ that numeric equality coincides with the structural certificate, and the
 spectral invariants.  Violations come back as data, never as exceptions.
 Each assertion is written once, as a row of the check table ``_CHECKS``.
 
-One kernel, ``_quantities``, computes every quantity the table reads for a
-stack of graphs given as edge columns: it scatters them into Laplacians,
-each graph relabelled boundary-first, stacked by |B| and padded to the
-stack's largest n with edgeless interior vertices, which leave every
-quantity unchanged.  It eigensolves for eigenvalues only, as the per-graph
-analysis does, and takes hop distances from the boundary vertices only.
-w0, the unit flag and the comb test (``is_comb_over``'s,
-``shared_components``) read the edge columns, not the Laplacians.  Every
-mode feeds it through one window loop, ``_verify_runs``, from runs of
-instances with no per-instance object: a random batch (``_random_run``), a
-run of one for ``check_instance``, or an exhaustive level of bitmasks.
+Every instance is a row of a ``_Run``, rows held as whole columns.  One
+kernel, ``_quantities``, computes every quantity the table reads for a
+stack of graphs given as a run: it scatters its edges into Laplacians, each
+graph relabelled boundary-first, stacked by |B| and padded to the stack's
+largest n with edgeless interior vertices, which leave every quantity
+unchanged.  It eigensolves for eigenvalues only, as the per-graph analysis
+does, and takes hop distances from the boundary vertices only.  w0, the unit
+flag and the comb test (``is_comb_over``'s, ``shared_components``) read the
+edge columns, not the Laplacians.  Every mode feeds it runs through one
+window loop, ``_verify_runs``: a random batch (``_random_run``), a run of
+one row for ``check_instance``, or exhaustive chunks (``_mask_run``).
 
 Both exhaustive modes stream the rows of the isomorphism classes of
 connected graphs, each class crossed with the orbits of its automorphisms on
@@ -33,9 +33,9 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, pairwise, permutations
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -168,36 +168,59 @@ class ViolationRecord:
 # --- instances -------------------------------------------------------------------
 
 
-class _Instance(namedtuple("_Instance", "n u v w m boundary")):
-    """A corpus instance as the kernel reads it: the edges u < v, sorted by
-    (u, v), with weights w, the measures m and the sorted boundary ids.  It
-    is a run of one row (:func:`_verify_runs`)."""
+class _Run(namedtuple("_Run", "sizes nb bids degree u v w m")):
+    """Rows of corpus instances as whole columns, as the kernel reads them:
+    row r has ``sizes[r]`` vertices, ``nb[r]`` sorted boundary ids in
+    ``bids`` and ``degree[r]`` edges u < v in ``u``, ``v``, sorted by (u, v),
+    with weights in ``w``; ``m`` holds the measures.  Every column lists its
+    rows' entries row after row; ``n`` is the largest size, and
+    ``columns(lo, hi)`` is rows lo..hi as a run."""
 
     __slots__ = ()
-    rows = 1
+
+    @property
+    def rows(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def n(self) -> int:
+        return int(self.sizes.max())
 
     @classmethod
-    def of(cls, g: WeightedBoundaryGraph) -> _Instance:
-        return cls(g.n, *g.edge_arrays, g.measures, np.asarray(g.boundary))
+    def of(cls, g: WeightedBoundaryGraph) -> _Run:
+        u, v, w = g.edge_arrays
+        return cls(np.array([g.n]), np.array([len(g.boundary)]), np.asarray(g.boundary),
+                   np.array([len(u)]), u, v, w, g.measures)
 
-    def columns(self, lo: int, hi: int) -> tuple:
-        return (self.n,), (len(self.boundary),), self.boundary, (len(self.u),), *self[1:5]
+    def columns(self, lo: int, hi: int) -> _Run:
+        return next(self.split([lo, hi]))
+
+    def split(self, ends) -> Iterator[_Run]:
+        """The runs of rows ``ends[i]..ends[i + 1]``, cut at one prefix sum of
+        each count column."""
+        cuts = [np.concatenate(([0], np.cumsum(x)))[ends].tolist()
+                for x in (self.nb, self.degree, self.sizes)]
+        for (r0, r1), (b0, b1), (e0, e1), (c0, c1) in zip(*map(pairwise, (ends, *cuts))):
+            yield _Run(self.sizes[r0:r1], self.nb[r0:r1], self.bids[b0:b1], self.degree[r0:r1],
+                       self.u[e0:e1], self.v[e0:e1], self.w[e0:e1], self.m[c0:c1])
 
     def graph(self) -> WeightedBoundaryGraph:
-        """The validated graph."""
-        return graph_from_arrays(self.m, self.boundary.tolist(),
+        """The validated graph of a run of one row."""
+        return graph_from_arrays(self.m, self.bids.tolist(),
                                  zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     def json_dict(self) -> dict:
         """``graph_to_json_dict(self.graph())``, with no graph built."""
         on_b = np.zeros(self.n, dtype=bool)
-        on_b[self.boundary] = True
+        on_b[self.bids] = True
         return json.loads(arrays_to_json(index_labels(self.n), self.m, on_b, self.u, self.v,
                                          self.w))
 
 
 def _check_mutations(mutations) -> None:
-    """Every mutation name is one of ``KNOWN_MUTATIONS``."""
+    """``mutations`` is a set of names, each one of ``KNOWN_MUTATIONS``."""
+    if isinstance(mutations, (str, bytes)) or not isinstance(mutations, Iterable):
+        raise GraphError(f"mutations must be a set of names, got {mutations!r}")
     unknown = set(mutations) - KNOWN_MUTATIONS
     if unknown:
         raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
@@ -231,24 +254,11 @@ def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
     check_ranges(weight_range=weight_range, measure_range=measure_range)
     run = _random_run(seeded_rng(seed), np.array([n]), np.array([edge_prob], dtype=float),
                       np.array([boundary_size]), weight_range, measure_range, unit)
-    return _Instance(n, run.u, run.v, run.w, run.m, run.bids).graph()
-
-
-class _DrawnRun(namedtuple("_DrawnRun", "n rows sizes nb bids degree u v w m")):
-    """Drawn rows as whole columns, row r with ``sizes[r]`` vertices, ``nb[r]``
-    boundary ids and ``degree[r]`` edges; ``n`` is the largest size."""
-
-    __slots__ = ()
-
-    def columns(self, lo: int, hi: int) -> tuple:
-        b, e, c = (slice(*np.r_[0, np.cumsum(x)][[lo, hi]])
-                   for x in (self.nb, self.degree, self.sizes))
-        return (self.sizes[lo:hi], self.nb[lo:hi], self.bids[b], self.degree[lo:hi], self.u[e],
-                self.v[e], self.w[e], self.m[c])
+    return run.graph()
 
 
 def _random_run(rng, n, edge_prob, boundary_size, weight_range, measure_range,
-                unit) -> _DrawnRun:
+                unit) -> _Run:
     """Rows r of G(n[r], edge_prob[r]) conditioned on connectivity, with a
     uniform boundary of ``boundary_size[r]`` vertices.  Each rejection round
     is one ``rng.random`` over the vertex pairs of every pending row (rows in
@@ -282,8 +292,7 @@ def _random_run(rng, n, edge_prob, boundary_size, weight_range, measure_range,
         w, m = _drawn_values((rng, weight_range, measure_range), degree, n)
     bids = np.concatenate([np.sort(rng.choice(size, nb, replace=False))
                            for size, nb in zip(n.tolist(), boundary_size.tolist())])
-    return _DrawnRun(int(n.max()), len(n), n, boundary_size, bids, degree, tails[k], heads[k],
-                     w, m)
+    return _Run(n, boundary_size, bids, degree, tails[k], heads[k], w, m)
 
 
 @lru_cache(maxsize=64)
@@ -310,24 +319,20 @@ def _bits(masks, width: int) -> np.ndarray:
     return (np.asarray(masks, dtype=np.int64)[..., None] >> np.arange(width)) & 1
 
 
-class _MaskRun(namedtuple("_MaskRun", "n rows masks draw")):
-    """A run of bitmask instances on n vertices: ``masks(lo, hi)`` gives the
-    edge and the boundary bitmasks of rows lo..hi.  ``draw`` draws their
-    weights and measures (:func:`_drawn_values`); without it all are 1."""
-
-    __slots__ = ()
-
-    def columns(self, lo: int, hi: int) -> tuple:
-        edge_masks, boundary_masks = self.masks(lo, hi)
-        tails, heads = _pair_arrays(self.n)
-        gi, k = np.nonzero(_bits(edge_masks, len(tails)))
-        row, bids = np.nonzero(_bits(boundary_masks, self.n))
-        degree, sizes = np.bincount(gi, minlength=hi - lo), np.full(hi - lo, self.n)
-        if self.draw is None:
-            w, m = np.ones(len(k)), np.ones(sizes.sum())
-        else:
-            w, m = _drawn_values(self.draw, degree, sizes)
-        return sizes, np.bincount(row, minlength=hi - lo), bids, degree, tails[k], heads[k], w, m
+def _mask_run(n: int, edge_masks, boundary_masks, draw) -> _Run:
+    """The instances on n vertices of these edge and boundary bitmasks.
+    ``draw`` draws their weights and measures (:func:`_drawn_values`);
+    without it all are 1."""
+    tails, heads = _pair_arrays(n)
+    gi, k = np.nonzero(_bits(edge_masks, len(tails)))
+    row, bids = np.nonzero(_bits(boundary_masks, n))
+    degree, sizes = np.bincount(gi, minlength=len(edge_masks)), np.full(len(edge_masks), n)
+    if draw is None:
+        w, m = np.ones(len(k)), np.ones(sizes.sum())
+    else:
+        w, m = _drawn_values(draw, degree, sizes)
+    return _Run(sizes, np.bincount(row, minlength=len(edge_masks)), bids, degree, tails[k],
+                heads[k], w, m)
 
 
 def _pair_index(n: int) -> np.ndarray:
@@ -501,13 +506,9 @@ def _distance_tables(lap: np.ndarray, pad: np.ndarray, nb: int) -> np.ndarray:
     return np.where(pad[:, None, :], n, dist)
 
 
-def _quantities(nb: int, sizes, on_b, gi, u, v, w, m, rng, mutations) -> dict:
+def _quantities(nb: int, stack: _Run, rng, mutations) -> dict:
     """Every quantity the check table reads, as (G,) arrays over a stack of
-    graphs that share |B| = ``nb``, given as edge columns: graph ``gi[k]``
-    has the edge ``u[k]``-``v[k]`` of weight ``w[k]``.  Graph g has
-    ``sizes[g]`` vertices, row g of ``on_b`` marks its boundary (columns past
-    its size are ignored), and ``m`` holds the measures of every graph's
-    vertices, graph after graph.
+    graphs that share |B| = ``nb``, given as a run: graph g is its row g.
 
     One fancy assignment scatters every edge into (G, n, n) Laplacians, each
     graph relabelled boundary-first and padded after its interior to the
@@ -516,9 +517,12 @@ def _quantities(nb: int, sizes, on_b, gi, u, v, w, m, rng, mutations) -> dict:
     L_OB are 0, so the padded rows of X = L_OO^-1 L_OB are 0 and S, the
     Green energy and d_B do not change.
     """
-    count, n = len(sizes), int(sizes.max())
+    sizes, _, bids, degree, u, v, w, m = stack
+    count, n = stack.rows, stack.n
+    gi = np.repeat(np.arange(count), degree)  # the graph of each edge
     pad = np.arange(n) >= sizes[:, None]
-    on_b = on_b[:, :n]
+    on_b = np.zeros((count, n), dtype=bool)
+    on_b[np.repeat(np.arange(count), nb), bids] = True
     counted = on_b.cumsum(axis=1)
     label = np.where(on_b, counted - 1, nb + np.arange(n) - counted)
     u, v = label[gi, u], label[gi, v]
@@ -643,40 +647,30 @@ def _drawn_values(draw, degree: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarr
 
 
 def _verify_runs(runs, rng, mutations,
-                 max_violations=None) -> list[tuple[int, str, dict, _Instance]]:
-    """Verify the instances of ``runs`` window by window (:func:`_windows`);
-    ``run.columns(lo, hi)`` gives rows lo..hi as concatenable columns: n and
-    |B| per row, the boundary ids, the edge count per row, u, v, w and the
-    measures.  Rows, edges and vertices are ordered into the window's
-    stacks, one per |B| in order of appearance, by one stable argsort each
+                 max_violations=None) -> list[tuple[int, str, dict, _Run]]:
+    """Verify the ``_Run`` stream ``runs`` window by window (:func:`_windows`).
+    A window's rows are concatenated into one run and ordered into stacks,
+    one per |B| in order of appearance, by one stable argsort of each column
     over an int16 stack rank; Green-check vectors are drawn per stack.
-    Returns the (index, check, details, instance) of each failure, stopping
-    after the window that brings them to ``max_violations``."""
-    failures: list[tuple[int, str, dict, _Instance]] = []
+    Returns the (index, check, details, run of the row) of each failure,
+    stopping after the window that brings them to ``max_violations``."""
+    failures: list[tuple[int, str, dict, _Run]] = []
     for window in _windows(runs):
-        sizes, nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(
-            run.columns(lo, hi) for run, _, lo, hi in window)))
-        count, first = len(sizes), window[0][1]
-        on_b = np.zeros((count, sizes.max()), dtype=bool)
-        on_b[np.repeat(np.arange(count), nb), bids] = True
-        kinds, seen, kind = np.unique(nb, return_index=True, return_inverse=True)
+        run = _Run(*map(np.concatenate, zip(*(r.columns(lo, hi) for r, _, lo, hi in window))))
+        kinds, seen, kind = np.unique(run.nb, return_index=True, return_inverse=True)
         rank = np.argsort(np.argsort(seen)).astype(np.int16)[kind]
-        rows, edges, cells = (np.argsort(np.repeat(rank, x), kind="stable")
-                              for x in (1, degree, sizes))
-        sizes, on_b, degree = sizes[rows], on_b[rows], degree[rows]
-        gi, u, v, w, m = np.repeat(np.arange(count), degree), u[edges], v[edges], w[edges], m[cells]
+        rows, ids, edges, cells = (np.argsort(np.repeat(rank, x), kind="stable")
+                                   for x in (1, run.nb, run.degree, run.sizes))
+        run = _Run(run.sizes[rows], run.nb[rows], run.bids[ids], run.degree[rows], run.u[edges],
+                   run.v[edges], run.w[edges], run.m[cells])
         row_at = [0, *np.cumsum(np.bincount(rank)).tolist()]
-        edge_at, cell_at = (np.concatenate([[0], np.cumsum(x)]) for x in (degree, sizes))
-        for b, r0, r1 in zip(kinds[np.argsort(seen)].tolist(), row_at, row_at[1:]):
-            e0, e1, c0, c1 = edge_at[r0], edge_at[r1], cell_at[r0], cell_at[r1]
-            q = _quantities(b, sizes[r0:r1], on_b[r0:r1], gi[e0:e1] - r0, u[e0:e1], v[e0:e1],
-                            w[e0:e1], m[c0:c1], rng, mutations)
-            for g, check, details in _failed_cells(q):
-                j = r0 + g
-                on = slice(edge_at[j], edge_at[j + 1])
-                failures.append((first + int(rows[j]), check, details, _Instance(
-                    int(sizes[j]), u[on], v[on], w[on], m[cell_at[j] : cell_at[j + 1]],
-                    np.flatnonzero(on_b[j]))))
+        for b, r0, stack in zip(kinds[np.argsort(seen)].tolist(), row_at, run.split(row_at)):
+            failed = list(_failed_cells(_quantities(b, stack, rng, mutations)))
+            cells = sorted({g for g, _, _ in failed})  # as runs of one, at one prefix sum
+            cut = stack.split([x for g in cells for x in (g, g + 1)])
+            row = dict(zip(cells, islice(cut, 0, None, 2)))
+            failures += [(window[0][1] + int(rows[r0 + g]), check, details, row[g])
+                         for g, check, details in failed]
         if max_violations is not None and len(failures) >= max_violations:
             break
     return failures
@@ -694,8 +688,8 @@ def check_instance(g: WeightedBoundaryGraph, rng=None,
     require_connected(g)
     if not g.boundary:
         raise EmptyBoundaryError("graph has an empty boundary")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return [(check, details) for _, check, details, _ in _verify_runs([_Instance.of(g)], rng,
+    rng = seeded_rng(0 if rng is None else rng)
+    return [(check, details) for _, check, details, _ in _verify_runs([_Run.of(g)], rng,
                                                                        mutations)]
 
 
@@ -707,7 +701,7 @@ def check_instance(g: WeightedBoundaryGraph, rng=None,
 _DRAW_PAIRS = 1 << 16
 
 
-def _random_runs(spec: CorpusSpec) -> Iterator[_DrawnRun]:
+def _random_runs(spec: CorpusSpec) -> Iterator[_Run]:
     """The random corpus, batch by batch: every row's n, edge probability
     and boundary size, then the rows."""
     rng = np.random.default_rng([spec.seed, 0])
@@ -718,18 +712,18 @@ def _random_runs(spec: CorpusSpec) -> Iterator[_DrawnRun]:
                           spec.weight_range, spec.measure_range, spec.unit_only)
 
 
-def _class_runs(n_max: int, draw) -> Iterator[_MaskRun]:
+def _class_runs(n_max: int, draw) -> Iterator[_Run]:
     """The class rows on 2..n_max vertices, n ascending: each row once, or,
     with ``draw``, each repeated its labelings times, each repeat with
-    values of its own."""
+    values of its own; a level on n vertices in chunks of at most
+    ``_WINDOW_CELLS // n^2`` rows."""
     for n in range(2, n_max + 1):
         rows = _class_orbits(n)
         ends = np.cumsum(rows[:, 2] if draw else np.ones_like(rows[:, 2]))
-
-        def masks(lo: int, hi: int, rows=rows, ends=ends) -> np.ndarray:
-            return rows[np.searchsorted(ends, np.arange(lo, hi), side="right"), :2].T
-
-        yield _MaskRun(n, int(ends[-1]), masks, draw)
+        total, step = int(ends[-1]), max(1, _WINDOW_CELLS // n**2)
+        for lo in range(0, total, step):
+            at = np.searchsorted(ends, np.arange(lo, min(lo + step, total)), side="right")
+            yield _mask_run(n, *rows[at, :2].T, draw)
 
 
 def verify_corpus(

@@ -617,8 +617,10 @@ def hop_distances(g: WeightedBoundaryGraph, sources=None) -> np.ndarray:
     # imported here, not at module load: the corpus routes never need scipy.sparse
     from scipy.sparse import csgraph, csr_array
 
-    if sources is not None and (bad := [s for s in sources if not 0 <= s < g.n]):
-        raise GraphError(f"unknown vertex {bad[0]}")
+    for s in () if sources is None else sources:
+        require_integer("source", s)
+        if not 0 <= s < g.n:
+            raise GraphError(f"unknown vertex {s}")
     indptr, indices = g.csr
     adj = csr_array((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
     dist = csgraph.shortest_path(adj, unweighted=True, indices=sources)
@@ -700,17 +702,23 @@ def boundary_vector(g: WeightedBoundaryGraph, f) -> np.ndarray:
 
     Accepts a mapping from boundary vertex id to value (domain must equal the
     boundary exactly) or a sequence of length ``|B|`` in boundary-id order.
+    Every value must be a finite number; a bool is not one.
     """
     if len(g.boundary) == 0:
         raise EmptyBoundaryError("graph has an empty boundary")
     if isinstance(f, Mapping):
         if set(f) != set(g.boundary):
             raise GraphError("boundary function domain must equal the boundary")
-        return np.array([float(f[b]) for b in g.boundary])
-    vec = np.asarray(f, dtype=float)
-    if vec.shape != (len(g.boundary),):
+        f = [f[b] for b in g.boundary]
+    values = np.asarray(f, dtype=object)
+    if values.shape != (len(g.boundary),):
         raise GraphError(
             f"boundary function must have length {len(g.boundary)}, "
-            f"got shape {vec.shape}"
+            f"got shape {values.shape}"
         )
-    return vec.copy()
+    values = values.tolist()
+    vec = _binary64(values) if _all_types(values, _is_number_type) else None
+    if vec is None or not np.isfinite(vec).all():
+        bad = next(x for x in values if not (_is_float(x) and np.isfinite(float(x))))
+        raise GraphError(f"boundary values must be finite numbers, got {bad!r}")
+    return vec

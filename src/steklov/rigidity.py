@@ -123,10 +123,8 @@ def bound_attained(sigma2, bound, tol: float = EQUALITY_TOL):
 
 
 def _values_equal(a: float, b: float, rel_tol: float) -> bool:
-    # rel_tol 0 means bitwise input equality, the default policy for stored
-    # weights and measures.
-    if rel_tol <= 0.0:
-        return a == b
+    # rel_tol 0 means bitwise input equality of the finite inputs, the
+    # default policy for stored weights and measures.
     return abs(a - b) <= rel_tol * max(abs(a), abs(b))
 
 

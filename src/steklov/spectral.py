@@ -259,24 +259,22 @@ def steklov_operator(l_bb, l_ob, interior_map, mass):
 
     ``l_bb`` and ``l_ob`` are the L_BB and L_OB blocks, ``interior_map`` is
     X = L_OO^-1 L_OB (None without an interior) and ``mass`` holds the
-    boundary masses; when all are 1, A = M^-1/2 S M^-1/2 is S bitwise, and
-    the reduction is skipped.  Returns ``(S, eigenvalues, quantities)``: the
-    symmetrized S, the ascending eigenvalues of A, and the quantities that
-    ``OPERATOR_CHECKS`` reads, with ``misalignment``: the Davis-Kahan bound
-    |A v - rho v| / (sigma_2 - rho), rho = v^T A v, on the angle between
-    sigma_1's eigenvector and v = M^1/2 1 / |M^1/2 1|, read off A so that a
-    faulty mass reduction shows; 0 for |B| = 1 (v is exact), +inf if sigma_2 <= rho.
+    boundary masses.  Returns ``(S, eigenvalues, quantities)``: the
+    symmetrized S, the ascending eigenvalues of A = M^-1/2 S M^-1/2, and
+    the quantities that ``OPERATOR_CHECKS`` reads, with ``misalignment``:
+    the Davis-Kahan bound |A v - rho v| / (sigma_2 - rho), rho = v^T A v, on
+    the angle between sigma_1's eigenvector and v = M^1/2 1 / |M^1/2 1|,
+    read off A so that a faulty mass reduction shows; 0 for |B| = 1 (v is
+    exact), +inf if sigma_2 <= rho.
     """
     if interior_map is not None:  # rebound, so the L_BB slice is freed
         l_bb = l_bb - np.swapaxes(l_ob, -1, -2) @ interior_map
     transpose = np.swapaxes(l_bb, -1, -2)
     asymmetry = np.abs(l_bb - transpose).max(axis=(-1, -2))
     schur = 0.5 * (l_bb + transpose)
-    reduced = schur
-    if (mass != 1).any():
-        inv_sqrt = 1.0 / np.sqrt(mass)
-        reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
-        reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
+    inv_sqrt = 1.0 / np.sqrt(mass)
+    reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
     eig = np.linalg.eigvalsh(reduced)
     with np.errstate(all="ignore"):  # a bound that is not finite fails its row
         v = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass), axis=-1, keepdims=True)

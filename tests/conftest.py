@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steklov import graph_from_arrays
-from steklov.corpus import _Instance
+from steklov.corpus import _Run
 
 from reference_corpus import small_instances
 
@@ -39,7 +39,7 @@ def enumerate_small(n_max: int, *draw):
     """The exhaustive corpus on 2..n_max vertices as validated graphs, in
     stream order; ``draw`` is ``(rng, weight_range, measure_range)`` for
     drawn weights and measures, else all are 1."""
-    return map(_Instance.graph, small_instances(n_max, *draw))
+    return map(_Run.graph, small_instances(n_max, *draw))
 
 
 def unit_path(n: int):

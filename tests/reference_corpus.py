@@ -44,11 +44,11 @@ from steklov.corpus import (
     _details,
     _evaluate,
     _graph_classes,
-    _Instance,
     _pair_arrays,
     _permutations,
     _relabelled,
     _relabellings,
+    _Run,
 )
 from steklov.spectral import NumericsError, harmonic_extension
 
@@ -148,7 +148,7 @@ def random_instances(spec):
                                rng.uniform(*spec.measure_range, size=n)))
         for n, nb, (u, v), (w, m) in zip(sizes, boundary_sizes, edges, values):
             boundary = np.sort(rng.choice(n, size=nb, replace=False))
-            yield _Instance(n, u, v, w, m, boundary)
+            yield instance(n, u, v, w, m, boundary)
 
 
 def draw_connected(rng, sizes, probs) -> list:
@@ -197,12 +197,18 @@ def fold_by_class_row(n_max: int, rng, mutations=frozenset()) -> list:
     return sorted(records, key=lambda r: (r.index, _CHECK_RANK[r.check]))
 
 
-def mask_instance(n: int, edge_mask: int, boundary_mask: int) -> _Instance:
+def instance(n: int, u, v, w, m, boundary) -> _Run:
+    """A run of one row: n vertices, the edges u < v with weights w, the
+    measures m and the sorted boundary ids."""
+    return _Run(np.array([n]), np.array([len(boundary)]), boundary, np.array([len(u)]), u, v, w, m)
+
+
+def mask_instance(n: int, edge_mask: int, boundary_mask: int) -> _Run:
     """Unit-weight instance of an edge and a boundary bitmask."""
     tails, heads = _pair_arrays(n)
     on = np.flatnonzero(_bits(edge_mask, len(tails)))
-    return _Instance(n, tails[on], heads[on], np.ones(len(on)), np.ones(n),
-                     np.flatnonzero(_bits(boundary_mask, n)))
+    return instance(n, tails[on], heads[on], np.ones(len(on)), np.ones(n),
+                    np.flatnonzero(_bits(boundary_mask, n)))
 
 
 @lru_cache(maxsize=8)
@@ -245,7 +251,7 @@ def class_row_instances(n_max: int, rng, weight_range, measure_range):
                              measure_range)
 
 
-def _drawn(inst: _Instance, rng, weight_range, measure_range) -> _Instance:
+def _drawn(inst: _Run, rng, weight_range, measure_range) -> _Run:
     return inst._replace(w=rng.uniform(*weight_range, size=len(inst.u)),
                          m=rng.uniform(*measure_range, size=inst.n))
 

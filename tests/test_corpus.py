@@ -35,11 +35,11 @@ from steklov.corpus import (
     _distance_tables,
     _geodesic_conditions,
     _graph_classes,
-    _Instance,
     _pair_arrays,
     _permutations,
     _random_runs,
     _relabelled,
+    _Run,
 )
 from steklov.graph import geodesic_layers
 from steklov.rigidity import _unique_geodesic, check_rigidity
@@ -62,26 +62,17 @@ from reference_corpus import (
 
 def stack_quantities(stack, rng, mutations):
     """The kernel's quantities of instances that share |B|, stacked as one,
-    their arrays concatenated into the kernel's edge columns."""
-    sizes, nb, bids, degree, u, v, w, m = map(np.concatenate, zip(*(inst.columns(0, 1)
-                                                                   for inst in stack)))
-    count = len(stack)
-    on_b = np.zeros((count, sizes.max()), dtype=bool)
-    on_b[np.repeat(np.arange(count), nb), bids] = True
-    return corpus._quantities(int(nb[0]), sizes, on_b, np.repeat(np.arange(count), degree), u, v,
-                              w, m, rng, mutations)
+    their runs concatenated into one."""
+    run = _Run(*map(np.concatenate, zip(*stack)))
+    return corpus._quantities(int(run.nb[0]), run, rng, mutations)
 
 
 def run_instances(run) -> list:
-    """The rows of a run as instances, sliced off its columns one by one."""
-    out = []
-    for r in range(run.rows):
-        (n,), _, boundary, _, u, v, w, m = run.columns(r, r + 1)
-        out.append(_Instance(int(n), u, v, w, m, boundary))
-    return out
+    """The rows of a run as runs of one, sliced off its columns one by one."""
+    return [run.columns(r, r + 1) for r in range(run.rows)]
 
 
-def drawn_instance(rng, n, edge_prob, boundary_size, unit=False) -> _Instance:
+def drawn_instance(rng, n, edge_prob, boundary_size, unit=False) -> _Run:
     """One row of the draw routine, as an instance."""
     run = corpus._random_run(rng, np.array([n]), np.array([edge_prob]),
                              np.array([boundary_size]), (0.5, 2.0), (0.5, 2.0), unit)
@@ -491,7 +482,7 @@ class TestInstanceStreams:
     @staticmethod
     def assert_instance_is_graph(inst, g):
         assert inst.graph() == g
-        for ours, theirs in zip(inst, _Instance.of(g)):
+        for ours, theirs in zip(inst, _Run.of(g)):
             assert np.array_equal(ours, theirs)
             assert np.asarray(ours).dtype.kind == np.asarray(theirs).dtype.kind
 
@@ -556,13 +547,8 @@ class TestInstanceStreams:
         def no_argwhere(*args, **kwargs):
             raise AssertionError("searched a check row whose verdicts all hold")
 
-        def no_instance(*args, **kwargs):
-            raise AssertionError("built an instance object on a clean exhaustive run")
-
         monkeypatch.setattr(corpus, "graph_from_arrays", no_graph)
         monkeypatch.setattr(corpus.np, "argwhere", no_argwhere)
-        if spec.mode == "exhaustive":
-            monkeypatch.setattr(corpus, "_Instance", no_instance)
         assert verify_corpus(spec) == []
 
     @pytest.mark.parametrize("spec", [
@@ -596,15 +582,15 @@ class TestMaskFeeder:
     same instances fed one by one as runs of one: same windows, same
     columns, same drawn weights and measures, same Green-check vectors."""
 
-    COLUMNS = ("sizes", "on_b", "gi", "u", "v", "w", "m")
+    COLUMNS = _Run._fields
 
     @staticmethod
     def kernel_calls(monkeypatch, run) -> list:
-        """(nb, input columns, quantities) of every kernel call of ``run()``."""
+        """(nb, input stack, quantities) of every kernel call of ``run()``."""
         calls, kernel = [], corpus._quantities
 
-        def recorded(nb, *args):
-            calls.append((nb, args[:7], kernel(nb, *args)))
+        def recorded(nb, stack, *args):
+            calls.append((nb, stack, kernel(nb, stack, *args)))
             return calls[-1][2]
 
         with monkeypatch.context() as patch:
@@ -724,7 +710,7 @@ class TestBatchedGeodesics:
         assert _unique_geodesic(g, 0, 40) is None
         report = check_rigidity(g)
         assert not report.cond_path and not report.certified_equality
-        q = stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
+        q = stack_quantities([_Run.of(g)], np.random.default_rng(0), frozenset())
         assert q["cond_boundary"].tolist() == [True]
         assert q["cond_path"].tolist() == [False]
         assert q["certified_equality"].tolist() == [False]
@@ -747,7 +733,7 @@ class TestBatchedGeodesics:
         for graph, conds, mutations in ((g, (True, True), frozenset()),
                                         (chord, (True, False), skip),
                                         (raised, (False, True), frozenset())):
-            q = stack_quantities([_Instance.of(graph)], np.random.default_rng(0), mutations)
+            q = stack_quantities([_Run.of(graph)], np.random.default_rng(0), mutations)
             report = check_rigidity(graph)
             assert (q["cond_path"].tolist(), q["cond_comb"].tolist()) == ([conds[0]], [conds[1]])
             assert (report.cond_path, report.cond_comb) == conds
@@ -795,7 +781,7 @@ class TestCheckInstance:
         graphs += [rng_graph(rng, int(rng.integers(1, 13)), unit=bool(k % 2))
                    for k in range(60)]
         for g in graphs:
-            ours = stack_quantities([_Instance.of(g)], np.random.default_rng(7), mutations)
+            ours = stack_quantities([_Run.of(g)], np.random.default_rng(7), mutations)
             ref = reference_quantities(g, np.random.default_rng(7), mutations)
             assert ours.keys() == ref.keys()
             for name, value in ref.items():
@@ -807,7 +793,7 @@ class TestCheckInstance:
 
     def test_single_boundary_vertex_skips_bound_rows(self):
         g = graph_from_arrays([1.0, 2.0, 1.5], [1], [(0, 1, 1.0), (1, 2, 0.5)])
-        q = stack_quantities([_Instance.of(g)], np.random.default_rng(0), frozenset())
+        q = stack_quantities([_Run.of(g)], np.random.default_rng(0), frozenset())
         assert "sigma2" not in q and "certified_equality" not in q
         assert check_instance(g) == []
 
@@ -990,6 +976,31 @@ class TestVerifyCorpus:
             with pytest.raises(GraphError) as excinfo:
                 call()
             assert str(excinfo.value) == "unknown mutation 'nope'"
+
+    @pytest.mark.parametrize("mutations", [MUTATION_BOUND_DB, b"x", None, 5], ids=repr)
+    def test_mutations_are_a_set_of_names(self, path3, mutations):
+        """A string, bytes or a non-iterable is refused whole, not read as
+        its characters, in every entry point."""
+        spec = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
+        for call in (lambda: verify_corpus(spec, mutations=mutations),
+                     lambda: check_instance(path3, mutations=mutations)):
+            with pytest.raises(GraphError) as excinfo:
+                call()
+            assert str(excinfo.value) == f"mutations must be a set of names, got {mutations!r}"
+
+    @pytest.mark.parametrize("rng, message", [
+        ("x", "seed must be an integer, got 'x'"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be nonnegative, got -1"),
+    ], ids=["str", "float", "negative"])
+    def test_check_instance_takes_a_seed(self, path3, rng, message):
+        """``rng`` is a seed or a Generator, as for the graph generators."""
+        mutations = frozenset({MUTATION_BOUND_DB})
+        assert (check_instance(path3, rng=5, mutations=mutations)
+                == check_instance(path3, rng=np.random.default_rng(5), mutations=mutations))
+        with pytest.raises(GraphError) as excinfo:
+            check_instance(path3, rng=rng)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("value", ["no", 1, None], ids=repr)
     @pytest.mark.parametrize("mode", ["random", "exhaustive"])

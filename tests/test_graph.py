@@ -223,6 +223,17 @@ class TestDistances:
         for src in range(g.n):
             assert list(d[src]) == bfs_distances(g, src)
 
+    @pytest.mark.parametrize("source", [1.5, True, "a"], ids=repr)
+    def test_sources_are_integers(self, path3, source):
+        """A source that is not an integer is one GraphError line, in
+        ``all_geodesics`` too; numpy integers count."""
+        for call in (lambda: hop_distances(path3, [source]),
+                     lambda: all_geodesics(path3, 0, source)):
+            with pytest.raises(GraphError) as excinfo:
+                call()
+            assert str(excinfo.value) == f"source must be an integer, got {source!r}"
+        assert hop_distances(path3, [np.int64(1)]).tolist() == [[1, 0, 1]]
+
 
 class TestGeodesics:
     def test_path3_unique(self, path3):
@@ -327,6 +338,30 @@ class TestCoercion:
     def test_boundary_vector_wrong_length(self, path3):
         with pytest.raises(GraphError, match="length"):
             boundary_vector(path3, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("fixture, values, message", [
+        ("path3", "ab", "boundary function must have length 2, got shape ()"),
+        ("path3", [None, 1], "boundary values must be finite numbers, got None"),
+        ("path3", [True, 1], "boundary values must be finite numbers, got True"),
+        ("path3", {0: 1.0, 2: "x"}, "boundary values must be finite numbers, got 'x'"),
+        ("k2", [float("nan"), 1], "boundary values must be finite numbers, got nan"),
+        ("k2", [1, float("inf")], "boundary values must be finite numbers, got inf"),
+    ], ids=["str", "none", "bool", "mapping", "nan", "inf"])
+    def test_boundary_values_are_finite_numbers(self, request, fixture, values, message):
+        """A value that is not a finite number is one GraphError line naming
+        it, on a graph with an interior and on one without (K2)."""
+        from steklov import harmonic_extension
+
+        g = request.getfixturevalue(fixture)
+        for call in (boundary_vector, harmonic_extension):
+            with pytest.raises(GraphError) as excinfo:
+                call(g, values)
+            assert str(excinfo.value) == message
+
+    def test_boundary_vector_takes_numpy_arrays(self, path3):
+        values = np.array([0.5, 2.0], dtype=np.float32)
+        assert boundary_vector(path3, values).tolist() == [0.5, 2.0]
+        assert boundary_vector(path3, [np.int64(1), 2.5]).tolist() == [1.0, 2.5]
 
     def test_graph_from_arrays_bad_boundary(self):
         with pytest.raises(GraphError, match="unknown vertex reference"):
