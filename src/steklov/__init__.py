@@ -18,6 +18,7 @@ from .corpus import (
     ViolationRecord,
     check_instance,
     count_exhaustive_instances,
+    iter_violations,
     random_graph,
     verify_corpus,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "hop_distance_matrix",
     "is_comb_over",
     "is_connected",
+    "iter_violations",
     "laplacian",
     "make_graph",
     "parse_graph",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import bound_report
 from .corpus import (RANDOM_N_MAX, CorpusSpec, count_class_rows, count_exhaustive_instances,
-                     verify_corpus)
+                     iter_violations)
 from .graph import (
     Check,
     GraphError,
@@ -97,7 +97,7 @@ def _load_graph(path: str) -> WeightedBoundaryGraph:
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, allow_nan=False))
+    print(json.dumps(doc, allow_nan=False), flush=True)
 
 
 def _number(value, what: str) -> float:
@@ -232,16 +232,16 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         unit_only=args.unit_only,
     )
-    records = verify_corpus(spec)
-    for record in records:
-        print(json.dumps(record.to_json_dict(), allow_nan=False))
+    violations = 0
+    for violations, record in enumerate(iter_violations(spec), 1):  # each as it is found
+        _emit(record.to_json_dict())
     summary = {"summary": True, "mode": spec.mode, "instances": spec.samples}
     if spec.mode == "exhaustive":
         summary["instances"] = count_exhaustive_instances(spec.n_max)
         summary["class_rows"] = count_class_rows(spec.n_max)
-    summary.update(violations=len(records), seed=spec.seed)
+    summary.update(violations=violations, seed=spec.seed)
     print(json.dumps(summary), file=sys.stderr)
-    return 1 if records else 0
+    return 1 if violations else 0
 
 
 _COMMANDS = {

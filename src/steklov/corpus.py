@@ -1,9 +1,11 @@
 """Random and exhaustive graph corpora with brute-force theorem verification.
 
-``verify_corpus`` asserts, for every instance, the extended lower bound,
+``iter_violations`` asserts, for every instance, the extended lower bound,
 that numeric equality coincides with the structural certificate, and the
-spectral invariants.  Violations come back as data, never as exceptions.
-Each assertion is written once, as a row of the check table ``_CHECKS``.
+spectral invariants.  Violations come back as data, never as exceptions: a
+stream of records, each yielded once its window is verified, which
+``verify_corpus`` lists.  Each assertion is written once, as a row of the
+check table ``_CHECKS``.
 
 Every instance is a row of a ``_Run``, rows held as whole columns.  One
 kernel, ``_quantities``, computes every quantity the table reads for a
@@ -14,8 +16,9 @@ unchanged.  It eigensolves for eigenvalues only, as the per-graph analysis
 does, and takes hop distances from the boundary vertices only.  w0, the unit
 flag and the comb test (``is_comb_over``'s, ``shared_components``) read the
 edge columns, not the Laplacians.  Every mode feeds it runs through one
-window loop, ``_verify_runs``: a random batch (``_random_run``), a run of
-one row for ``check_instance``, or exhaustive chunks (``_mask_run``).
+window generator, ``_verify_runs``, which yields each window's failures in
+stream order: a random batch (``_random_run``), a run of one row for
+``check_instance``, or exhaustive chunks (``_mask_run``).
 
 Both exhaustive modes stream the rows of the isomorphism classes of
 connected graphs, each class crossed with the orbits of its automorphisms on
@@ -217,13 +220,16 @@ class _Run(namedtuple("_Run", "sizes nb bids degree u v w m")):
                                          self.w))
 
 
-def _check_mutations(mutations) -> None:
-    """``mutations`` is a set of names, each one of ``KNOWN_MUTATIONS``."""
+def _check_mutations(mutations) -> frozenset:
+    """``mutations``, a set of names each one of ``KNOWN_MUTATIONS``, read
+    once into the frozenset the caller then uses."""
     if isinstance(mutations, (str, bytes)) or not isinstance(mutations, Iterable):
         raise GraphError(f"mutations must be a set of names, got {mutations!r}")
-    unknown = set(mutations) - KNOWN_MUTATIONS
+    names = tuple(mutations)
+    unknown = [x for x in names if not (isinstance(x, str) and x in KNOWN_MUTATIONS)]
     if unknown:
-        raise GraphError(f"unknown mutation {sorted(unknown)[0]!r}")
+        raise GraphError(f"unknown mutation {min(unknown, key=repr)!r}")
+    return frozenset(names)
 
 
 def _check_n_max(mode: str, n_max: int) -> None:
@@ -646,15 +652,13 @@ def _drawn_values(draw, degree: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarr
             m_lo + (m_hi - m_lo) * values[~is_weight])
 
 
-def _verify_runs(runs, rng, mutations,
-                 max_violations=None) -> list[tuple[int, str, dict, _Run]]:
+def _verify_runs(runs, rng, mutations) -> Iterator[tuple[int, str, dict, _Run]]:
     """Verify the ``_Run`` stream ``runs`` window by window (:func:`_windows`).
     A window's rows are concatenated into one run and ordered into stacks,
     one per |B| in order of appearance, by one stable argsort of each column
     over an int16 stack rank; Green-check vectors are drawn per stack.
-    Returns the (index, check, details, run of the row) of each failure,
-    stopping after the window that brings them to ``max_violations``."""
-    failures: list[tuple[int, str, dict, _Run]] = []
+    Yields each window's failures, (index, check, details, run of the row),
+    once it is verified, by index, then check: in stream order overall."""
     for window in _windows(runs):
         run = _Run(*map(np.concatenate, zip(*(r.columns(lo, hi) for r, _, lo, hi in window))))
         kinds, seen, kind = np.unique(run.nb, return_index=True, return_inverse=True)
@@ -664,6 +668,7 @@ def _verify_runs(runs, rng, mutations,
         run = _Run(run.sizes[rows], run.nb[rows], run.bids[ids], run.degree[rows], run.u[edges],
                    run.v[edges], run.w[edges], run.m[cells])
         row_at = [0, *np.cumsum(np.bincount(rank)).tolist()]
+        failures = []
         for b, r0, stack in zip(kinds[np.argsort(seen)].tolist(), row_at, run.split(row_at)):
             failed = list(_failed_cells(_quantities(b, stack, rng, mutations)))
             cells = sorted({g for g, _, _ in failed})  # as runs of one, at one prefix sum
@@ -671,9 +676,7 @@ def _verify_runs(runs, rng, mutations,
             row = dict(zip(cells, islice(cut, 0, None, 2)))
             failures += [(window[0][1] + int(rows[r0 + g]), check, details, row[g])
                          for g, check, details in failed]
-        if max_violations is not None and len(failures) >= max_violations:
-            break
-    return failures
+        yield from sorted(failures, key=lambda failure: (failure[0], _CHECK_RANK[failure[1]]))
 
 
 def check_instance(g: WeightedBoundaryGraph, rng=None,
@@ -684,7 +687,7 @@ def check_instance(g: WeightedBoundaryGraph, rng=None,
     ``verify_corpus``.  Raises :class:`~steklov.graph.DisconnectedGraphError`
     and :class:`~steklov.graph.EmptyBoundaryError` like the per-graph analysis.
     """
-    _check_mutations(mutations)
+    mutations = _check_mutations(mutations)
     require_connected(g)
     if not g.boundary:
         raise EmptyBoundaryError("graph has an empty boundary")
@@ -726,6 +729,34 @@ def _class_runs(n_max: int, draw) -> Iterator[_Run]:
             yield _mask_run(n, *rows[at, :2].T, draw)
 
 
+def iter_violations(spec: CorpusSpec,
+                    mutations: frozenset = frozenset()) -> Iterator[ViolationRecord]:
+    """The records of ``verify_corpus(spec, mutations=mutations)``, in its
+    order, each yielded once the window that holds its instance is verified,
+    with one graph document per failing instance.  ``mutations`` is checked
+    at the call; the corpus work waits for the first ``next``."""
+    mutations = _check_mutations(mutations)
+
+    def records() -> Iterator[ViolationRecord]:
+        labelings = None  # a record of one labeled instance
+        if spec.mode == "random":
+            runs = _random_runs(spec)
+        elif spec.unit_only:
+            runs = _class_runs(spec.n_max, None)
+            labelings = np.concatenate([_class_orbits(n)[:, 2] for n in range(2, spec.n_max + 1)])
+        else:
+            draw = np.random.default_rng([spec.seed, 0]), spec.weight_range, spec.measure_range
+            runs = _class_runs(spec.n_max, draw)
+        last = None
+        for index, check, details, row in _verify_runs(
+                runs, np.random.default_rng([spec.seed, 1]), mutations):
+            if index != last:
+                last, graph = index, row.json_dict()
+            yield ViolationRecord(index, check, graph, details,
+                                  1 if labelings is None else int(labelings[index]))
+    return records()
+
+
 def verify_corpus(
     spec: CorpusSpec,
     max_violations: int | None = None,
@@ -736,30 +767,13 @@ def verify_corpus(
 
     An empty list is a full pass.  Identical specs give identical results;
     ``max_violations`` returns the first that many records of the full run,
-    stopping early once they are found.  The ``mutations`` argument
-    deliberately corrupts the checks (see ``KNOWN_MUTATIONS``) so tests can
-    prove the suite is not vacuous.
+    stopping at the last.  The ``mutations`` argument deliberately corrupts
+    the checks (see ``KNOWN_MUTATIONS``) so tests can prove the suite is not
+    vacuous.
     """
-    _check_mutations(mutations)
+    records = iter_violations(spec, mutations)
     if max_violations is not None:
         require_integer("max_violations", max_violations)
         if max_violations < 0:
             raise GraphError(f"max_violations must be nonnegative, got {max_violations}")
-    labelings = None  # a record of one labeled instance
-    if spec.mode == "random":
-        runs = _random_runs(spec)
-    elif spec.unit_only:
-        runs = _class_runs(spec.n_max, None)
-        labelings = np.concatenate([_class_orbits(n)[:, 2] for n in range(2, spec.n_max + 1)])
-    else:
-        draw = np.random.default_rng([spec.seed, 0]), spec.weight_range, spec.measure_range
-        runs = _class_runs(spec.n_max, draw)
-    failures = _verify_runs(runs, np.random.default_rng([spec.seed, 1]), mutations,
-                            max_violations)
-    failures.sort(key=lambda failure: (failure[0], _CHECK_RANK[failure[1]]))
-    failures = failures[:max_violations]
-    graphs = {index: inst for index, _, _, inst in failures}  # one document per instance
-    graphs = {index: inst.json_dict() for index, inst in graphs.items()}
-    return [ViolationRecord(index, check, graphs[index], details,
-                            1 if labelings is None else int(labelings[index]))
-            for index, check, details, _ in failures]
+    return list(islice(records, max_violations))

@@ -617,6 +617,10 @@ def hop_distances(g: WeightedBoundaryGraph, sources=None) -> np.ndarray:
     # imported here, not at module load: the corpus routes never need scipy.sparse
     from scipy.sparse import csgraph, csr_array
 
+    if sources is not None:  # read once: a generator is consumed by the range check
+        if not isinstance(sources, Iterable):
+            raise GraphError(f"sources must be a list of vertex ids, got {sources!r}")
+        sources = list(sources)
     for s in () if sources is None else sources:
         require_integer("source", s)
         if not 0 <= s < g.n:

@@ -311,7 +311,7 @@ class TestVerify:
         fake = [ViolationRecord(index=7, check="bound_extended_holds",
                                 graph={"vertices": [], "edges": []},
                                 details={"sigma2": 1.0})]
-        monkeypatch.setattr(cli, "verify_corpus", lambda spec: fake)
+        monkeypatch.setattr(cli, "iter_violations", lambda spec: iter(fake))
         code, out, err = run(
             capsys, "verify", "--mode", "exhaustive", "--n-max", "4", "--unit-only"
         )
@@ -322,6 +322,28 @@ class TestVerify:
         assert doc["index"] == 7 and doc["check"] == "bound_extended_holds"
         summary = json.loads(err.strip().splitlines()[-1])
         assert summary["violations"] == 1
+
+    def test_records_are_printed_as_found(self, monkeypatch):
+        """Each record reaches stdout, flushed, before the next is found."""
+        import steklov.cli as cli
+        from steklov.corpus import ViolationRecord
+
+        raw = io.BytesIO()  # holds only what ``out`` flushed
+        out = io.TextIOWrapper(raw, encoding="utf-8")
+        records = [ViolationRecord(index=i, check="bound_extended_holds",
+                                   graph={"vertices": [], "edges": []}) for i in (3, 7)]
+        lines = [json.dumps(r.to_json_dict()) for r in records]
+
+        def fake(spec):
+            yield records[0]
+            assert raw.getvalue().decode().splitlines() == lines[:1]
+            yield records[1]
+
+        monkeypatch.setattr(cli, "iter_violations", fake)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", "--mode", "exhaustive", "--n-max", "4", "--unit-only"])
+        assert code == 1
+        assert raw.getvalue().decode().splitlines() == lines
 
     def test_random_n_max_above_cap_exit_2(self, capsys, monkeypatch):
         from steklov import corpus

@@ -17,6 +17,7 @@ from steklov import (
     hop_distance_matrix,
     is_comb_over,
     is_connected,
+    iter_violations,
     parse_graph,
     random_comb,
     random_graph,
@@ -620,7 +621,7 @@ class TestMaskFeeder:
 
         def instance_path():
             rng = np.random.default_rng([spec.seed, 1])
-            assert corpus._verify_runs(stream, rng, frozenset()) == []
+            assert list(corpus._verify_runs(stream, rng, frozenset())) == []
 
         ours = self.kernel_calls(monkeypatch, lambda: verify_corpus(spec))
         theirs = self.kernel_calls(monkeypatch, instance_path)
@@ -969,13 +970,31 @@ class TestVerifyCorpus:
 
     def test_unknown_mutation_rejected(self, path3):
         """A misspelt sentinel is one GraphError line in every entry point,
-        so it cannot pass silently."""
+        so it cannot pass silently; ``iter_violations`` raises at the call,
+        before its first record.  Names that are not strings, unhashable
+        ones too, are unknown, the first by ``repr`` named."""
         spec = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
-        for call in (lambda: verify_corpus(spec, mutations=frozenset({"nope"})),
-                     lambda: check_instance(path3, mutations=frozenset({"nope"}))):
-            with pytest.raises(GraphError) as excinfo:
-                call()
-            assert str(excinfo.value) == "unknown mutation 'nope'"
+        for mutations, name in ((frozenset({"nope"}), "'nope'"), ({1, "a"}, "'a'"),
+                                ([["a"]], "['a']")):
+            for call in (lambda: verify_corpus(spec, mutations=mutations),
+                         lambda: iter_violations(spec, mutations=mutations),
+                         lambda: check_instance(path3, mutations=mutations)):
+                with pytest.raises(GraphError) as excinfo:
+                    call()
+                assert str(excinfo.value) == f"unknown mutation {name}"
+
+    def test_one_shot_mutations_are_read_once(self):
+        """An iterator of names is read once, by the check, and the checked
+        set is the one the run uses: the sentinel still fires."""
+        spec = CorpusSpec(mode="random", n_max=5, samples=3)
+        listed = verify_corpus(spec, mutations=[MUTATION_BOUND_DB])
+        assert len(listed) == 1
+        assert verify_corpus(spec, mutations=iter([MUTATION_BOUND_DB])) == listed
+        assert list(iter_violations(spec, mutations=iter([MUTATION_BOUND_DB]))) == listed
+        g = random_comb(6, 1.0, 1.0, seed=0)
+        listed = check_instance(g, mutations=[MUTATION_BOUND_DB])
+        assert [check for check, _ in listed] == ["equality_iff_certified"]
+        assert check_instance(g, mutations=(m for m in [MUTATION_BOUND_DB])) == listed
 
     @pytest.mark.parametrize("mutations", [MUTATION_BOUND_DB, b"x", None, 5], ids=repr)
     def test_mutations_are_a_set_of_names(self, path3, mutations):
@@ -983,6 +1002,7 @@ class TestVerifyCorpus:
         its characters, in every entry point."""
         spec = CorpusSpec(mode="exhaustive", n_max=3, unit_only=True)
         for call in (lambda: verify_corpus(spec, mutations=mutations),
+                     lambda: iter_violations(spec, mutations=mutations),
                      lambda: check_instance(path3, mutations=mutations)):
             with pytest.raises(GraphError) as excinfo:
                 call()
@@ -1093,18 +1113,41 @@ class TestVerifyCorpus:
 
     def test_max_violations_early_stop(self):
         """In every mode a cap of k returns exactly the first k records of
-        the uncapped run, and a negative cap is one GraphError line."""
+        the uncapped run, and a negative cap is one GraphError line; the
+        stream of ``iter_violations`` is the uncapped run, clean or not."""
         mutations = frozenset({MUTATION_BOUND_DB})
         for spec in (CorpusSpec(mode="random", n_max=30, samples=300),
                      CorpusSpec(mode="exhaustive", n_max=4, seed=3),
                      CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)):
-            full = [r.to_json_dict() for r in verify_corpus(spec, mutations=mutations)]
-            assert len(full) > 1
+            for sentinels in (frozenset(), frozenset({MUTATION_COMB_SKIP}), mutations):
+                full = [r.to_json_dict() for r in verify_corpus(spec, mutations=sentinels)]
+                assert [r.to_json_dict() for r in iter_violations(spec, sentinels)] == full
+            assert len(full) > 1  # the bound sentinel's run, the last one above
             for k in (0, 1, 100):
                 capped = verify_corpus(spec, max_violations=k, mutations=mutations)
                 assert [r.to_json_dict() for r in capped] == full[:k], (spec, k)
             with pytest.raises(GraphError, match="^max_violations must be nonnegative, got -1$"):
                 verify_corpus(spec, max_violations=-1, mutations=mutations)
+
+    def test_first_record_verifies_one_window(self, monkeypatch):
+        """The first record of a long stream costs the kernel calls of its
+        window's stacks only, one per |B| of the window."""
+        spec = CorpusSpec(mode="exhaustive", n_max=6)
+        draw = np.random.default_rng([spec.seed, 0]), spec.weight_range, spec.measure_range
+        windows = corpus._windows(corpus._class_runs(spec.n_max, draw))
+        first = next(windows)
+        assert next(windows, None) is not None
+        nb = np.concatenate([run.columns(lo, hi).nb for run, _, lo, hi in first])
+        calls, kernel = [], corpus._quantities
+
+        def counted(b, stack, *args):
+            calls.append((b, stack.rows))
+            return kernel(b, stack, *args)
+
+        monkeypatch.setattr(corpus, "_quantities", counted)
+        record = next(iter_violations(spec, frozenset({MUTATION_BOUND_DB})))
+        assert record.index < len(nb)
+        assert calls == [(b, int((nb == b).sum())) for b in dict.fromkeys(nb.tolist())]
 
     def test_violation_reproducible_from_stored_graph(self):
         spec = CorpusSpec(mode="exhaustive", n_max=4, unit_only=True)

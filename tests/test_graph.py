@@ -234,6 +234,15 @@ class TestDistances:
             assert str(excinfo.value) == f"source must be an integer, got {source!r}"
         assert hop_distances(path3, [np.int64(1)]).tolist() == [[1, 0, 1]]
 
+    def test_sources_are_read_once(self, path3):
+        """A generator of sources gives the rows of the same list; a single
+        vertex id is one GraphError line, not csgraph's TypeError."""
+        assert (hop_distances(path3, (s for s in [2, 0])).tolist()
+                == hop_distances(path3, [2, 0]).tolist() == [[2, 1, 0], [0, 1, 2]])
+        with pytest.raises(GraphError) as excinfo:
+            hop_distances(path3, 0)
+        assert str(excinfo.value) == "sources must be a list of vertex ids, got 0"
+
 
 class TestGeodesics:
     def test_path3_unique(self, path3):
