@@ -57,9 +57,9 @@ def bound_formulas(
 ) -> tuple[float, float, float]:
     """(unit, general, extended) bounds from the boundary quantities and |B|.
 
-    Every bound is +inf (vacuous) when ``nb < 2``.
+    Every bound is +inf (vacuous) when ``nb < 2``; over arrays, elementwise.
     """
-    if nb < 2:
+    if np.ndim(nb) == 0 and nb < 2:
         return INF, INF, INF
     return (
         nb / ((nb - 1) ** 2 * dB),

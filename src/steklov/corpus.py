@@ -10,15 +10,15 @@ check table ``_CHECKS``.
 Every instance is a row of a ``_Run``, rows held as whole columns.  One
 kernel, ``_quantities``, computes every quantity the table reads for a
 stack of graphs given as a run: it scatters its edges into Laplacians, each
-graph relabelled boundary-first, stacked by |B| and padded to the stack's
-largest n with edgeless interior vertices, which leave every quantity
-unchanged.  It eigensolves for eigenvalues only, as the per-graph analysis
-does, and takes hop distances from the boundary vertices only.  w0, the unit
-flag and the comb test (``is_comb_over``'s, ``shared_components``) read the
-edge columns, not the Laplacians.  Every mode feeds it runs through one
-window generator, ``_verify_runs``, which yields each window's failures in
-stream order: a random batch (``_random_run``), a run of one row for
-``check_instance``, or exhaustive chunks (``_mask_run``).
+graph relabelled boundary-first and padded to the stack's largest |B| and
+interior with edgeless slots, which leave every quantity unchanged.  It
+eigensolves for eigenvalues only, as the per-graph analysis does, and takes
+hop distances from the boundary vertices only.  w0, the unit flag and the comb
+test (``is_comb_over``'s, ``shared_components``) read the edge columns, not
+the Laplacians.  Every mode feeds it runs through one window generator,
+``_verify_runs``, which yields each window's failures in stream order: a
+random batch (``_random_run``), a run of one row for ``check_instance``, or
+exhaustive chunks (``_mask_run``).
 
 Both exhaustive modes stream the rows of the isomorphism classes of
 connected graphs, each class crossed with the orbits of its automorphisms on
@@ -489,19 +489,19 @@ def _certificate(cond_boundary, cond_path, cond_comb, mutations) -> dict:
 
 
 def _distance_tables(lap: np.ndarray, pad: np.ndarray, nb: int) -> np.ndarray:
-    """(G, nb, n) hop distances from the first ``nb`` vertices, none of them
-    padding, of connected graphs with (G, n, n) Laplacians.
+    """(G, nb, n) hop distances from the first ``nb`` vertices of connected
+    graphs with (G, n, n) Laplacians.
 
     d(x, y) counts the hop counts at which y is still out of x's reach, by
     boolean reach powers reach <- min(reach (A + I), 1), held in float32:
     exact, since no count exceeds n < 2^24, and one product per hop, at most
-    n - 1 of them.  Padding vertices (``pad``, (G, n)) start in reach, so
-    they never keep the loop running, and end at distance n: off every
-    geodesic.
+    n - 1 of them.  Padding vertices (``pad``, (G, n)) start in reach, and
+    padding sources reach all, so they never keep the loop running; padding
+    ends at distance n, off every geodesic, or at 0 among the first ``nb``.
     """
     n = lap.shape[-1]
     step = ((lap < 0) | np.eye(n, dtype=bool)).astype(np.float32)
-    reach = (np.eye(nb, n, dtype=bool) | pad[:, None, :]).astype(np.float32)
+    reach = (np.eye(nb, n, dtype=bool) | pad[:, None, :] | pad[:, :nb, None]).astype(np.float32)
     dist = np.zeros(reach.shape, dtype=np.int64)
     for _ in range(n - 1):
         apart = reach == 0
@@ -509,33 +509,41 @@ def _distance_tables(lap: np.ndarray, pad: np.ndarray, nb: int) -> np.ndarray:
             break
         dist += apart
         reach = np.minimum(reach @ step, 1)
-    return np.where(pad[:, None, :], n, dist)
+    return np.where(pad[:, None, :] & (np.arange(n) >= nb), n, dist)
 
 
 def _quantities(nb: int, stack: _Run, rng, mutations) -> dict:
     """Every quantity the check table reads, as (G,) arrays over a stack of
-    graphs that share |B| = ``nb``, given as a run: graph g is its row g.
+    graphs of |B| <= ``nb`` (|B| <= 2 alone), given as a run: graph g is row g.
 
-    One fancy assignment scatters every edge into (G, n, n) Laplacians, each
-    graph relabelled boundary-first and padded after its interior to the
-    stack's largest n with edgeless vertices of Laplacian diagonal 1.  L_OO
-    is then block diagonal with an identity block and the padded rows of
-    L_OB are 0, so the padded rows of X = L_OO^-1 L_OB are 0 and S, the
-    Green energy and d_B do not change.
+    One fancy assignment scatters every edge into (G, W, W) Laplacians, each
+    graph relabelled boundary-first, padded to ``nb`` boundary slots, then to
+    W = nb + the largest interior, with edgeless slots of diagonal 1: L_OO is
+    block diagonal with an identity block, X = L_OO^-1 L_OB is 0 on padding,
+    and S, the Green energy and d_B do not change.  A boundary padding slot's
+    mass 1 / (2 t + 1), t = sum L_bb / m_b over the nb slots, puts it above
+    the spectrum (S <= L_BB).
     """
-    sizes, _, bids, degree, u, v, w, m = stack
-    count, n = stack.rows, stack.n
+    sizes, b, bids, degree, u, v, w, m = stack
+    count, n = stack.rows, nb + int((sizes - b).max())  # n: the padded width W
     gi = np.repeat(np.arange(count), degree)  # the graph of each edge
-    pad = np.arange(n) >= sizes[:, None]
+    slot = np.arange(n)
+    pad = ((slot >= b[:, None]) & (slot < nb)) | (slot >= (nb - b + sizes)[:, None])
     on_b = np.zeros((count, n), dtype=bool)
-    on_b[np.repeat(np.arange(count), nb), bids] = True
+    on_b[np.repeat(np.arange(count), b), bids] = True
     counted = on_b.cumsum(axis=1)
-    label = np.where(on_b, counted - 1, nb + np.arange(n) - counted)
+    label = np.where(on_b, counted - 1, nb + slot - counted)
     u, v = label[gi, u], label[gi, v]
     lap = np.zeros((count, n, n))
     lap[gi, u, v] = lap[gi, v, u] = -w
-    lap[:, np.arange(n), np.arange(n)] = pad - lap.sum(axis=2)
-    mass = m[on_b[~pad]].reshape(count, nb)  # the boundary measures, in label order
+    lap[:, slot, slot] = pad - lap.sum(axis=2)
+    real = ~pad[:, :nb]
+    mass = np.ones((count, nb))
+    mass[real] = m[on_b[slot < sizes[:, None]]]  # the boundary measures, in label order
+    if not real.all():
+        with np.errstate(over="ignore"):  # capped, so that the padding stays finite
+            t = (np.diagonal(lap, 0, 1, 2)[:, :nb] / mass).sum(-1)
+            mass = np.where(real, mass, 1 / np.fmin(2 * t + 1, 2.0**1021)[:, None])
     dist = _distance_tables(lap, pad, nb)
 
     l_ob = interior_map = None
@@ -543,7 +551,7 @@ def _quantities(nb: int, stack: _Run, rng, mutations) -> dict:
         if n > nb:
             l_ob = lap[:, nb:, :nb]
             interior_map = np.linalg.solve(lap[:, nb:, nb:], l_ob)
-        schur, eig, q = steklov_operator(lap[:, :nb, :nb], l_ob, interior_map, mass)
+        schur, eig, q = steklov_operator(lap[:, :nb, :nb], l_ob, interior_map, mass, real)
     except np.linalg.LinAlgError as exc:
         return {"error": np.full(count, str(exc))}
 
@@ -554,8 +562,7 @@ def _quantities(nb: int, stack: _Run, rng, mutations) -> dict:
             return values
         return np.concatenate([values, -np.einsum("goj,gj->go", interior_map, values)], axis=1)
 
-    f = rng.standard_normal((count, nb))
-    h = rng.standard_normal((count, nb))
+    f, h = (np.where(real, rng.standard_normal((count, nb)), 0.0) for _ in range(2))
     q["schur_form"] = np.einsum("gi,gij,gj->g", h, schur, f)
     q["energy"] = np.einsum("gi,gij,gj->g", extend(f), lap, extend(h))
 
@@ -563,8 +570,8 @@ def _quantities(nb: int, stack: _Run, rng, mutations) -> dict:
         w0 = np.full(count, np.inf)  # each graph's least weight
         np.minimum.at(w0, gi, w)
         d_b = dist[:, :, :nb].max(axis=(1, 2))
-        q.update(_bound_quantities(eig[:, 1], w0, mass.min(-1), mass.sum(-1), d_b, nb,
-                                   mutations))
+        q.update(_bound_quantities(eig[:, 1], w0, mass.min(-1, initial=np.inf, where=real),
+                                   np.where(real, mass, 0.0).sum(-1), d_b, b, mutations))
         # unit: no weight and no measure other than 1
         off_unit = np.concatenate([gi[w != 1], np.nonzero(~pad)[0][m != 1]])
         q["unit"] = np.bincount(off_unit, minlength=count) == 0
@@ -615,6 +622,9 @@ def _failed_cells(q: dict) -> Iterator[tuple[int, str, dict]]:
 # less than its spread and peaks 14 MB higher (2 vCPUs, one BLAS thread).
 _WINDOW_CELLS = 1 << 19
 
+# A stack's fixed cost in padded cells: 210-250 us, at 35-120 ns a cell (n = 6-30, 2 vCPUs).
+_STACK_CELLS = 4096
+
 
 def _windows(runs) -> Iterator[list[tuple[object, int, int, int]]]:
     """Cut the instance stream of ``runs`` into windows of at most
@@ -652,25 +662,54 @@ def _drawn_values(draw, degree: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarr
             m_lo + (m_hi - m_lo) * values[~is_weight])
 
 
+def _stack_ranks(nb: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each row's stack, as int16 ranks by |B|.  |B| <= 2 kinds stay alone;
+    from the largest |B| down, a kind joins the current stack while their
+    padded cells, rows x (largest |B| + largest interior)^2, stay below
+    apart plus ``_STACK_CELLS`` and within ``_WINDOW_CELLS``."""
+    kinds, kind = np.unique(nb, return_inverse=True)
+    depth = np.zeros(len(kinds), dtype=np.int64)
+    np.maximum.at(depth, kind, sizes - nb)
+    shapes = [*zip(kinds.tolist(), np.bincount(kind).tolist(), depth.tolist())]
+    lead, width, count, deep, cells = list(range(len(kinds))), 0, 0, 0, -np.inf
+    for k in reversed(lead):  # the current stack is that of kind k + 1
+        b, r, d = shapes[k]
+        merged = (count + r) * (width + max(deep, d)) ** 2
+        if b > 2 and merged < cells + r * (b + d) ** 2 + _STACK_CELLS and merged <= _WINDOW_CELLS:
+            lead[k], count, deep, cells = lead[k + 1], count + r, max(deep, d), merged
+        else:
+            width, count, deep, cells = b, r, d, r * (b + d) ** 2
+    return np.unique(lead, return_inverse=True)[1].astype(np.int16)[kind]
+
+
+def _stack_failures(stack: _Run, rng, mutations) -> list[tuple[int, str, dict]]:
+    """(row, check, details) of every failed check of a stack; a failed solve
+    or eigensolve is redone row by row, so only rows that fail alone report it."""
+    q = _quantities(int(stack.nb.max()), stack, rng, mutations)
+    if "error" not in q or stack.rows == 1:
+        return list(_failed_cells(q))
+    return [(g, check, details) for g, row in enumerate(stack.split(range(stack.rows + 1)))
+            for _, check, details in _stack_failures(row, rng, mutations)]
+
+
 def _verify_runs(runs, rng, mutations) -> Iterator[tuple[int, str, dict, _Run]]:
     """Verify the ``_Run`` stream ``runs`` window by window (:func:`_windows`).
-    A window's rows are concatenated into one run and ordered into stacks,
-    one per |B| in order of appearance, by one stable argsort of each column
-    over an int16 stack rank; Green-check vectors are drawn per stack.
-    Yields each window's failures, (index, check, details, run of the row),
-    once it is verified, by index, then check: in stream order overall."""
+    A window's rows are concatenated into one run and ordered into stacks of
+    |B| kinds, by |B| (:func:`_stack_ranks`), by one stable argsort of each
+    column over the stack rank; Green-check vectors are drawn per stack.  Yields
+    each window's failures, (index, check, details, run of the row), once it
+    is verified, by index, then check: in stream order overall."""
     for window in _windows(runs):
         run = _Run(*map(np.concatenate, zip(*(r.columns(lo, hi) for r, _, lo, hi in window))))
-        kinds, seen, kind = np.unique(run.nb, return_index=True, return_inverse=True)
-        rank = np.argsort(np.argsort(seen)).astype(np.int16)[kind]
+        rank = _stack_ranks(run.nb, run.sizes)
         rows, ids, edges, cells = (np.argsort(np.repeat(rank, x), kind="stable")
                                    for x in (1, run.nb, run.degree, run.sizes))
         run = _Run(run.sizes[rows], run.nb[rows], run.bids[ids], run.degree[rows], run.u[edges],
                    run.v[edges], run.w[edges], run.m[cells])
         row_at = [0, *np.cumsum(np.bincount(rank)).tolist()]
         failures = []
-        for b, r0, stack in zip(kinds[np.argsort(seen)].tolist(), row_at, run.split(row_at)):
-            failed = list(_failed_cells(_quantities(b, stack, rng, mutations)))
+        for r0, stack in zip(row_at, run.split(row_at)):
+            failed = _stack_failures(stack, rng, mutations)
             cells = sorted({g for g, _, _ in failed})  # as runs of one, at one prefix sum
             cut = stack.split([x for g in cells for x in (g, g + 1)])
             row = dict(zip(cells, islice(cut, 0, None, 2)))
@@ -734,7 +773,9 @@ def iter_violations(spec: CorpusSpec,
     """The records of ``verify_corpus(spec, mutations=mutations)``, in its
     order, each yielded once the window that holds its instance is verified,
     with one graph document per failing instance.  ``mutations`` is checked
-    at the call; the corpus work waits for the first ``next``."""
+    at the call, like ``spec``; the corpus work waits for the first ``next``."""
+    if not isinstance(spec, CorpusSpec):
+        raise GraphError(f"spec must be a CorpusSpec, got {spec!r}")
     mutations = _check_mutations(mutations)
 
     def records() -> Iterator[ViolationRecord]:

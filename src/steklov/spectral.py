@@ -252,7 +252,7 @@ class SteklovSystem:
     boundary_order: tuple[int, ...]
 
 
-def steklov_operator(l_bb, l_ob, interior_map, mass):
+def steklov_operator(l_bb, l_ob, interior_map, mass, real=None):
     """The Steklov matrix, its spectrum and its invariant quantities, over any
     leading axes: the algebra after the interior solve, shared by the
     per-graph analysis and the corpus kernel.
@@ -265,8 +265,11 @@ def steklov_operator(l_bb, l_ob, interior_map, mass):
     the Davis-Kahan bound |A v - rho v| / (sigma_2 - rho), rho = v^T A v, on
     the angle between sigma_1's eigenvector and v = M^1/2 1 / |M^1/2 1|,
     read off A so that a faulty mass reduction shows; 0 for |B| = 1 (v is
-    exact), +inf if sigma_2 <= rho.
+    exact), +inf if sigma_2 <= rho.  ``real`` (None: all) masks each row's own
+    slots, a prefix; padding, decoupled above the spectrum, is not read by
+    ``residual``, ``eig_scale`` or v, and is 0 or 1 in S: ``schur_scale``'s floor.
     """
+    real = np.ones(np.shape(mass), dtype=bool) if real is None else real
     if interior_map is not None:  # rebound, so the L_BB slice is freed
         l_bb = l_bb - np.swapaxes(l_ob, -1, -2) @ interior_map
     transpose = np.swapaxes(l_bb, -1, -2)
@@ -277,18 +280,19 @@ def steklov_operator(l_bb, l_ob, interior_map, mass):
     reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
     eig = np.linalg.eigvalsh(reduced)
     with np.errstate(all="ignore"):  # a bound that is not finite fails its row
-        v = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass), axis=-1, keepdims=True)
+        v = np.where(real, np.sqrt(mass), 0.0)
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
         av = (reduced @ v[..., None])[..., 0]
         rho = (v * av).sum(axis=-1)
-        gap = eig[..., 1:].min(axis=-1, initial=np.inf) - rho  # sigma_2 = +inf at |B| = 1
+        gap = eig[..., 1:].min(axis=-1, initial=np.inf, where=real[..., 1:]) - rho
         residual = np.linalg.norm(av - rho[..., None] * v, axis=-1)
         misalignment = np.where(gap > 0, residual / gap, np.inf)
     return schur, eig, {
         "asymmetry": asymmetry,
-        "residual": np.abs(schur.sum(axis=-1)).max(axis=-1),
+        "residual": np.abs(schur.sum(axis=-1)).max(axis=-1, initial=0.0, where=real),
         "schur_scale": np.abs(schur).max(axis=(-1, -2), initial=1.0),
         "sigma1": eig[..., 0],
-        "eig_scale": np.abs(eig).max(axis=-1, initial=1.0),
+        "eig_scale": np.abs(eig).max(axis=-1, initial=1.0, where=real),
         "misalignment": misalignment,
     }
 

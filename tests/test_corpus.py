@@ -62,10 +62,10 @@ from reference_corpus import (
 
 
 def stack_quantities(stack, rng, mutations):
-    """The kernel's quantities of instances that share |B|, stacked as one,
-    their runs concatenated into one."""
+    """The kernel's quantities of instances stacked as one, their runs
+    concatenated into one, at the width of their largest |B|."""
     run = _Run(*map(np.concatenate, zip(*stack)))
-    return corpus._quantities(int(run.nb[0]), run, rng, mutations)
+    return corpus._quantities(int(run.nb.max()), run, rng, mutations)
 
 
 def run_instances(run) -> list:
@@ -610,13 +610,17 @@ class TestMaskFeeder:
     def test_stacks_match_the_instance_path(self, monkeypatch, mode, cells):
         if cells is not None:  # every level spans several windows and stacks
             monkeypatch.setattr(corpus, "_WINDOW_CELLS", cells)
+        # one level more in the default windows, whose smaller |B| kinds
+        # share a stack: each |B| kind of the largest levels is a stack alone
+        n_max = 5 if cells else 6
         if mode == "unit":
-            spec = CorpusSpec(mode="exhaustive", n_max=5, unit_only=True)
-            stream = (mask_instance(n, edge, b) for n in range(2, 6)
+            spec = CorpusSpec(mode="exhaustive", n_max=n_max, unit_only=True)
+            stream = (mask_instance(n, edge, b) for n in range(2, n_max + 1)
                       for edge, b, _ in _class_orbits(n))
         else:
-            spec = CorpusSpec(mode="exhaustive", n_max=4, seed=13)
-            stream = class_row_instances(4, np.random.default_rng([13, 0]),
+            n_max -= 1
+            spec = CorpusSpec(mode="exhaustive", n_max=n_max, seed=13)
+            stream = class_row_instances(n_max, np.random.default_rng([13, 0]),
                                          spec.weight_range, spec.measure_range)
 
         def instance_path():
@@ -870,8 +874,8 @@ class TestCheckInstance:
         the angle scipy's generalized eigh measures on the same S."""
         operators, operator = [], corpus.steklov_operator
 
-        def recorded(l_bb, l_ob, interior_map, mass):
-            out = operator(l_bb, l_ob, interior_map, mass)
+        def recorded(l_bb, l_ob, interior_map, mass, real=None):
+            out = operator(l_bb, l_ob, interior_map, mass, real)
             operators.append((out[0][0], mass[0]))
             return out
 
@@ -1007,6 +1011,40 @@ class TestVerifyCorpus:
             with pytest.raises(GraphError) as excinfo:
                 call()
             assert str(excinfo.value) == f"mutations must be a set of names, got {mutations!r}"
+
+    @pytest.mark.parametrize("spec", ["random", None, {"mode": "random"}], ids=repr)
+    def test_spec_is_a_corpus_spec(self, spec):
+        """Anything but a ``CorpusSpec`` is one GraphError line, raised by
+        ``iter_violations`` at the call, not at its first record."""
+        for call in (lambda: verify_corpus(spec), lambda: iter_violations(spec)):
+            with pytest.raises(GraphError) as excinfo:
+                call()
+            assert str(excinfo.value) == f"spec must be a CorpusSpec, got {spec!r}"
+
+    # a weight of 1e308 overflows the degrees, and numpy warns of it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("other_boundary", [[0, 2, 3], [0, 1, 2, 3]], ids=["equal", "ragged"])
+    def test_a_failed_eigensolve_fails_its_own_row_only(self, monkeypatch, other_boundary):
+        """A clean row stacked with a row whose eigensolve fails reports
+        nothing, whether the two share |B| or are padded to one stack: the
+        failed stack is verified again row by row."""
+        cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        good = graph_from_arrays([1.0] * 5, other_boundary, [(a, b, 1.0) for a, b in cycle]
+                                 + [(3, 4, 1.0)])
+        bad = graph_from_arrays([1.0] * 4, [0, 2, 3], [(a, b, 1e308) for a, b in cycle])
+        assert check_instance(good) == []
+        assert [check for check, _ in check_instance(bad)] == ["numerics_failure"]
+        calls, kernel = [], corpus._quantities
+
+        def counted(nb, stack, *args):
+            calls.append(stack.rows)
+            return kernel(nb, stack, *args)
+
+        monkeypatch.setattr(corpus, "_quantities", counted)
+        run = _Run(*map(np.concatenate, zip(_Run.of(good), _Run.of(bad))))
+        failures = list(corpus._verify_runs([run], np.random.default_rng(0), frozenset()))
+        assert [(index, check) for index, check, *_ in failures] == [(1, "numerics_failure")]
+        assert calls == [2, 1, 1]  # one stack, then each row alone
 
     @pytest.mark.parametrize("rng, message", [
         ("x", "seed must be an integer, got 'x'"),
@@ -1192,29 +1230,37 @@ _RESIDUES = {"asymmetry": "schur_scale", "residual": "schur_scale",
     (3, [3, 5, 12, 20, 12, 7, 4], False),
     (3, [3, 5, 12, 20, 12, 7, 4], True),
     (3, [3, 5, 12, 20, 12, 7, 4], [True, False, False, True, True, False, True]),
-], ids=["one-vertex", "weighted", "unit", "mixed"])
+    ([3, 7, 4, 5, 6, 3, 7, 5, 4], [5, 20, 9, 12, 6, 14, 7, 18, 5],
+     [False, True, False, True, False, False, True, False, True]),
+], ids=["one-vertex", "weighted", "unit", "mixed", "ragged"])
 def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes, unit):
-    """A |B| group of mixed n, padded to its largest n, gives each instance
-    the quantities, verdicts and hop distances from the boundary it gets
-    stacked alone, and the padding columns of the (G, |B|, n) distances are
-    at the stack's n.  The member with n = |B| has no interior; with
+    """A group of mixed n, and of mixed |B| from 3 up, padded to its largest
+    |B| and then to that plus its largest interior, gives each instance the
+    quantities, verdicts and hop distances from the boundary it gets
+    stacked alone; the padding interior columns of the (G, |B|, W) distances
+    are at the stack's W, and padding boundary columns at 0.  The member with n = |B| has no interior; with
     |B| = 1 it is a one-vertex graph, whose degree is 0 like a padding
     vertex's.  A group may mix unit and weighted draws: each member's unit
     weights are its own."""
     units = unit if isinstance(unit, list) else [unit] * len(sizes)
+    nbs = nb if isinstance(nb, list) else [nb] * len(sizes)
     rng = np.random.default_rng(2)
-    group = [drawn_instance(rng, n, 0.5, nb, u) for n, u in zip(sizes, units)]
+    group = [drawn_instance(rng, n, 0.5, b, u) for n, b, u in zip(sizes, nbs, units)]
     padded = stack_quantities(group, np.random.default_rng(0), frozenset())
     stack = built_stacks[-1]
-    top = max(sizes)
+    width = max(nbs)
+    top = width + max(n - b for n, b in zip(sizes, nbs))
     assert stack.lap.shape == (len(sizes), top, top)
-    assert stack.dist.shape == (len(sizes), nb, top)
+    assert stack.dist.shape == (len(sizes), width, top)
     verdicts = {check: ok for check, _, ok in corpus._evaluate(padded)}
     for gi, inst in enumerate(group):
         alone = stack_quantities([inst], np.random.default_rng(0), frozenset())
         lone = built_stacks[-1]
-        assert np.array_equal(stack.dist[gi, :, :inst.n], lone.dist[0])
-        assert (stack.dist[gi, :, inst.n:] == top).all()
+        b = nbs[gi]
+        own = np.r_[:b, width:width + inst.n - b]  # its slots: boundary, then interior
+        assert np.array_equal(stack.dist[gi, :b][:, own], lone.dist[0])
+        assert (stack.dist[gi, :b, b:width] == 0).all()  # its padding boundary slots
+        assert (stack.dist[gi, :b, width + inst.n - b:] == top).all()
         assert alone.keys() == padded.keys()
         for name, value in alone.items():
             if name in ("schur_form", "energy"):
@@ -1230,7 +1276,7 @@ def test_padded_stack_matches_single_stacks(monkeypatch, built_stacks, nb, sizes
         for check, _, ok in corpus._evaluate(alone):
             assert verdicts[check][gi] == ok[0], check
     assert "green_symmetry" in verdicts and verdicts["green_symmetry"].all()
-    if nb >= 2:  # a negative tolerance fails the unit row on the unit members only
+    if min(nbs) >= 2:  # a negative tolerance fails the unit row on the unit members only
         monkeypatch.setattr(corpus, "UNIT_SPECIALIZATION_TOL", -1.0)
         verdicts = {check: ok for check, _, ok in corpus._evaluate(padded)}
         assert (~verdicts["unit_specialization"]).tolist() == units
@@ -1297,3 +1343,30 @@ def test_padded_stacks_fit_the_window(monkeypatch, built_stacks):
                for stack in built_stacks)
     for count, n in windows + shapes:
         assert count == 1 or count * n * n <= corpus._WINDOW_CELLS
+
+
+def test_stacks_merge_boundary_kinds(monkeypatch):
+    """Unit exhaustive n <= 6 is one window whose |B| kinds are each large
+    enough for a stack alone; a 100-row random window merges its kinds into
+    at most 8 stacks, each within ``_WINDOW_CELLS`` padded cells, and keeps
+    the kinds with |B| <= 2 alone."""
+    stacks, kernel = [], corpus._quantities
+
+    def recorded(nb, stack, *args):
+        width = nb + int((stack.sizes - stack.nb).max())
+        stacks.append((sorted(set(stack.nb.tolist())), stack.rows * width**2))
+        return kernel(nb, stack, *args)
+
+    monkeypatch.setattr(corpus, "_quantities", recorded)
+    assert verify_corpus(CorpusSpec(mode="exhaustive", n_max=6, unit_only=True)) == []
+    assert [kinds for kinds, _ in stacks] == [[2], [3], [4], [5], [6]]
+    merged = 0
+    for seed in range(20):
+        stacks.clear()
+        assert verify_corpus(CorpusSpec(mode="random", n_max=30, samples=100, seed=seed)) == []
+        assert len(stacks) <= 8
+        for kinds, cells in stacks:
+            assert cells <= corpus._WINDOW_CELLS
+            assert kinds[0] > 2 or len(kinds) == 1
+            merged += len(kinds) > 1
+    assert merged >= 20

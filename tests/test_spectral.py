@@ -430,3 +430,74 @@ class TestBlockAssembly:
         off = ~np.eye(nb + no, dtype=bool)
         assert np.array_equal(assembled[off], dense[off])
         assert np.allclose(assembled[diagonal], dense[diagonal], rtol=1e-14, atol=0.0)
+
+
+class TestPaddedOperator:
+    """The corpus kernel pads boundaries to a stack's width with slots that
+    carry no edge, Laplacian diagonal 1 and mass 1 / (2 t + 1), t =
+    sum_b L_bb / m_b, and masks them out with ``real``."""
+
+    @staticmethod
+    def operator_inputs(g, pads: int = 0):
+        """(L_BB, L_OB, X, boundary masses, real mask) of g, boundary first,
+        with ``pads`` decoupled padding boundary slots after the boundary."""
+        L, m = laplacian(g)
+        b, o = np.asarray(g.boundary, dtype=np.intp), np.flatnonzero(~g.boundary_mask)
+        nb = len(b)
+        l_bb = np.eye(nb + pads)
+        l_bb[:nb, :nb] = L[np.ix_(b, b)]
+        l_ob = np.zeros((len(o), nb + pads))
+        l_ob[:, :nb] = L[np.ix_(o, b)]
+        mass = np.full(nb + pads, 1 / (2 * (np.diag(l_bb)[:nb] / m[b]).sum() + 1))
+        mass[:nb] = m[b]
+        x = np.zeros(l_ob.shape)  # X = L_OO^-1 L_OB is 0 on the padding
+        x[:, :nb] = np.linalg.solve(L[np.ix_(o, o)], l_ob[:, :nb])
+        return l_bb, l_ob, x, mass, np.arange(nb + pads) < nb
+
+    @pytest.mark.parametrize("pads", [1, 4])
+    def test_masked_padding_keeps_the_quantities(self, pads):
+        """With the mask, the padded operator gives the graph's eigenvalues
+        first, then the padding's above them, and the unpadded quantities to
+        1e-15 of their scales; the eigensolver's rounding on the spectrum
+        grows with its size, so the eigenvalues, sigma_1 among them, agree
+        to 1e-15 |B| (60 seeds gave at most 3.1e-16 |B|)."""
+        rng = np.random.default_rng(pads)
+        for _ in range(20):
+            n = int(rng.integers(5, 20))  # the kernel pads boundaries of 3 or more
+            g = random_graph(n, 0.4, (0.5, 2.0), (0.5, 2.0), int(rng.integers(3, n)), rng)
+            *inputs, real = self.operator_inputs(g)
+            _, eig, q = spectral.steklov_operator(*inputs)
+            _, padded, p = spectral.steklov_operator(*self.operator_inputs(g, pads))
+            nb = len(eig)
+            assert abs(padded[:nb] - eig).max() <= 1e-15 * nb * q["eig_scale"]
+            assert (padded[nb:] > eig[-1]).all()
+            assert p["schur_scale"] == q["schur_scale"]
+            for name, scale, tol in (("eig_scale", "eig_scale", 1e-15 * nb),
+                                     ("sigma1", "eig_scale", 1e-15 * nb),
+                                     ("asymmetry", "schur_scale", 1e-15),
+                                     ("residual", "schur_scale", 1e-15),
+                                     ("misalignment", None, 1e-15)):
+                assert abs(p[name] - q[name]) <= tol * (q[scale] if scale else 1.0), name
+
+    def test_no_mask_is_the_unmasked_arithmetic(self):
+        """``real=None`` gives an all-true mask's bits, and those of the
+        quantities' unmasked expressions, over a stack of graphs."""
+        rng = np.random.default_rng(5)
+        graphs = [random_graph(12, 0.4, (0.5, 2.0), (0.5, 2.0), 5, rng) for _ in range(6)]
+        l_bb, l_ob, x, mass, real = map(np.stack, zip(*map(self.operator_inputs, graphs)))
+        schur, eig, q = spectral.steklov_operator(l_bb, l_ob, x, mass)
+        masked = spectral.steklov_operator(l_bb, l_ob, x, mass, real)
+        for ours, theirs in zip((schur, eig, *q.values()), (masked[0], masked[1],
+                                                            *masked[2].values())):
+            assert ours.tobytes() == theirs.tobytes()
+        inv_sqrt = 1.0 / np.sqrt(mass)
+        reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+        reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
+        v = np.sqrt(mass) / np.linalg.norm(np.sqrt(mass), axis=-1, keepdims=True)
+        av = (reduced @ v[..., None])[..., 0]
+        rho = (v * av).sum(axis=-1)
+        gap = eig[..., 1:].min(axis=-1, initial=np.inf) - rho
+        residual = np.linalg.norm(av - rho[..., None] * v, axis=-1)
+        assert q["misalignment"].tobytes() == (residual / gap).tobytes()
+        assert q["residual"].tobytes() == np.abs(schur.sum(axis=-1)).max(axis=-1).tobytes()
+        assert q["eig_scale"].tobytes() == np.abs(eig).max(axis=-1, initial=1.0).tobytes()
