@@ -12,8 +12,10 @@ kernel, ``_quantities``, computes every quantity the table reads for a
 stack of graphs given as a run: it scatters its edges into Laplacians, each
 graph relabelled boundary-first and padded to the stack's largest |B| and
 interior with edgeless slots, which leave every quantity unchanged.  It
-eigensolves for eigenvalues only, as the per-graph analysis does, and takes
-hop distances from the boundary vertices only.  w0, the unit flag and the comb
+forms S next to its batched interior solve, a zero-size one for a stack with
+no interior, and eigensolves S for eigenvalues only through
+``steklov_operator``, as the per-graph analysis does; it takes hop distances
+from the boundary vertices only.  w0, the unit flag and the comb
 test (``is_comb_over``'s, ``shared_components``) read the edge columns, not
 the Laplacians.  Every mode feeds it runs through one window generator,
 ``_verify_runs``, which yields each window's failures in stream order: a
@@ -522,7 +524,8 @@ def _quantities(nb: int, stack: _Run, rng, mutations) -> dict:
     block diagonal with an identity block, X = L_OO^-1 L_OB is 0 on padding,
     and S, the Green energy and d_B do not change.  A boundary padding slot's
     mass 1 / (2 t + 1), t = sum L_bb / m_b over the nb slots, puts it above
-    the spectrum (S <= L_BB).
+    the spectrum (S <= L_BB).  S = L_BB - L_OB^T X is formed after the
+    batched solve; a stack with no interior solves a (G, 0, 0) block.
     """
     sizes, b, bids, degree, u, v, w, m = stack
     count, n = stack.rows, nb + int((sizes - b).max())  # n: the padded width W
@@ -536,7 +539,8 @@ def _quantities(nb: int, stack: _Run, rng, mutations) -> dict:
     u, v = label[gi, u], label[gi, v]
     lap = np.zeros((count, n, n))
     lap[gi, u, v] = lap[gi, v, u] = -w
-    lap[:, slot, slot] = pad - lap.sum(axis=2)
+    with np.errstate(over="ignore"):  # a degree that is not finite fails its row
+        lap[:, slot, slot] = pad - lap.sum(axis=2)
     real = ~pad[:, :nb]
     mass = np.ones((count, nb))
     mass[real] = m[on_b[slot < sizes[:, None]]]  # the boundary measures, in label order
@@ -546,21 +550,19 @@ def _quantities(nb: int, stack: _Run, rng, mutations) -> dict:
             mass = np.where(real, mass, 1 / np.fmin(2 * t + 1, 2.0**1021)[:, None])
     dist = _distance_tables(lap, pad, nb)
 
-    l_ob = interior_map = None
+    l_ob = lap[:, nb:, :nb]
     try:
-        if n > nb:
-            l_ob = lap[:, nb:, :nb]
-            interior_map = np.linalg.solve(lap[:, nb:, nb:], l_ob)
-        schur, eig, q = steklov_operator(lap[:, :nb, :nb], l_ob, interior_map, mass, real)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite S fails its row
+            x = np.linalg.solve(lap[:, nb:, nb:], l_ob)
+            schur = lap[:, :nb, :nb] - np.swapaxes(l_ob, 1, 2) @ x
+            schur, eig, q = steklov_operator(schur, mass, real)
     except np.linalg.LinAlgError as exc:
         return {"error": np.full(count, str(exc))}
 
     # Green symmetry: <Lambda f, h>_B (Schur route) against the energy
     # pairing of the harmonic extensions
     def extend(values: np.ndarray) -> np.ndarray:
-        if interior_map is None:
-            return values
-        return np.concatenate([values, -np.einsum("goj,gj->go", interior_map, values)], axis=1)
+        return np.concatenate([values, -np.einsum("goj,gj->go", x, values)], axis=1)
 
     f, h = (np.where(real, rng.standard_normal((count, nb)), 0.0) for _ in range(2))
     q["schur_form"] = np.einsum("gi,gij,gj->g", h, schur, f)

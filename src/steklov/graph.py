@@ -129,7 +129,8 @@ class WeightedBoundaryGraph:
 def seeded_rng(seed) -> np.random.Generator:
     """``seed`` itself if it is a Generator, else a new one seeded with it;
     a bool, a float, a string or a negative integer, alone or as an entry of
-    a sequence seed, is a :class:`GraphError`."""
+    a sequence seed, is a :class:`GraphError`, and so is any other seed but
+    None, a numpy BitGenerator or a SeedSequence."""
     if isinstance(seed, (Real, np.bool_, str, bytes)):
         require_integer("seed", seed)
         if seed < 0:
@@ -138,6 +139,10 @@ def seeded_rng(seed) -> np.random.Generator:
         for entry in seed.ravel().tolist() if isinstance(seed, np.ndarray) else seed:
             if isinstance(entry, bool) or not isinstance(entry, Integral) or entry < 0:
                 raise GraphError(f"seed entries must be nonnegative integers, got {entry!r}")
+    elif seed is not None and not isinstance(seed, (np.random.Generator, np.random.BitGenerator,
+                                                     np.random.SeedSequence)):
+        raise GraphError("seed must be an integer, a sequence of them or a numpy Generator, "
+                         f"got {seed!r}")
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
@@ -148,8 +153,15 @@ def require_integer(name: str, value) -> None:
 
 
 def is_real(value) -> bool:
-    """A real number, numpy's included; a bool is not one."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """A real number that converts to a float, numpy's included; a bool is
+    not one, nor an integer beyond binary64."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def check_ranges(**ranges) -> None:

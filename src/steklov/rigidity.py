@@ -11,6 +11,7 @@ Conversely every graph of that shape attains equality, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -260,7 +261,8 @@ def comb_graph(
         raise GraphError("path length must be at least 1")
     _require_positive_finite(("path weight", path_weight), ("endpoint mass", endpoint_mass))
     n_path = path_len + 1
-    if is_real(interior_masses):
+    # not is_real: a scalar beyond binary64 is reported by graph_from_arrays
+    if isinstance(interior_masses, Real) and not isinstance(interior_masses, bool):
         interior_masses = [interior_masses] * max(0, path_len - 1)
     try:  # entries are validated with the graph
         inner = list(interior_masses)

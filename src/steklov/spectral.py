@@ -84,12 +84,11 @@ def harmonic_extension(g: WeightedBoundaryGraph, f) -> np.ndarray:
     blocks = analysis.blocks
     u = np.zeros(g.n)
     u[analysis.bidx] = fvec
-    if analysis.interior_solve is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            rhs = -blocks.l_ob @ fvec
-        if not np.isfinite(rhs).all():
-            raise NumericsError("interior right-hand side L_OB f is not finite")
-        u[blocks.interior] = analysis.interior_solve(rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        rhs = -blocks.l_ob @ fvec
+    if not np.isfinite(rhs).all():
+        raise NumericsError("interior right-hand side L_OB f is not finite")
+    u[blocks.interior] = analysis.interior_solve(rhs)
     for leaves, parents in reversed(blocks.pruned):
         u[leaves] = u[parents]
     return u
@@ -252,16 +251,16 @@ class SteklovSystem:
     boundary_order: tuple[int, ...]
 
 
-def steklov_operator(l_bb, l_ob, interior_map, mass, real=None):
-    """The Steklov matrix, its spectrum and its invariant quantities, over any
-    leading axes: the algebra after the interior solve, shared by the
-    per-graph analysis and the corpus kernel.
+def steklov_operator(schur, mass, real=None):
+    """The Steklov spectrum and the invariant quantities of a Schur complement
+    S = L_BB - L_BO L_OO^-1 L_OB as its engine formed it, over any leading
+    axes: the algebra after S, shared by the per-graph analysis and the
+    corpus kernel.
 
-    ``l_bb`` and ``l_ob`` are the L_BB and L_OB blocks, ``interior_map`` is
-    X = L_OO^-1 L_OB (None without an interior) and ``mass`` holds the
-    boundary masses.  Returns ``(S, eigenvalues, quantities)``: the
-    symmetrized S, the ascending eigenvalues of A = M^-1/2 S M^-1/2, and
-    the quantities that ``OPERATOR_CHECKS`` reads, with ``misalignment``:
+    ``mass`` holds the boundary masses.  Returns ``(S, eigenvalues,
+    quantities)``: the symmetrized S, the ascending eigenvalues of
+    A = M^-1/2 S M^-1/2, and the quantities that ``OPERATOR_CHECKS`` reads,
+    ``asymmetry`` measured on S as given, with ``misalignment``:
     the Davis-Kahan bound |A v - rho v| / (sigma_2 - rho), rho = v^T A v, on
     the angle between sigma_1's eigenvector and v = M^1/2 1 / |M^1/2 1|,
     read off A so that a faulty mass reduction shows; 0 for |B| = 1 (v is
@@ -270,11 +269,9 @@ def steklov_operator(l_bb, l_ob, interior_map, mass, real=None):
     ``residual``, ``eig_scale`` or v, and is 0 or 1 in S: ``schur_scale``'s floor.
     """
     real = np.ones(np.shape(mass), dtype=bool) if real is None else real
-    if interior_map is not None:  # rebound, so the L_BB slice is freed
-        l_bb = l_bb - np.swapaxes(l_ob, -1, -2) @ interior_map
-    transpose = np.swapaxes(l_bb, -1, -2)
-    asymmetry = np.abs(l_bb - transpose).max(axis=(-1, -2))
-    schur = 0.5 * (l_bb + transpose)
+    transpose = np.swapaxes(schur, -1, -2)
+    asymmetry = np.abs(schur - transpose).max(axis=(-1, -2))
+    schur = 0.5 * (schur + transpose)
     inv_sqrt = 1.0 / np.sqrt(mass)
     reduced = schur * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
     reduced = 0.5 * (reduced + np.swapaxes(reduced, -1, -2))
@@ -359,12 +356,12 @@ class GraphAnalysis:
 
     @cached_property
     def interior_solve(self):
-        """Solver of ``L_OO x = b`` on the pruned interior (None without
-        one): SuperLU from ``SPARSE_INTERIOR_MIN`` interior vertices, dense
-        Cholesky below."""
+        """Solver of ``L_OO x = b`` on the pruned interior: SuperLU from
+        ``SPARSE_INTERIOR_MIN`` interior vertices, dense Cholesky below, and
+        without one the zero-size solve, which loads no scipy."""
         size = len(self.blocks.interior)
         if size == 0:
-            return None
+            return lambda b: b[:0]
         route = superlu_interior if size >= SPARSE_INTERIOR_MIN else cholesky_interior
         return route(*self.blocks.l_oo)
 
@@ -374,14 +371,11 @@ class GraphAnalysis:
         :func:`steklov_operator`; raises :class:`NumericsError` naming the
         first row of ``OPERATOR_CHECKS`` that fails."""
         blocks = self.blocks  # raises EmptyBoundaryError without a boundary
-        l_ob = interior_map = None
-        if self.interior_solve is not None:
-            l_ob = blocks.l_ob
-            interior_map = self.interior_solve(l_ob)
         mass = self.graph.measures[self.bidx]
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                schur, eig, q = steklov_operator(blocks.l_bb, l_ob, interior_map, mass)
+                schur = blocks.l_bb - blocks.l_ob.T @ self.interior_solve(blocks.l_ob)
+                schur, eig, q = steklov_operator(schur, mass)
             if not np.isfinite(eig).all():  # LAPACK gives nan or raises on such input
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:

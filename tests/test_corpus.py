@@ -60,6 +60,15 @@ from reference_corpus import (
     small_instances,
 )
 
+# Seeds numpy cannot take, none of them an integer or a sequence, with ids.
+ODD_SEEDS = [({1}, "set"), ({1: 2}, "dict"), ((x for x in [1]), "generator"), (1j, "complex"),
+             (object(), "object")]
+
+
+def odd_seed_cases():
+    return [pytest.param(seed, "seed must be an integer, a sequence of them or a numpy "
+                         f"Generator, got {seed!r}", id=name) for seed, name in ODD_SEEDS]
+
 
 def stack_quantities(stack, rng, mutations):
     """The kernel's quantities of instances stacked as one, their runs
@@ -174,6 +183,7 @@ class TestRandomGraph:
                      id="sequence-negative"),
         pytest.param([True], "seed entries must be nonnegative integers, got True",
                      id="sequence-bool"),
+        *odd_seed_cases(),
     ])
     def test_negative_seed_is_a_graph_error(self, seed, message):
         """A negative integer, a float, a bool or a string is not a seed,
@@ -232,6 +242,7 @@ class TestValueRanges:
     (("a", "b"), "must be two numbers, got ('a', 'b')"),
     ((0.5, 1.0, 2.0), "must be two numbers, got (0.5, 1.0, 2.0)"),
     ((True, 2.0), "must be two numbers, got (True, 2.0)"),
+    pytest.param((1, 10**400), f"must be two numbers, got (1, {10**400})", id="(1, 10**400)"),
 ], ids=str)
 @pytest.mark.parametrize("name", ["weight_range", "measure_range"])
 def test_malformed_ranges(monkeypatch, name, bad, message):
@@ -258,6 +269,12 @@ def test_malformed_ranges(monkeypatch, name, bad, message):
     ({"weight_factor": float("nan")}, "weight_factor must be finite and >= 1, got nan"),
     ({"measure_range": (2.0, 1.0)}, "measure_range ends must be in order, got (2.0, 1.0)"),
     ({"measure_range": 1.0}, "measure_range must be two numbers, got 1.0"),
+    pytest.param({"weight_factor": 10**400},
+                 f"weight_factor must be finite and >= 1, got {10**400}",
+                 id="{'weight_factor': 10**400}"),
+    pytest.param({"measure_range": (1, 10**400)},
+                 f"measure_range must be two numbers, got (1, {10**400})",
+                 id="{'measure_range': (1, 10**400)}"),
 ], ids=str)
 def test_malformed_comb_parameters(kwargs, message):
     from steklov import random_comb
@@ -852,7 +869,7 @@ class TestCheckInstance:
         gap sigma_2 - sigma_1 in place of sigma_2 - rho is 5% off at
         delta = a.  Each case fails the sigma1_constant_vector row."""
         s = mass * np.array([[a + delta, -a], [-a, a]])
-        q = steklov_operator(s, None, None, np.full(2, mass))[2]
+        q = steklov_operator(s, np.full(2, mass))[2]
         bound = delta / (2 * a + np.sqrt(4 * a * a + delta * delta))
         assert q["misalignment"] == pytest.approx(bound, rel=1e-8)
         holds = {check: holds for check, holds, _ in corpus._CHECKS}
@@ -861,10 +878,10 @@ class TestCheckInstance:
     def test_misalignment_without_a_gap(self):
         """One boundary vertex makes v exact, so the bound is 0; when
         sigma_2 <= rho there is no bound, and it is +inf, with no warning."""
-        q = steklov_operator(np.array([[1e-3]]), None, None, np.array([2.0]))[2]
+        q = steklov_operator(np.array([[1e-3]]), np.array([2.0]))[2]
         assert q["misalignment"] == 0.0
         for s in (np.ones((3, 3)), np.zeros((2, 2))):  # rho = 3 > sigma_2 = 0; 0 / 0
-            assert steklov_operator(s, None, None, np.ones(len(s)))[2]["misalignment"] == np.inf
+            assert steklov_operator(s, np.ones(len(s)))[2]["misalignment"] == np.inf
 
     @pytest.mark.parametrize("path_len", [20, 200])
     def test_heavy_comb_fails_the_eigenvector_row(self, monkeypatch, path_len):
@@ -874,8 +891,8 @@ class TestCheckInstance:
         the angle scipy's generalized eigh measures on the same S."""
         operators, operator = [], corpus.steklov_operator
 
-        def recorded(l_bb, l_ob, interior_map, mass, real=None):
-            out = operator(l_bb, l_ob, interior_map, mass, real)
+        def recorded(schur, mass, real=None):
+            out = operator(schur, mass, real)
             operators.append((out[0][0], mass[0]))
             return out
 
@@ -1021,8 +1038,6 @@ class TestVerifyCorpus:
                 call()
             assert str(excinfo.value) == f"spec must be a CorpusSpec, got {spec!r}"
 
-    # a weight of 1e308 overflows the degrees, and numpy warns of it
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("other_boundary", [[0, 2, 3], [0, 1, 2, 3]], ids=["equal", "ragged"])
     def test_a_failed_eigensolve_fails_its_own_row_only(self, monkeypatch, other_boundary):
         """A clean row stacked with a row whose eigensolve fails reports
@@ -1050,7 +1065,8 @@ class TestVerifyCorpus:
         ("x", "seed must be an integer, got 'x'"),
         (1.5, "seed must be an integer, got 1.5"),
         (-1, "seed must be nonnegative, got -1"),
-    ], ids=["str", "float", "negative"])
+        *odd_seed_cases(),
+    ], ids=["str", "float", "negative", *(name for _, name in ODD_SEEDS)])
     def test_check_instance_takes_a_seed(self, path3, rng, message):
         """``rng`` is a seed or a Generator, as for the graph generators."""
         mutations = frozenset({MUTATION_BOUND_DB})

@@ -10,8 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import steklov.cli
-from steklov import comb_graph, graph_to_json
+from steklov import ToothSet, comb_graph, graph_from_arrays, graph_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,3 +60,39 @@ print(json.dumps([before, "scipy.linalg" in sys.modules]))
     *answer, loaded = out.strip().splitlines()
     assert json.loads("\n".join(answer)) == expected
     assert json.loads(loaded) == [False, True]
+
+
+# a two-vertex tree tooth hung from a boundary vertex: pruning removes it all
+TREE_TOOTH = ToothSet(measures=(1.0, 3.0), edges=((0, 1, 2.0),), attachments=((0, 0, 1.5),))
+
+
+@pytest.mark.parametrize("g", [
+    graph_from_arrays([1.0, 2.0], [0, 1], [(0, 1, 1.5)]),
+    comb_graph(1, 1.0, 2.0, teeth=TREE_TOOTH),
+], ids=["K2", "comb-with-a-pruned-tooth"])
+def test_empty_interior_loads_no_scipy(tmp_path, capsys, g):
+    """With no interior left after pruning, the interior solve is the
+    zero-size one: spectrum, bounds and harmonic answer as in process and
+    load no scipy."""
+    path, values = tmp_path / "g.json", tmp_path / "values.json"
+    path.write_text(graph_to_json(g))
+    values.write_text(json.dumps({g.labels[b]: float(i) for i, b in enumerate(g.boundary)}))
+    calls = [["spectrum", str(path)], ["bounds", str(path)],
+             ["harmonic", str(path), "--values", str(values)]]
+    expected = []
+    for argv in calls:
+        assert steklov.cli.main(argv) == 0
+        expected.append(json.loads(capsys.readouterr().out))
+    out = run_fresh(f"""
+import contextlib, io, json, sys
+import steklov.cli
+answers = []
+for argv in {calls!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        assert steklov.cli.main(argv) == 0
+    answers.append(json.loads(buf.getvalue()))
+print(json.dumps([answers, sorted(name for name in sys.modules if name.startswith("scipy"))]))
+""")
+    answers, scipy_modules = json.loads(out)
+    assert answers == expected
+    assert scipy_modules == []

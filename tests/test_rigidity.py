@@ -174,7 +174,8 @@ class TestCheckRigidity:
         assert not rep.cond_path and not rep.cond_comb
         assert rep.witness is None
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0,
+                                     pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("name", ["tol", "weight_tol"])
     def test_rejects_bad_tolerances(self, path3, name, tol):
         with pytest.raises(GraphError, match=f"{name} must be finite and nonnegative"):
@@ -268,6 +269,9 @@ class TestCombGraph:
         (lambda: comb_graph(3, 1.0, True), "endpoint mass must be positive and finite, got True"),
         (lambda: random_comb(3, "1", 1.0, seed=0),
          "path weight must be positive and finite, got '1'"),
+        pytest.param(lambda: random_comb(3, 10**400, 1.0, seed=0),
+                     f"path weight must be positive and finite, got {10**400}",
+                     id="-path weight must be positive and finite, got 10**400"),
         (lambda: random_comb(3, 1.0, 1.0, seed=0, weight_factor="2"),
          "weight_factor must be finite and >= 1, got '2'"),
         (lambda: random_comb(3, 1.0, 1.0, seed=0, weight_factor=True),
