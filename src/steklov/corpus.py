@@ -35,6 +35,7 @@ is serialised from the instance's arrays.
 from __future__ import annotations
 
 import json
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -73,8 +74,8 @@ UNIT_SPECIALIZATION_TOL = 1e-15
 GREEN_TOL = 1e-9
 EIGVEC_ALIGN_TOL = 1e-8
 
-# Largest n of random mode: one instance at n = 1000 takes 0.4-0.9 s with its
-# generation and about 200 MB (2-core VM, one BLAS thread).
+# Largest n of random mode and of random_graph: one instance at n = 1000 takes
+# 0.4-0.9 s with its generation and about 200 MB (2-core VM, one BLAS thread).
 RANDOM_N_MAX = 1000
 
 # Largest n_max of each mode; exhaustive n = 8 alone would be 2^28 edge masks.
@@ -138,10 +139,7 @@ class CorpusSpec:
         if self.mode not in _N_MAX:
             raise GraphError(f"unknown corpus mode {self.mode!r}")
         for name in ("n_max", "samples", "seed"):
-            value = getattr(self, name)
-            require_integer(name, value)
-            if value < 0:
-                raise GraphError(f"{name} must be nonnegative, got {value}")
+            require_integer(name, getattr(self, name), lo=0)
         _check_n_max(self.mode, self.n_max)
         check_ranges(weight_range=self.weight_range, measure_range=self.measure_range)
         if not isinstance(self.unit_only, (bool, np.bool_)):
@@ -251,7 +249,7 @@ def random_graph(n: int, edge_prob: float, weight_range: tuple[float, float],
     Deterministic for a given seed; raises after ``RANDOM_RETRIES`` failed
     connectivity draws, and checks every argument before the first draw.
     """
-    require_integer("n", n)
+    require_integer("n", n, hi=RANDOM_N_MAX)
     require_integer("boundary_size", boundary_size)
     if not (is_real(edge_prob) and 0 < edge_prob <= 1):
         raise GraphError(f"edge_prob must be a number in (0, 1], got {edge_prob!r}")
@@ -816,7 +814,5 @@ def verify_corpus(
     """
     records = iter_violations(spec, mutations)
     if max_violations is not None:
-        require_integer("max_violations", max_violations)
-        if max_violations < 0:
-            raise GraphError(f"max_violations must be nonnegative, got {max_violations}")
+        require_integer("max_violations", max_violations, lo=0, hi=sys.maxsize)
     return list(islice(records, max_violations))

@@ -132,9 +132,7 @@ def seeded_rng(seed) -> np.random.Generator:
     a sequence seed, is a :class:`GraphError`, and so is any other seed but
     None, a numpy BitGenerator or a SeedSequence."""
     if isinstance(seed, (Real, np.bool_, str, bytes)):
-        require_integer("seed", seed)
-        if seed < 0:
-            raise GraphError(f"seed must be nonnegative, got {seed}")
+        require_integer("seed", seed, lo=0)
     elif isinstance(seed, (Sequence, np.ndarray)):
         for entry in seed.ravel().tolist() if isinstance(seed, np.ndarray) else seed:
             if isinstance(entry, bool) or not isinstance(entry, Integral) or entry < 0:
@@ -146,10 +144,15 @@ def seeded_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def require_integer(name: str, value) -> None:
-    """Counts are integers, numpy's included; a bool or a float is refused."""
+def require_integer(name: str, value, lo=None, hi=None) -> None:
+    """Counts are integers, numpy's included, in ``lo..hi`` where given; a
+    bool or a float is refused."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise GraphError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise GraphError(f"{name} must be {'nonnegative' if lo == 0 else f'>= {lo}'}, got {value}")
+    if hi is not None and value > hi:
+        raise GraphError(f"{name} must be <= {hi}, got {value}")
 
 
 def is_real(value) -> bool:
@@ -679,6 +682,7 @@ def all_geodesics(
     geodesics exist, so callers that only need "one vs. several" can pass a
     small cap without paying for the full enumeration.
     """
+    require_integer("max_paths", max_paths, lo=1)
     dist = hop_distances(g, [y, x])[0].tolist()  # x too: its range is checked
     if x == y:
         return [(x,)]

@@ -373,6 +373,24 @@ def test_negative_seed_exit_2(capsys, argv):
     assert err.strip().splitlines() == ["steklov: seed must be nonnegative, got -1"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate-comb", "--path-len", "1000000", "--path-weight", "1", "--endpoint-mass", "2"],
+     "the vertex bound path_len + 1 + (path_len - 1) * max_tooth_vertices must be <= 1000000, "
+     "got 6999995"),
+    (["generate-comb", "--path-len", "100000000000000000000", "--path-weight", "1",
+      "--endpoint-mass", "2"],
+     "the vertex bound path_len + 1 + (path_len - 1) * max_tooth_vertices must be <= 1000000, "
+     "got 699999999999999999995"),
+    (["verify", "--mode", "random", "--samples", "-1"], "samples must be nonnegative, got -1"),
+], ids=["comb-at-1e6", "comb-at-1e20", "negative-samples"])
+def test_counts_out_of_range_exit_2(capsys, argv, message):
+    """A count past its range exits 2 with one line naming it, before any
+    work: a comb past COMB_N_MAX vertices is refused, not built."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.strip().splitlines() == [f"steklov: {message}"]
+
+
 class TestErrors:
     def test_unknown_flag_exits_2(self, capsys, path3_file):
         with pytest.raises(SystemExit) as exc:

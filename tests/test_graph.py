@@ -278,6 +278,21 @@ class TestGeodesics:
             all_geodesics(g, 0, 4, max_paths=2)
         assert len(all_geodesics(g, 0, 4, max_paths=3)) == 3
 
+    @pytest.mark.parametrize("max_paths, message", [
+        (0, "max_paths must be >= 1, got 0"),
+        (-1, "max_paths must be >= 1, got -1"),
+        (1.5, "max_paths must be an integer, got 1.5"),
+        (True, "max_paths must be an integer, got True"),
+        (None, "max_paths must be an integer, got None"),
+    ], ids=repr)
+    def test_max_paths_is_a_positive_count(self, path3, max_paths, message):
+        """A cap that is not an integer >= 1 is one GraphError line, not a
+        GeodesicLimitError about -1 geodesics or a TypeError."""
+        with pytest.raises(GraphError) as excinfo:
+            all_geodesics(path3, 0, 2, max_paths=max_paths)
+        assert str(excinfo.value) == message
+        assert not isinstance(excinfo.value, GeodesicLimitError)
+
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=7, min_boundary=2))
     def test_count_matches_dp_oracle(self, g):

@@ -84,6 +84,14 @@ class TestCombCheck:
                 is_comb_over(path3, path)
             assert str(excinfo.value) == f"invalid path: vertex must be an integer, got {bad}"
 
+    @pytest.mark.parametrize("path", [5, None, 1.5], ids=repr)
+    def test_path_is_a_collection(self, path3, path):
+        """A path that is not a collection of vertex ids is one GraphError
+        line naming it, as the sources of hop_distances are."""
+        with pytest.raises(GraphError) as excinfo:
+            is_comb_over(path3, path)
+        assert str(excinfo.value) == f"path must be a list of vertex ids, got {path!r}"
+
     def test_chord_stays(self):
         """Only the path's edges are removed: the chord 0-2 of a triangle
         joins the path's ends."""
