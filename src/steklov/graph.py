@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
+from math import log10
 from numbers import Integral, Real
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -150,9 +151,27 @@ def require_integer(name: str, value, lo=None, hi=None) -> None:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise GraphError(f"{name} must be an integer, got {value!r}")
     if lo is not None and value < lo:
-        raise GraphError(f"{name} must be {'nonnegative' if lo == 0 else f'>= {lo}'}, got {value}")
+        raise GraphError(f"{name} must be {'nonnegative' if lo == 0 else f'>= {lo}'}, "
+                         f"got {_integer_text(value)}")
     if hi is not None and value > hi:
-        raise GraphError(f"{name} must be <= {hi}, got {value}")
+        raise GraphError(f"{name} must be <= {hi}, got {_integer_text(value)}")
+
+
+def _integer_text(value) -> str:
+    """``str(value)``, or past 1,000 digits its order of magnitude, read off
+    its bit length: ``str`` refuses integers of more than 4,300 digits."""
+    bits = int(value).bit_length()
+    if bits <= 3321:  # 10**1000 < 2**3322
+        return str(value)
+    return f"about {'-' if value < 0 else ''}10**{int(bits * log10(2))}"
+
+
+def listed(name: str, value, what: str) -> list:
+    """``value`` read once into a list; what is not iterable is refused with
+    one line naming ``name``, a list of ``what``."""
+    if not isinstance(value, Iterable):
+        raise GraphError(f"{name} must be a list of {what}, got {value!r}")
+    return list(value)
 
 
 def is_real(value) -> bool:
@@ -391,13 +410,14 @@ def graph_from_arrays(
     The labels are zero-padded (``v00``, ``v01``, ...) so canonical label
     order preserves the given id order, and the ids need no relabelling.
     """
+    measures = listed("measures", measures, "numbers")
     n = len(measures)
     labels = index_labels(n)
-    bcol = list(boundary)
+    bcol = listed("boundary", boundary, "vertex ids")
     bids = _ids(bcol, n)
     _first_fault([((bids < 0) | (bids >= n),
                    lambda i: f"boundary: unknown vertex reference {bcol[i]}")])
-    tails, heads, weights = _columns(list(edges), 3)
+    tails, heads, weights = _columns(listed("edges", edges, "(u, v, weight) rows"), 3)
     u, v = _ids(tails, n), _ids(heads, n)
     _first_fault([((u < 0) | (u >= n) | (v < 0) | (v >= n),
                    lambda j: f"edges: unknown vertex reference in "
@@ -582,7 +602,9 @@ def shared_components(n: int, u: np.ndarray, v: np.ndarray, marked: np.ndarray):
 
 
 def is_connected(g: WeightedBoundaryGraph) -> bool:
-    """True iff every vertex is reachable from vertex 0."""
+    """True iff every vertex is reachable from vertex 0; ``g`` must be a graph."""
+    if not isinstance(g, WeightedBoundaryGraph):
+        raise GraphError(f"g must be a WeightedBoundaryGraph, got {g!r}")
     u, v, _ = g.edge_arrays
     return g.n > 0 and not component_labels(g.n, u, v).any()
 
@@ -633,9 +655,7 @@ def hop_distances(g: WeightedBoundaryGraph, sources=None) -> np.ndarray:
     from scipy.sparse import csgraph, csr_array
 
     if sources is not None:  # read once: a generator is consumed by the range check
-        if not isinstance(sources, Iterable):
-            raise GraphError(f"sources must be a list of vertex ids, got {sources!r}")
-        sources = list(sources)
+        sources = listed("sources", sources, "vertex ids")
     for s in () if sources is None else sources:
         require_integer("source", s)
         if not 0 <= s < g.n:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from numbers import Real
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .graph import (
     hop_distances,
     is_connected,
     is_real,
+    listed,
+    require_connected,
     require_integer,
     seeded_rng,
     shared_components,
@@ -89,9 +91,7 @@ def is_comb_over(
     ``path`` must be a simple path in g (consecutive vertices adjacent, no
     repeats).  Only the path's edges are removed; all vertices remain.
     """
-    if not isinstance(path, Iterable):
-        raise GraphError(f"path must be a list of vertex ids, got {path!r}")
-    path = tuple(path)
+    path = listed("path", path, "vertex ids")
     for v in path:
         require_integer("invalid path: vertex", v)
         if not 0 <= v < g.n:
@@ -165,6 +165,7 @@ def check_rigidity(
     for name, value in (("tol", tol), ("weight_tol", weight_tol)):
         if not (is_real(value) and 0.0 <= value < np.inf):
             raise GraphError(f"{name} must be finite and nonnegative, got {value!r}")
+    require_connected(g)
     report = g.analysis.bound_report
     if len(g.boundary) < 2:
         raise GraphError("rigidity needs at least 2 boundary vertices")

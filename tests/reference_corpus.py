@@ -17,7 +17,7 @@ order that the batched draw of ``steklov.corpus`` consumes the generator.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 import numpy as np
@@ -126,11 +126,11 @@ def reference_verify(spec, mutations=frozenset()) -> list:
 def random_instances(spec):
     """The random corpus one row at a time.  Per batch of
     ``_DRAW_PAIRS // (n_max choose 2)`` rows (at least one): every row's n,
-    then every edge probability, then every boundary size; then rejection
-    rounds, each drawing ``rng.random`` over the vertex pairs of one pending
-    row after another and then testing each row's graph for connectivity;
-    then each row's weights and measures by ``rng.uniform``; then each row's
-    boundary by ``rng.choice``."""
+    then every edge probability, then every boundary size; then the
+    rejection rounds of :func:`draw_connected`; then each row's weights and
+    measures by ``rng.uniform``; then one (rows, largest n) matrix of uniform
+    keys, and each row's boundary is its ``boundary_size`` real columns of
+    smallest key, ascending."""
     rng = np.random.default_rng([spec.seed, 0])
     step = max(1, _DRAW_PAIRS // comb(spec.n_max, 2))
     for lo in range(0, spec.samples, step):
@@ -146,25 +146,37 @@ def random_instances(spec):
             else:
                 values.append((rng.uniform(*spec.weight_range, size=len(u)),
                                rng.uniform(*spec.measure_range, size=n)))
-        for n, nb, (u, v), (w, m) in zip(sizes, boundary_sizes, edges, values):
-            boundary = np.sort(rng.choice(n, size=nb, replace=False))
+        keys = rng.random((rows, max(sizes)))
+        for n, nb, (u, v), (w, m), key in zip(sizes, boundary_sizes, edges, values, keys):
+            boundary = np.array(sorted(sorted(range(n), key=lambda x: key[x])[:nb]))
             yield instance(n, u, v, w, m, boundary)
 
 
 def draw_connected(rng, sizes, probs) -> list:
-    """(tails, heads) of a connected G(n, p) draw per row, by rejection
-    rounds over the rows still pending, in row order."""
-    edges, pending = [None] * len(sizes), list(range(len(sizes)))
-    for _ in range(RANDOM_RETRIES):
+    """(tails, heads), in lexicographic order, of the first connected G(n, p)
+    candidate of each row.  Round t draws min(2^t, budget, retries left)
+    candidates of each row still pending, one row after another, where the
+    budget is ``_DRAW_PAIRS`` over the pending rows' pairs (at least one); a
+    candidate draws one uniform per vertex pair in colex order, (u, v) by v
+    then u, and rows keep drawing their candidates after a connected one."""
+    edges, pending, tries, copies = [None] * len(sizes), list(range(len(sizes))), 0, 1
+    while pending and tries < RANDOM_RETRIES:
+        budget = _DRAW_PAIRS // max(1, sum(comb(sizes[r], 2) for r in pending))
+        copies = min(copies, max(1, budget), RANDOM_RETRIES - tries)
         for r in pending:
-            pairs = np.array(list(combinations(range(sizes[r]), 2))).reshape(-1, 2)
-            on = rng.random(len(pairs)) < probs[r]
-            edges[r] = pairs[on, 0], pairs[on, 1]
-        pending = [r for r in pending if not is_connected(graph_from_arrays(
-            np.ones(sizes[r]), [0], zip(*(x.tolist() for x in edges[r]), [1.0] * len(edges[r][0]))))]
-        if not pending:
-            return edges
-    raise GraphError(f"no connected draw in {RANDOM_RETRIES} tries")
+            pairs = sorted(combinations(range(sizes[r]), 2), key=lambda pair: pair[::-1])
+            for _ in range(copies):
+                on = rng.random(len(pairs)) < probs[r]
+                u, v = np.array(sorted(compress(pairs, on)), dtype=np.int64).reshape(-1, 2).T
+                g = graph_from_arrays(np.ones(sizes[r]), [0],
+                                      zip(u.tolist(), v.tolist(), [1.0] * len(u)))
+                if edges[r] is None and is_connected(g):
+                    edges[r] = u, v
+        pending = [r for r in pending if edges[r] is None]
+        tries, copies = tries + copies, 2 * copies
+    if pending:
+        raise GraphError(f"no connected draw in {RANDOM_RETRIES} tries")
+    return edges
 
 
 def fold_by_class_row(n_max: int, rng, mutations=frozenset()) -> list:

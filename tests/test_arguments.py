@@ -1,7 +1,8 @@
 """Every count and size argument of the public API, over one table of odd
 values: each call returns, or raises one ``GraphError`` line, within an
 alarm, and with no RuntimeWarning.  A value one past an argument's cap is
-refused."""
+refused; so are an integer too long for ``str`` and a container or graph of
+the wrong kind, each with one line."""
 
 import signal
 import sys
@@ -14,8 +15,10 @@ from steklov import (
     GraphError,
     all_geodesics,
     check_instance,
+    check_rigidity,
     comb_graph,
     count_exhaustive_instances,
+    graph_from_arrays,
     random_comb,
     random_graph,
     verify_corpus,
@@ -108,3 +111,35 @@ def test_count_and_size_arguments(call, value, cap):
         assert "\n" not in message
     if cap is not None and value == cap + 1:
         assert message is not None, "a value past the cap was taken"
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: random_comb(10**5000, 1.0, 2.0, seed=0), "the vertex bound",
+                 id="random_comb.path_len=10**5000"),
+    pytest.param(lambda: random_graph(10**5000, 0.5, RANGE, RANGE, 2, seed=0), "n",
+                 id="random_graph.n=10**5000"),
+    pytest.param(lambda: CorpusSpec(mode="random", seed=-10**5000), "seed",
+                 id="CorpusSpec.seed=-10**5000"),
+])
+def test_integers_past_str_are_one_line(call, name):
+    """An integer too long for ``str`` (4,300 digits) outside its range is
+    refused by its order of magnitude."""
+    message = refusal(lambda _: call(), None)
+    assert message.startswith(f"{name} ") and "about " in message and "\n" not in message
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: graph_from_arrays(None, [0], [(0, 1, 1.0)]),
+                 "measures must be a list of numbers, got None", id="graph_from_arrays.measures"),
+    pytest.param(lambda: graph_from_arrays([1.0, 1.0], 0, [(0, 1, 1.0)]),
+                 "boundary must be a list of vertex ids, got 0", id="graph_from_arrays.boundary"),
+    pytest.param(lambda: graph_from_arrays([1.0, 1.0], [0], None),
+                 "edges must be a list of (u, v, weight) rows, got None",
+                 id="graph_from_arrays.edges"),
+    pytest.param(lambda: check_rigidity(None), "g must be a WeightedBoundaryGraph, got None",
+                 id="check_rigidity.g"),
+    pytest.param(lambda: check_instance(None), "g must be a WeightedBoundaryGraph, got None",
+                 id="check_instance.g"),
+])
+def test_containers_and_graphs_of_the_wrong_kind(call, message):
+    assert refusal(lambda _: call(), None) == message

@@ -204,6 +204,93 @@ class TestRandomGraph:
         assert draw(seed=(7, np.int64(0))) == draw(seed=np.array([7, 0]))
 
 
+def draw_rows(rng, rows, n, edge_prob, boundary_size) -> _Run:
+    """``rows`` unit rows of the draw routine, each of n vertices."""
+    return corpus._random_run(rng, np.full(rows, n), np.full(rows, edge_prob),
+                              np.full(rows, boundary_size), (0.5, 2.0), (0.5, 2.0), True)
+
+
+class RecordedRng:
+    """A generator whose ``random`` records the size of every call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+class TestRejectionRounds:
+    """Round t draws 2^t candidates of every pending row, within the pair
+    budget, and each row keeps its first connected candidate."""
+
+    @pytest.mark.parametrize("n, p", [(3, 0.3), (4, 0.25)])
+    def test_graphs_are_gnp_conditioned_on_connectivity(self, n, p):
+        """Chi-square of the labeled graphs of 20 batches of 1,000 rows
+        (seed 0) against G(n, p) conditioned on connectivity.  Tolerance:
+        p-value above 1e-3, which a correct draw misses on one seed in 1,000."""
+        from scipy.stats import chisquare
+
+        pairs = comb(n, 2)
+        masks = connected_edge_masks(n)
+        prob = np.array([p ** bin(m).count("1") * (1 - p) ** (pairs - bin(m).count("1"))
+                         for m in masks])
+        rank = np.zeros((n, n), dtype=np.int64)
+        rank[tuple(np.array(list(combinations(range(n), 2))).T)] = np.arange(pairs)
+        rng, drawn = np.random.default_rng(0), []
+        for _ in range(20):
+            run = draw_rows(rng, 1000, n, p, 1)
+            row = np.repeat(np.arange(run.rows), run.degree)
+            drawn.append(np.bincount(row, 1 << rank[run.u, run.v]).astype(np.int64))
+        seen = np.searchsorted(masks, np.concatenate(drawn))
+        assert np.array_equal(np.asarray(masks)[seen], np.concatenate(drawn))
+        seen = np.bincount(seen, minlength=len(masks))
+        assert chisquare(seen, seen.sum() * prob / prob.sum()).pvalue > 1e-3
+
+    def test_boundaries_are_uniform(self):
+        """The 10 boundary pairs of 10,000 rows with n = 5 (seed 1) by
+        chi-square against equal frequencies.  Tolerance: p-value above 1e-3."""
+        from scipy.stats import chisquare
+
+        run = draw_rows(np.random.default_rng(1), 10_000, 5, 0.5, 2)
+        pair = run.bids.reshape(-1, 2) @ [5, 1]
+        seen = np.unique(pair, return_counts=True)[1]
+        assert len(seen) == 10 and chisquare(seen).pvalue > 1e-3
+
+    def test_stragglers_take_few_rounds(self, monkeypatch):
+        """200 rows of n = 2 at p = 0.05 connect one candidate in 20, yet all
+        connect within 11 rounds, counted as component labellings (seed 2):
+        after t rounds a row has had 2^t - 1 candidates."""
+        calls = []
+        labels = corpus.component_labels
+        monkeypatch.setattr(corpus, "component_labels",
+                            lambda *args: calls.append(1) or labels(*args))
+        run = draw_rows(np.random.default_rng(2), 200, 2, 0.05, 1)
+        assert len(calls) <= 11
+        assert run.degree.tolist() == [1] * 200
+
+    def test_rounds_keep_the_pair_budget(self):
+        """A row of n = 100 (4,950 pairs) that never connects still gives up
+        after RANDOM_RETRIES candidates, 13 at most a round, and no round
+        draws more than _DRAW_PAIRS uniforms (seed 3)."""
+        rng = RecordedRng(3)
+        with pytest.raises(GraphError, match="^no connected draw in 1000 tries"):
+            draw_rows(rng, 1, 100, 1e-6, 2)
+        assert sum(rng.sizes) == 1000 * 4950
+        assert max(rng.sizes) == 13 * 4950 <= corpus._DRAW_PAIRS
+        assert rng.sizes[:4] == [4950, 2 * 4950, 4 * 4950, 8 * 4950]
+
+    def test_a_row_past_the_budget_draws_one_candidate_a_round(self):
+        """A row of n = 400 (79,800 pairs) draws one candidate a round; near
+        the connectivity threshold, seed 4 needs several rounds."""
+        rng = RecordedRng(4)
+        draw_rows(rng, 1, 400, 0.0145, 2)
+        rounds = [size for size in rng.sizes if not isinstance(size, tuple)]
+        assert len(rounds) >= 2 and set(rounds) == {79_800}
+        assert rng.sizes[-1] == (1, 400)  # the boundary keys
+
+
 BAD_RANGES = [(float("nan"), 1.0), (0.5, float("inf")), (-1.0, 2.0), (0.0, 1.0),
               (0.5, float("nan")), (float("-inf"), 1.0)]
 

@@ -266,7 +266,7 @@ class TestPinnedGenerators:
                                    int(rng.integers(1, n + 1)), rng)
 
         assert self.digest(draws()) == (
-            "611ca913eea1405678ee2ff43695fdac47916918afc5c83c236dd16f43be792d")
+            "eec550ce8f70165b37b5ad5fa23ea825912952e0ac1e3d4e591e40e1a6e1f47f")
 
     def test_random_comb(self):
         rng = np.random.default_rng(12)
