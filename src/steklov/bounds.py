@@ -79,7 +79,7 @@ def compute_bound_report(g: WeightedBoundaryGraph) -> BoundReport:
     w0 = float(g.edge_arrays[2].min(initial=INF))
     with np.errstate(over="ignore"):  # an infinite V_B is reported below
         VB = float(bm.sum())
-    m0, dB = float(bm.min(initial=INF)), analysis.boundary_diameter
+    m0, dB = float(bm.min(initial=INF)), analysis.boundary_hops[0]
     sigma2 = steklov_spectrum(g).sigma(2)
     nb = len(g.boundary)
     if nb >= 2:

@@ -615,29 +615,40 @@ def require_connected(g: WeightedBoundaryGraph) -> None:
 
 
 def boundary_diameter(g: WeightedBoundaryGraph) -> int:
-    """Largest hop distance between two boundary vertices (0 when |B| < 2).
+    """Largest hop distance between two boundary vertices (0 when |B| < 2)."""
+    return boundary_hops(g)[0]
 
-    A packed multi-source BFS from the boundary only, in the style of MS-BFS
-    (Then et al., PVLDB 2014): bit ``k % 64`` of word ``k // 64`` in row v is
-    set once v lies within the current hop count of boundary vertex k, and
-    one ``bitwise_or.reduceat`` over the CSR rows advances every source at
-    once.  It stops at the first hop count at which every boundary vertex
-    has been reached from every boundary source: O(|E| d_B ceil(|B| / 64))
-    word operations.
-    """
+
+def boundary_hops(g: WeightedBoundaryGraph) -> tuple[int, np.ndarray | None]:
+    """d_B and, for |B| = 2, both boundary vertices' (2, n) hop rows, from a
+    packed multi-source BFS out of the boundary only.
+
+    In the style of MS-BFS (Then et al., PVLDB 2014): bit ``k % 64`` of word
+    ``k // 64`` in row v is set once v lies within the current hop count of
+    boundary vertex k, and one ``bitwise_or.reduceat`` over the CSR rows
+    advances every source at once.  It stops at the first hop count at which
+    every boundary vertex has been reached from every boundary source:
+    O(|E| d_B ceil(|B| / 64)) word operations.  With two sources, at bits 0
+    and 32, the sum of the visited words over the hops h = 0..d_B counts in
+    two 32-bit lanes the d_B + 1 - d(source, v) hops that had reached v, so a
+    row is exact up to d_B and reads d_B + 1 beyond."""
     indptr, indices = g.csr
     if g.n > 1 and not np.diff(indptr).all():
         # reduceat would read a neighbour's bits into an empty CSR row
         raise DisconnectedGraphError("graph is not connected")
     bidx = np.asarray(g.boundary, dtype=np.intp)
-    k = np.arange(len(bidx), dtype=np.uint64)
+    pair = len(bidx) == 2
+    k = np.array([0, 32] if pair else range(len(bidx)), dtype=np.uint64)
     visited = np.zeros((g.n, -(-len(bidx) // 64)), dtype=np.uint64)
     visited[bidx, k // 64] = np.uint64(1) << k % 64
-    frontier = visited
+    frontier, lanes = visited, np.zeros(g.n, dtype=np.uint64)
     for hops in count():
-        rows = visited[bidx]
-        if (rows == rows[:1]).all():  # rows hold their own bits: equal means full
-            return hops
+        if pair:
+            lanes += visited[:, 0]
+        reached = visited[bidx]
+        if (reached == reached[:1]).all():  # rows hold their own bits: equal means full
+            rows = np.stack([lanes & np.uint64(2**32 - 1), lanes >> np.uint64(32)])
+            return hops, (hops + 1 - rows.astype(np.int64) if pair else None)
         reached = np.take(frontier, indices, axis=0)
         frontier = np.bitwise_or.reduceat(reached, indptr[:-1]) & ~visited
         if not frontier.any():

@@ -138,8 +138,8 @@ def _values_equal(a: float, b: float, rel_tol: float) -> bool:
 
 def _unique_geodesic(g: WeightedBoundaryGraph, x: int, y: int) -> PathWitness | None:
     """The shortest x-y path if it is the only one, else None, read off the
-    distance layers of x and y (:func:`~steklov.graph.geodesic_layers`)."""
-    dist = hop_distances(g, [x, y])
+    distance layers of x and y: for B = {x, y}, the rows of the boundary BFS."""
+    dist = g.analysis.boundary_hops[1] if (x, y) == g.boundary else hop_distances(g, [x, y])
     on, unique = geodesic_layers(*dist)
     if not unique:
         return None

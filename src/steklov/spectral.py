@@ -5,13 +5,12 @@ their harmonic extension.  Its matrix (scaled by the boundary masses) is the
 Schur complement of the weighted Laplacian onto the boundary block, and the
 eigenvalues come from the generalized symmetric problem ``S v = sigma M_B v``
 solved through the diagonal mass reduction.  No eigenvector is computed: the
-one check on sigma_1's eigenvector reads a Davis-Kahan bound instead.  scipy
-is imported by the first interior factorization, not with the module.
+one check on sigma_1's eigenvector reads a Davis-Kahan bound instead.  The
+interior is eliminated block by block with numpy alone, so no scipy is loaded.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +19,7 @@ import numpy as np
 from .graph import (
     EmptyBoundaryError,
     WeightedBoundaryGraph,
-    boundary_diameter,
+    boundary_hops,
     boundary_vector,
     require_connected,
 )
@@ -45,11 +44,11 @@ OPERATOR_CHECKS = (
 )
 
 
-# Pruned interiors with at least this many vertices are factored by SuperLU,
-# smaller ones by dense Cholesky.  With one BLAS thread SuperLU is faster
-# from about 140 interior vertices on combs and 190 on grids, but only from
-# 350-500 on random graphs, whose factors fill in (README).
-SPARSE_INTERIOR_MIN = 200
+# A pruned interior of at least LEVEL_INTERIOR_MIN vertices is cut at boundary
+# BFS levels into blocks of at least LEVEL_BLOCK_MIN vertices, a smaller one is
+# one block: sizes measured on the operator layer, one BLAS thread (README).
+LEVEL_INTERIOR_MIN = 200
+LEVEL_BLOCK_MIN = 48
 
 
 class NumericsError(RuntimeError):
@@ -73,22 +72,22 @@ def laplacian(g: WeightedBoundaryGraph) -> tuple[np.ndarray, np.ndarray]:
 def harmonic_extension(g: WeightedBoundaryGraph, f) -> np.ndarray:
     """Vertex function equal to f on B and harmonic at every interior vertex.
 
-    Solves the pruned interior system ``L_OO u_O = -L_OB f`` with the
-    graph's interior factor; the block is positive definite whenever the
-    graph is connected and the boundary nonempty.  A dangling tree carries
-    no current, so each pruned vertex takes the value of the vertex it hangs
-    from.
+    Walks the blocks of :func:`eliminate_interior` from the boundary down,
+    ``u_k = -T_k u_{k-1}``.  A dangling tree carries no current, so each
+    pruned vertex takes the value of the vertex it hangs from.  ``L_OB f``
+    must be finite, as the CLI contract requires.
     """
     analysis = g.analysis
-    fvec = boundary_vector(g, f)
+    values = boundary_vector(g, f)
     blocks = analysis.blocks
-    u = np.zeros(g.n)
-    u[analysis.bidx] = fvec
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        rhs = -blocks.l_ob @ fvec
-    if not np.isfinite(rhs).all():
-        raise NumericsError("interior right-hand side L_OB f is not finite")
-    u[blocks.interior] = analysis.interior_solve(rhs)
+        if not np.isfinite(blocks.l_ob @ values).all():
+            raise NumericsError("interior right-hand side L_OB f is not finite")
+    u = np.zeros(g.n)
+    u[analysis.bidx] = values
+    for block, transfer in zip(np.split(blocks.interior, blocks.cuts[1:-1]),
+                               analysis.elimination[1]):
+        u[block] = values = -(transfer @ values)
     for leaves, parents in reversed(blocks.pruned):
         u[leaves] = u[parents]
     return u
@@ -102,16 +101,17 @@ class InteriorBlocks:
     boundary B is ``g.boundary``.  ``l_bb`` (|B| x |B|) and ``l_ob``
     (|O| x |B|) are dense; ``l_oo`` is L_OO as a COO triple ``(data, rows,
     cols)`` in block positions, both orientations of every kept interior
-    edge, then the diagonal; each factorization converts it itself.
-    ``pruned`` holds one ``(leaves, parents)`` pair per peeling round: each
-    leaf was dropped as an interior vertex of degree 1 hanging from its
-    parent.
+    edge, then the diagonal.  Interior block k >= 1 holds positions
+    ``cuts[k - 1]:cuts[k]`` of O; block 0 is the boundary.  ``pruned`` holds
+    one ``(leaves, parents)`` pair per peeling round: each leaf was dropped
+    as an interior vertex of degree 1 hanging from its parent.
     """
 
     l_bb: np.ndarray
     l_ob: np.ndarray
     l_oo: tuple[np.ndarray, np.ndarray, np.ndarray]
     interior: np.ndarray
+    cuts: list[int]
     pruned: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
@@ -151,8 +151,11 @@ def interior_blocks(g: WeightedBoundaryGraph) -> InteriorBlocks:
 
     Pruning is exact: a dangling interior tree carries no current, so S and
     the spectrum do not change, and the degrees are sums over kept edges
-    only.  Raises :class:`NumericsError` for a kept vertex whose weighted
-    degree is not finite.
+    only.  An interior of ``LEVEL_INTERIOR_MIN`` vertices or more is cut into
+    blocks of ``LEVEL_BLOCK_MIN`` or more vertices, each a run of hop levels
+    out of the boundary (README), so L is block tridiagonal; a smaller one is
+    one block.  Raises :class:`NumericsError` for a kept vertex whose
+    weighted degree is not finite.
     """
     if len(g.boundary) == 0:
         raise EmptyBoundaryError("graph has an empty boundary")
@@ -167,6 +170,24 @@ def interior_blocks(g: WeightedBoundaryGraph) -> InteriorBlocks:
         raise NumericsError(f"weighted degree of vertex {g.labels[int(np.argmax(bad))]!r} "
                             "is not finite")
     interior = np.flatnonzero(kept & ~g.boundary_mask)
+    cuts = [0, len(interior)]
+    if len(interior) >= LEVEL_INTERIOR_MIN:  # a frontier BFS on lists, no cost per level
+        indptr, indices = (a.tolist() for a in g.csr)
+        seen = (~kept | g.boundary_mask).tolist()
+        frontier, by_level, cuts = list(g.boundary), [], [0]
+        while frontier:
+            level = []
+            for x in frontier:
+                for y in indices[indptr[x]:indptr[x + 1]]:
+                    if not seen[y]:
+                        seen[y] = True
+                        level.append(y)
+            by_level += level
+            if len(by_level) - cuts[-1] >= LEVEL_BLOCK_MIN:
+                cuts.append(len(by_level))
+            frontier = level
+        cuts[max(len(cuts) - 1, 1):] = [len(by_level)]
+        interior = np.array(by_level, dtype=np.intp)
     nb, no = len(g.boundary), len(interior)
     order = np.concatenate([g.boundary, interior])  # kept vertices, boundary first
     pos = np.zeros(g.n, dtype=np.intp)
@@ -180,61 +201,58 @@ def interior_blocks(g: WeightedBoundaryGraph) -> InteriorBlocks:
     l_bb[rows[bb], cols[bb]] = data[bb]
     l_ob[rows[ob] - nb, cols[ob]] = data[ob]
     l_oo = (data[oo], rows[oo] - nb, cols[oo] - nb)
-    return InteriorBlocks(l_bb, l_ob, l_oo, interior, pruned)
+    return InteriorBlocks(l_bb, l_ob, l_oo, interior, cuts, pruned)
 
 
-def _factorization_failed(detail) -> NumericsError:
-    return NumericsError(f"interior block factorization failed: {detail}")
+def eliminate_interior(blocks: InteriorBlocks) -> tuple[np.ndarray, list[np.ndarray]]:
+    """S, unsymmetrized, and the transfers ``[T_1, ..., T_K]`` by block
+    elimination, deepest block first: ``np.linalg.cholesky(D_k)`` gates,
+    ``T_k = D_k^-1 A_{k,k-1}`` and ``D_{k-1} = A_{k-1,k-1} - A_{k-1,k} T_k``.
+    Each diagonal is the row sum of the off-diagonal conductances plus those
+    to the next shallower block, as in GTH (Grassmann, Taksar & Heyman 1985)
+    and Kron reduction (Dorfler & Bullo 2013): no cancelling subtraction, so
+    S 1 = 0 up to the rounding of the row sums.
+    """
+    cuts, order = blocks.cuts, np.argsort(blocks.l_oo[1])
+    data, rows, cols = (a[order] for a in blocks.l_oo)
+    ends = np.searchsorted(rows, cuts)
+
+    def dense(k):  # A_kk and A_{k,k-1} of interior block k >= 1
+        lo, hi, above = cuts[k - 1], cuts[k], cuts[max(k - 2, 0)]
+        d, r, c = (a[ends[k - 1]:ends[k]] for a in (data, rows, cols))
+        band, within = np.zeros((hi - lo, hi - above)), c < hi  # blocks k - 1 and k
+        band[r[within] - lo, c[within] - above] = d[within]
+        return band[:, lo - above:], (blocks.l_ob[lo:hi] if k == 1 else band[:, :lo - above])
+
+    transfers, (d, link) = [], dense(len(cuts) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # S is checked by its reader
+        for k in range(len(cuts) - 1, -1, -1):
+            np.fill_diagonal(d, 0.0)
+            np.fill_diagonal(d, -(d.sum(axis=1) + link.sum(axis=1)))
+            if k == 0:
+                return d, transfers[::-1]
+            try:  # a gate passed on subnormal entries can still leave a solve that is not finite
+                np.linalg.cholesky(d)
+                transfers.append(np.linalg.solve(d, link))
+                if not np.isfinite(transfers[-1]).all():
+                    raise np.linalg.LinAlgError(f"D_{k}^-1 A_{k},{k - 1} is not finite")
+            except np.linalg.LinAlgError as exc:
+                raise NumericsError(f"interior block factorization failed: {exc}") from exc
+            # block 0, the boundary, has no shallower block: a link of width 0
+            shallower, next_link = dense(k - 1) if k > 1 else (blocks.l_bb, link[:0].T)
+            d, link = shallower - link.T @ transfers[-1], next_link
 
 
 def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
-    """``scipy.linalg.cho_factor``, imported on first use."""
+    """``scipy.linalg.cho_factor`` on first use; no library caller, kept for the tracer."""
     import scipy.linalg
     return scipy.linalg.cho_factor(a, lower, overwrite_a, check_finite)
 
 
 def cho_solve(c_and_lower, b, overwrite_b=False, check_finite=True):
-    """``scipy.linalg.cho_solve``, imported on first use."""
+    """``scipy.linalg.cho_solve`` on first use; no library caller, kept for the tracer."""
     import scipy.linalg
     return scipy.linalg.cho_solve(c_and_lower, b, overwrite_b, check_finite)
-
-
-def cholesky_interior(data, rows, cols):
-    """Solver of ``L_OO x = b`` by dense Cholesky of the COO matrix."""
-    size = int(rows.max()) + 1  # every vertex of O has its diagonal entry
-    a = np.zeros((size, size))
-    a[rows, cols] = data
-    try:
-        factor = cho_factor(a, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise _factorization_failed(exc) from exc
-    return lambda b: cho_solve(factor, b)
-
-
-def superlu_interior(data, rows, cols):
-    """Solver of ``L_OO x = b`` by SuperLU on the COO matrix, which scipy
-    sorts into canonical compressed sparse columns.
-
-    The fill-reducing order is minimum degree on A^T + A with diagonal
-    pivots, so the pivots are those of a symmetric elimination; for the
-    positive definite L_OO each must be finite and positive, as Cholesky
-    requires.
-    """
-    # imported here, not at module load: small interiors never need scipy.sparse
-    from scipy.sparse import csc_array
-    from scipy.sparse.linalg import splu
-
-    try:  # the diagonal gives the shape
-        lu = splu(csc_array((data, (rows, cols))),
-                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:  # how SuperLU reports an exactly singular factor
-        raise _factorization_failed(exc) from exc
-    pivots = lu.U.diagonal()
-    bad = pivots[~(np.isfinite(pivots) & (pivots > 0))]
-    if len(bad):
-        raise _factorization_failed(f"pivot {float(bad[0])!r} is not finite and positive")
-    return lu.solve
 
 
 @dataclass(frozen=True)
@@ -339,15 +357,15 @@ class GraphAnalysis:
     """Per-graph numerical state, each piece built on first use and then kept.
 
     Every per-graph operation reads ``g.analysis``, so the pruned Laplacian
-    blocks, the interior factor, the Steklov system, the spectrum, d_B and
+    blocks, their elimination, the Steklov system, the spectrum, d_B and
     the bound report are computed once per graph.  It checks connectivity on
-    construction and holds its graph weakly, so both are freed by reference
-    counting.
+    construction and holds its graph, so an analysis outlives a temporary
+    graph; the cyclic garbage collector frees the pair.
     """
 
     def __init__(self, g: WeightedBoundaryGraph):
         require_connected(g)
-        self.graph = weakref.proxy(g)
+        self.graph = g
         self.bidx = np.flatnonzero(g.boundary_mask)
 
     @cached_property
@@ -355,27 +373,18 @@ class GraphAnalysis:
         return interior_blocks(self.graph)
 
     @cached_property
-    def interior_solve(self):
-        """Solver of ``L_OO x = b`` on the pruned interior: SuperLU from
-        ``SPARSE_INTERIOR_MIN`` interior vertices, dense Cholesky below, and
-        without one the zero-size solve, which loads no scipy."""
-        size = len(self.blocks.interior)
-        if size == 0:
-            return lambda b: b[:0]
-        route = superlu_interior if size >= SPARSE_INTERIOR_MIN else cholesky_interior
-        return route(*self.blocks.l_oo)
+    def elimination(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        return eliminate_interior(self.blocks)
 
     @cached_property
     def operator(self) -> tuple[SteklovSystem, Spectrum, dict]:
         """The Steklov system, its spectrum and the quantities of
         :func:`steklov_operator`; raises :class:`NumericsError` naming the
         first row of ``OPERATOR_CHECKS`` that fails."""
-        blocks = self.blocks  # raises EmptyBoundaryError without a boundary
         mass = self.graph.measures[self.bidx]
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                schur = blocks.l_bb - blocks.l_ob.T @ self.interior_solve(blocks.l_ob)
-                schur, eig, q = steklov_operator(schur, mass)
+                schur, eig, q = steklov_operator(self.elimination[0], mass)
             if not np.isfinite(eig).all():  # LAPACK gives nan or raises on such input
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
@@ -390,8 +399,8 @@ class GraphAnalysis:
         return SteklovSystem(schur, mass, order), Spectrum(eig, order), q
 
     @cached_property
-    def boundary_diameter(self) -> int:
-        return boundary_diameter(self.graph)
+    def boundary_hops(self) -> tuple[int, np.ndarray | None]:
+        return boundary_hops(self.graph)
 
     @cached_property
     def bound_report(self):

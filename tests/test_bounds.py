@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from steklov import (
     bound_report,
     boundary_quantities,
     graph_from_arrays,
+    graph_to_json,
+    parse_graph,
     steklov_spectrum,
 )
 from conftest import unit_path
@@ -162,3 +166,20 @@ class TestBoundReport:
                 a = steklov_spectrum(base).eigenvalues
                 b = steklov_spectrum(toothed).eigenvalues
                 assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
+class TestAnalysisLifetime:
+    """``g.analysis`` holds its graph, so it outlives a temporary graph, and
+    the cyclic garbage collector still frees the pair."""
+
+    def test_report_of_a_temporary_graph(self, path3):
+        text = graph_to_json(path3)
+        assert parse_graph(text).analysis.bound_report == bound_report(parse_graph(text))
+
+    def test_graph_is_freed(self, path3):
+        g = parse_graph(graph_to_json(path3))
+        assert g.analysis.bound_report.sigma2 > 0
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None

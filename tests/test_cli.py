@@ -3,13 +3,13 @@ import io
 import json
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklov import check_instance, comb_graph, graph_to_json, parse_graph, spectral
+from steklov import (check_instance, comb_graph, graph_from_arrays, graph_to_json, parse_graph,
+                     spectral)
 from steklov.cli import _build_parser, main
 from conftest import unit_path
 from strategies import cli_documents
@@ -424,14 +424,19 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["spectrum", "bounds", "rigidity"])
     def test_factorization_failure_exits_2(self, capsys, monkeypatch, path3_file,
                                            command):
+        """A Cholesky gate that fails on a one-block interior is one line and
+        exit 2."""
         import numpy as np
-        import steklov.spectral
 
-        def failing_cho_factor(*args, **kwargs):
+        calls = []
+
+        def failing_cholesky(a):
+            calls.append(a.shape)
             raise np.linalg.LinAlgError("leading minor not positive definite")
 
-        monkeypatch.setattr(steklov.spectral, "cho_factor", failing_cho_factor)
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
         code, out, err = run(capsys, command, path3_file)
+        assert calls == [(1, 1)]  # the one interior block, b
         assert code == 2
         assert out == ""
         assert err.startswith("steklov: ") and "factorization failed" in err
@@ -440,9 +445,10 @@ class TestErrors:
 
     @pytest.fixture
     def long_path_file(self, tmp_path):
-        """A bare path whose interior is at the SuperLU crossover."""
-        g = comb_graph(path_len=spectral.SPARSE_INTERIOR_MIN + 1, path_weight=1.0,
+        """A bare path whose interior is cut into level blocks."""
+        g = comb_graph(path_len=spectral.LEVEL_INTERIOR_MIN + 1, path_weight=1.0,
                        endpoint_mass=1.0)
+        assert len(spectral.interior_blocks(g).cuts) > 3
         p = tmp_path / "long_path.json"
         p.write_text(graph_to_json(g))
         return str(p)
@@ -451,26 +457,27 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["spectrum", "bounds", "rigidity"])
     def test_sparse_factorization_failure_exits_2(self, capsys, monkeypatch,
                                                   long_path_file, command, fault):
-        """SuperLU raising, or a factor with a non-positive pivot, is one line
-        and exit 2, as a failed Cholesky factorization is."""
-        import scipy.sparse
-        import scipy.sparse.linalg
+        """The Cholesky gate failing on the second block of a multi-block
+        interior, by raising or on a block with a zero pivot, is one line and
+        exit 2, as on a one-block interior."""
+        import numpy as np
 
-        original = scipy.sparse.linalg.splu
+        original = np.linalg.cholesky
         calls = []
 
-        def faulty_splu(a, **kwargs):
+        def faulty_cholesky(a):
             calls.append(a.shape)
+            if len(calls) == 1:
+                return original(a)
             if fault == "singular":
-                raise RuntimeError("Factor is exactly singular")
-            lu = original(a, **kwargs)
-            pivots = lu.U.diagonal()
-            pivots[-1] = 0.0
-            return SimpleNamespace(U=scipy.sparse.diags_array(pivots), solve=lu.solve)
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            a = a.copy()
+            a[-1, -1] = 0.0
+            return original(a)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", faulty_splu)
+        monkeypatch.setattr(np.linalg, "cholesky", faulty_cholesky)
         code, out, err = run(capsys, command, long_path_file)
-        assert calls == [(spectral.SPARSE_INTERIOR_MIN,) * 2]
+        assert len(calls) == 2
         assert (code, out) == (2, "")
         assert err.startswith("steklov: interior block factorization failed: ")
         assert len(err.strip().splitlines()) == 1
@@ -618,6 +625,27 @@ class TestNumbersOutOfRange:
         p.write_text(json.dumps(doc))
         for command in commands:
             self.assert_one_line_exit_2(*run(capsys, command, str(p)), message)
+
+    @pytest.mark.parametrize("side", [4, 16])
+    def test_subnormal_weights_exit_2(self, capsys, tmp_path, side):
+        """Every weight 5e-324 on a side x side grid whose boundary is two
+        opposite corners: the Cholesky gate passes on the subnormal blocks,
+        but their solves are not finite, so every command, harmonic included,
+        is one line and exit 2 (one interior block at side 4, level blocks at
+        side 16)."""
+        vid = lambda i, j: i * side + j  # noqa: E731
+        edges = [(vid(i, j), vid(i, j + 1)) for i in range(side) for j in range(side - 1)]
+        edges += [(vid(i, j), vid(i + 1, j)) for i in range(side - 1) for j in range(side)]
+        g = graph_from_arrays([1.0] * side**2, [0, side**2 - 1],
+                              [(a, b, 5e-324) for a, b in edges])
+        graph, values = tmp_path / "graph.json", tmp_path / "values.json"
+        graph.write_text(graph_to_json(g))
+        values.write_text(json.dumps({g.labels[0]: 1.0, g.labels[-1]: -1.0}))
+        for argv in (["spectrum", str(graph)], ["bounds", str(graph)],
+                     ["rigidity", str(graph)],
+                     ["harmonic", str(graph), "--values", str(values)]):
+            self.assert_one_line_exit_2(*run(capsys, *argv),
+                                        "interior block factorization failed: ", "not finite")
 
     def test_harmonic_right_hand_side_beyond_binary64(self, capsys, tmp_path):
         """Weights 6e307 on the path a-b-c keep every degree finite, but the

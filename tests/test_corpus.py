@@ -1027,12 +1027,12 @@ class TestCheckInstance:
     @pytest.mark.parametrize("kind", ["random", "comb"])
     def test_one_laplacian_and_one_factorization(self, monkeypatch, kind):
         """The per-graph reference route assembles the pruned Laplacian
-        blocks once and factors the interior block once per graph."""
+        blocks once and eliminates the interior once per graph."""
         import steklov.spectral as spectral
         from conftest import rng_graph
         from steklov import random_comb
 
-        calls = dict.fromkeys(("interior_blocks", "cholesky_interior", "superlu_interior"), 0)
+        calls = dict.fromkeys(("interior_blocks", "eliminate_interior"), 0)
 
         def counted(name):
             original = getattr(spectral, name)
@@ -1053,7 +1053,7 @@ class TestCheckInstance:
         assert not g.boundary_mask.all()
         assert reference_check_instance(g, rng=rng) == []
         assert calls["interior_blocks"] == 1
-        assert calls["cholesky_interior"] + calls["superlu_interior"] == 1
+        assert calls["eliminate_interior"] == 1
 
 
 class TestVerifyCorpus:

@@ -1,4 +1,4 @@
-"""Importing steklov loads no scipy; only the dense per-graph route does.
+"""Neither importing steklov nor any analysis command loads scipy.
 
 Each check runs in a fresh interpreter, since the test process itself has
 scipy loaded by the references.
@@ -10,10 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steklov.cli
-from steklov import ToothSet, comb_graph, graph_from_arrays, graph_to_json
+from steklov import (ToothSet, comb_graph, graph_from_arrays, graph_to_json, random_comb,
+                     random_graph)
+from test_spectral import weighted_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,7 +48,8 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
     assert out.strip() == "[]"
 
 
-def test_dense_route_loads_scipy_linalg_on_first_use(tmp_path, capsys):
+def test_dense_route_loads_no_scipy(tmp_path, capsys):
+    """A one-block interior answers as in process, and loads no scipy."""
     path = tmp_path / "comb.json"
     path.write_text(graph_to_json(comb_graph(path_len=6, path_weight=1.0, endpoint_mass=2.0)))
     assert steklov.cli.main(["bounds", str(path)]) == 0
@@ -59,7 +63,37 @@ print(json.dumps([before, "scipy.linalg" in sys.modules]))
 """)
     *answer, loaded = out.strip().splitlines()
     assert json.loads("\n".join(answer)) == expected
-    assert json.loads(loaded) == [False, True]
+    assert json.loads(loaded) == [False, False]
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: weighted_grid(30, rng),
+    lambda rng: random_comb(200, 1.0, 2.0, seed=rng, weight_factor=1e6),
+    lambda rng: random_graph(400, 0.04, (0.5, 2.0), (0.5, 2.0), 300, rng),
+], ids=["grid30", "heavy_tooth_comb", "random400"])
+def test_analysis_commands_load_no_scipy(tmp_path, build):
+    """spectrum, bounds, rigidity and harmonic, each run in one fresh
+    interpreter, exit 0 and leave no scipy module loaded after any of them:
+    the interior is eliminated and d_B and the geodesic rows found by numpy
+    and the standard library alone."""
+    g = build(np.random.default_rng(3))
+    path, values = tmp_path / "g.json", tmp_path / "values.json"
+    path.write_text(graph_to_json(g))
+    values.write_text(json.dumps({g.labels[b]: float(i) for i, b in enumerate(g.boundary)}))
+    calls = [["spectrum", str(path)], ["bounds", str(path)], ["rigidity", str(path)],
+             ["harmonic", str(path), "--values", str(values)]]
+    out = run_fresh(f"""
+import contextlib, io, json, sys
+import steklov.cli
+loaded = []
+for argv in {calls!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert steklov.cli.main(argv) == 0, argv
+    loaded.append(sorted(name for name in sys.modules
+                         if name == "scipy" or name.startswith("scipy.")))
+print(json.dumps(loaded))
+""")
+    assert json.loads(out) == [[], [], [], []]
 
 
 # a two-vertex tree tooth hung from a boundary vertex: pruning removes it all
