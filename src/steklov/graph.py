@@ -83,11 +83,11 @@ class WeightedBoundaryGraph:
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour lists in compressed sparse row form: (indptr, indices),
-        each row's neighbours ascending."""
+        each row's neighbours ascending, from one stable sort of the rows."""
         u, v, _ = self.edge_arrays
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.lexsort((cols, rows))
-        return np.searchsorted(rows[order], np.arange(self.n + 1)), cols[order]
+        rows = np.concatenate([v, u])  # edges sorted by (u, v): a row's tails, then its heads
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))])
+        return indptr, np.concatenate([u, v])[np.argsort(rows, kind="stable")]
 
     @cached_property
     def analysis(self):
@@ -291,7 +291,9 @@ def _canonical_labels(labels: Sequence) -> tuple[tuple[str, ...], dict[str, int]
     Raises for the first row whose label is not a string or repeats an
     earlier one.
     """
-    if not (_all_types(labels, lambda t: issubclass(t, str)) and len(set(labels)) == len(labels)):
+    order = tuple(sorted(labels)) if _all_types(labels, lambda t: issubclass(t, str)) else ()
+    rank = dict(zip(order, range(len(order))))
+    if len(rank) < len(labels):  # some label is not a string or repeats one
         seen: set[str] = set()
         for i, label in enumerate(labels):
             if not isinstance(label, str):
@@ -299,8 +301,7 @@ def _canonical_labels(labels: Sequence) -> tuple[tuple[str, ...], dict[str, int]
             if label in seen:
                 raise GraphError(f"vertices[{i}]: duplicate vertex id {label!r}")
             seen.add(label)
-    order = tuple(sorted(labels))
-    return order, dict(zip(order, range(len(order))))
+    return order, rank
 
 
 def _ids(column, n: int) -> np.ndarray:
@@ -368,7 +369,9 @@ def make_graph(
     fix vertex ids.  Raises :class:`GraphError` on any invariant violation,
     naming the first offending row.
     """
-    return _graph_from_columns(*_columns(list(vertices), 3), *_columns(list(edges), 3))
+    return _graph_from_columns(
+        *_columns(listed("vertices", vertices, "(label, measure, is_boundary) rows"), 3),
+        *_columns(listed("edges", edges, "(label_u, label_v, weight) rows"), 3))
 
 
 def _graph_from_columns(labels, measures, flags, tails, heads, weights):
@@ -378,8 +381,8 @@ def _graph_from_columns(labels, measures, flags, tails, heads, weights):
     measure_values = _measures(ids, measures)
     ends, unknown = [], []
     for column in (tails, heads):
-        try:
-            end = np.fromiter(map(rank.__getitem__, column), np.intp, len(column))
+        try:  # one C-level lookup; one row or none is no tuple and takes the loop below
+            end = np.fromiter(itemgetter(*column)(rank), np.intp, len(column))
         except (KeyError, TypeError):  # some label names no vertex
             end = np.fromiter((rank.get(x, -1) if isinstance(x, str) else -1
                                for x in column), np.intp, len(column))
@@ -444,6 +447,8 @@ def load_json(text: str, what: str = ""):
     That covers malformed documents, integers too long to read and nesting
     too deep to parse.  ``what`` prefixes the message.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise GraphError(f"{what}text must be str, bytes or bytearray, got {type(text).__name__}")
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -478,17 +483,18 @@ def _json_columns(rows: list, keys: tuple[str, ...], kinds: dict[str, type],
     one pass over a column; only a failed test looks at single rows, to
     report the first offending one.
     """
-    columns = None
-    if _all_types(rows, lambda t: issubclass(t, dict)) and set(map(len, rows)) <= {len(keys)}:
-        try:
-            columns = _columns(list(map(itemgetter(*keys), rows)), len(keys))
-        except KeyError:
-            pass
-    if columns is not None and all(
-        _all_types(columns[keys.index(key)], lambda t, kind=kind: issubclass(t, kind))
-        for key, kind in kinds.items()
-    ):
-        return columns
+    try:  # a row that is not an object takes no string key, and join takes only strings
+        columns = tuple(list(map(itemgetter(key), rows)) for key in keys)
+        for key in [key for key, kind in kinds.items() if kind is str]:
+            "".join(columns[keys.index(key)])  # one C-level pass, with no set of types
+        # every row has the fields keys, so these sizes add up iff no row has more
+        if sum(map(len, rows)) == len(keys) * len(rows) and all(
+            _all_types(columns[keys.index(key)], lambda t, kind=kind: issubclass(t, kind))
+            for key, kind in kinds.items() if kind is not str
+        ):
+            return columns
+    except (KeyError, TypeError):
+        pass
     raise GraphError(next(
         fault for i, row in enumerate(rows)
         if (fault := _row_fault(row, keys, kinds, f"{where}[{i}]")) is not None

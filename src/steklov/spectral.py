@@ -72,21 +72,22 @@ def laplacian(g: WeightedBoundaryGraph) -> tuple[np.ndarray, np.ndarray]:
 def harmonic_extension(g: WeightedBoundaryGraph, f) -> np.ndarray:
     """Vertex function equal to f on B and harmonic at every interior vertex.
 
-    Walks the blocks of :func:`eliminate_interior` from the boundary down,
-    ``u_k = -T_k u_{k-1}``.  A dangling tree carries no current, so each
-    pruned vertex takes the value of the vertex it hangs from.  ``L_OB f``
-    must be finite, as the CLI contract requires.
+    Solves ``u_1 = -D_1^-1 L_{O_1 B} f``, then walks ``u_k = -T_k u_{k-1}``
+    down the transfers of :func:`eliminate_interior`; S is not formed.  A
+    dangling tree carries no current, so a pruned vertex takes its parent's
+    value.  ``L_OB f`` must be finite, as the CLI contract requires.
     """
-    analysis = g.analysis
-    values = boundary_vector(g, f)
+    analysis, values = g.analysis, boundary_vector(g, f)
     blocks = analysis.blocks
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        if not np.isfinite(blocks.l_ob @ values).all():
+        rhs = blocks.l_ob[:blocks.cuts[1]] @ values  # deeper blocks touch no boundary vertex
+        if not np.isfinite(rhs).all():
             raise NumericsError("interior right-hand side L_OB f is not finite")
-    u = np.zeros(g.n)
+    (d1, transfers), u = analysis.elimination, np.zeros(g.n)
     u[analysis.bidx] = values
-    for block, transfer in zip(np.split(blocks.interior, blocks.cuts[1:-1]),
-                               analysis.elimination[1]):
+    first, *deeper = np.split(blocks.interior, blocks.cuts[1:-1])
+    u[first] = values = -_block_solve(1, d1, rhs)
+    for block, transfer in zip(deeper, transfers):
         u[block] = values = -(transfer @ values)
     for leaves, parents in reversed(blocks.pruned):
         u[leaves] = u[parents]
@@ -204,14 +205,28 @@ def interior_blocks(g: WeightedBoundaryGraph) -> InteriorBlocks:
     return InteriorBlocks(l_bb, l_ob, l_oo, interior, cuts, pruned)
 
 
+def _block_solve(k: int, d: np.ndarray, rhs=None):
+    """``D_k^-1 rhs``, or with no ``rhs`` the gate of D_k: ``1 / L_ii^2 <=
+    (D_k^-1)_ii`` from ``L = np.linalg.cholesky(D_k)``, which overflows on the
+    subnormal blocks that pass Cholesky.  A ``LinAlgError`` or a result that
+    is not finite is the one-line :class:`NumericsError`."""
+    try:
+        out = np.linalg.cholesky(d).diagonal() ** -2.0 if rhs is None else np.linalg.solve(d, rhs)
+        if not np.isfinite(out).all():
+            raise np.linalg.LinAlgError(f"D_{k}^-1 is not finite")
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"interior block factorization failed: {exc}") from exc
+    return out
+
+
 def eliminate_interior(blocks: InteriorBlocks) -> tuple[np.ndarray, list[np.ndarray]]:
-    """S, unsymmetrized, and the transfers ``[T_1, ..., T_K]`` by block
-    elimination, deepest block first: ``np.linalg.cholesky(D_k)`` gates,
-    ``T_k = D_k^-1 A_{k,k-1}`` and ``D_{k-1} = A_{k-1,k-1} - A_{k-1,k} T_k``.
+    """D_1 and the transfers ``[T_2, ..., T_K]`` by block elimination, deepest
+    block first: ``np.linalg.cholesky(D_k)`` gates, ``T_k = D_k^-1 A_{k,k-1}``
+    and ``D_{k-1} = A_{k-1,k-1} - A_{k-1,k} T_k``, down to the gated D_1.
     Each diagonal is the row sum of the off-diagonal conductances plus those
     to the next shallower block, as in GTH (Grassmann, Taksar & Heyman 1985)
     and Kron reduction (Dorfler & Bullo 2013): no cancelling subtraction, so
-    S 1 = 0 up to the rounding of the row sums.
+    the S of :func:`schur_complement` has S 1 = 0 up to their rounding.
     """
     cuts, order = blocks.cuts, np.argsort(blocks.l_oo[1])
     data, rows, cols = (a[order] for a in blocks.l_oo)
@@ -225,22 +240,26 @@ def eliminate_interior(blocks: InteriorBlocks) -> tuple[np.ndarray, list[np.ndar
         return band[:, lo - above:], (blocks.l_ob[lo:hi] if k == 1 else band[:, :lo - above])
 
     transfers, (d, link) = [], dense(len(cuts) - 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # S is checked by its reader
-        for k in range(len(cuts) - 1, -1, -1):
+    with np.errstate(over="ignore", invalid="ignore"):  # a D_k that is not finite fails its gate
+        for k in range(len(cuts) - 1, 0, -1):  # an empty interior is one block of size 0
             np.fill_diagonal(d, 0.0)
             np.fill_diagonal(d, -(d.sum(axis=1) + link.sum(axis=1)))
-            if k == 0:
+            _block_solve(k, d)
+            if k == 1:
                 return d, transfers[::-1]
-            try:  # a gate passed on subnormal entries can still leave a solve that is not finite
-                np.linalg.cholesky(d)
-                transfers.append(np.linalg.solve(d, link))
-                if not np.isfinite(transfers[-1]).all():
-                    raise np.linalg.LinAlgError(f"D_{k}^-1 A_{k},{k - 1} is not finite")
-            except np.linalg.LinAlgError as exc:
-                raise NumericsError(f"interior block factorization failed: {exc}") from exc
-            # block 0, the boundary, has no shallower block: a link of width 0
-            shallower, next_link = dense(k - 1) if k > 1 else (blocks.l_bb, link[:0].T)
+            transfers.append(_block_solve(k, d, link))
+            shallower, next_link = dense(k - 1)
             d, link = shallower - link.T @ transfers[-1], next_link
+
+
+def schur_complement(blocks: InteriorBlocks, d1: np.ndarray) -> np.ndarray:
+    """S = L_BB - L_{O_1 B}^T T_1, T_1 = D_1^-1 L_{O_1 B}, unsymmetrized, from
+    the D_1 of :func:`eliminate_interior`, with the row-sum diagonal of every D_k."""
+    link = blocks.l_ob[:blocks.cuts[1]]
+    schur = blocks.l_bb - link.T @ _block_solve(1, d1, link)
+    np.fill_diagonal(schur, 0.0)
+    np.fill_diagonal(schur, -schur.sum(axis=1))
+    return schur
 
 
 def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
@@ -384,7 +403,8 @@ class GraphAnalysis:
         mass = self.graph.measures[self.bidx]
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                schur, eig, q = steklov_operator(self.elimination[0], mass)
+                schur = schur_complement(self.blocks, self.elimination[0])
+                schur, eig, q = steklov_operator(schur, mass)
             if not np.isfinite(eig).all():  # LAPACK gives nan or raises on such input
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:

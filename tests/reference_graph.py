@@ -8,6 +8,9 @@ documents (same canonical graph) and on invalid ones (same first offending
 row, same message).  Integers too large for binary64 are the one difference
 from the old loop, which crashed on them; here they fail like in the library.
 
+``reference_csr`` is the neighbour lists as ``steklov.graph`` built them
+before one stable sort replaced the lexsort: the oracle for ``g.csr``.
+
 ``bfs_distances`` is a plain queue BFS over ``g.edges``, the oracle for
 every hop distance the library computes, and ``geodesic_count_oracle``
 counts geodesics on top of it, the oracle for the layer test of geodesic
@@ -129,6 +132,15 @@ def reference_parse_graph(text: str):
         edges.append((row["u"], row["v"], row["w"]))
 
     return reference_make_graph(vertices, edges)
+
+
+def reference_csr(g) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) from one lexsort of both orientations of every edge
+    by (row, column), each row's start found by binary search."""
+    u, v, _ = g.edge_arrays
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
+    return np.searchsorted(rows[order], np.arange(g.n + 1)), cols[order]
 
 
 def bfs_distances(g, source: int) -> list[int]:

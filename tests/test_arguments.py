@@ -19,6 +19,9 @@ from steklov import (
     comb_graph,
     count_exhaustive_instances,
     graph_from_arrays,
+    graph_to_json,
+    make_graph,
+    parse_graph,
     random_comb,
     random_graph,
     verify_corpus,
@@ -136,6 +139,18 @@ def test_integers_past_str_are_one_line(call, name):
     pytest.param(lambda: graph_from_arrays([1.0, 1.0], [0], None),
                  "edges must be a list of (u, v, weight) rows, got None",
                  id="graph_from_arrays.edges"),
+    pytest.param(lambda: make_graph(None, []),
+                 "vertices must be a list of (label, measure, is_boundary) rows, got None",
+                 id="make_graph.vertices"),
+    pytest.param(lambda: make_graph([], None),
+                 "edges must be a list of (label_u, label_v, weight) rows, got None",
+                 id="make_graph.edges"),
+    pytest.param(lambda: parse_graph(None), "text must be str, bytes or bytearray, got NoneType",
+                 id="parse_graph.text=None"),
+    pytest.param(lambda: parse_graph(10**5000), "text must be str, bytes or bytearray, got int",
+                 id="parse_graph.text=10**5000"),
+    pytest.param(lambda: parse_graph({"vertices": [], "edges": []}),
+                 "text must be str, bytes or bytearray, got dict", id="parse_graph.text=dict"),
     pytest.param(lambda: check_rigidity(None), "g must be a WeightedBoundaryGraph, got None",
                  id="check_rigidity.g"),
     pytest.param(lambda: check_instance(None), "g must be a WeightedBoundaryGraph, got None",
@@ -143,3 +158,9 @@ def test_integers_past_str_are_one_line(call, name):
 ])
 def test_containers_and_graphs_of_the_wrong_kind(call, message):
     assert refusal(lambda _: call(), None) == message
+
+
+@pytest.mark.parametrize("kind", [str, str.encode, lambda text: bytearray(text, "utf-8")],
+                         ids=["str", "bytes", "bytearray"])
+def test_parse_graph_takes_every_text_json_takes(kind):
+    assert parse_graph(kind(graph_to_json(COMB))) == COMB

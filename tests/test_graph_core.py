@@ -22,10 +22,10 @@ from steklov import (
     random_comb,
     random_graph,
 )
-from steklov.graph import component_labels, is_connected
+from steklov.graph import DisconnectedGraphError, boundary_hops, component_labels, is_connected
 
 from conftest import enumerate_small
-from reference_graph import reference_make_graph, reference_parse_graph
+from reference_graph import reference_csr, reference_make_graph, reference_parse_graph
 
 labels_st = st.one_of(
     st.text(max_size=5),
@@ -278,6 +278,23 @@ class TestPinnedGenerators:
         graphs = enumerate_small(4, np.random.default_rng(13), (0.5, 2.0), (0.5, 2.0))
         assert self.digest(graphs) == (
             "959ce438657433e42498c80bf693c1d556bb48f37a2b3460d32e0a2e0245db1c")
+
+
+class TestCsr:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_matches_lexsort_reference(self, n, data):
+        """Edges drawn in any orientation and order, so some vertices have
+        degree 0; n = 1 is drawn too.  The arrays are bitwise the reference's."""
+        pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        edges = [(j, i, 1.0) if data.draw(st.booleans()) else (i, j, 1.0) for i, j in chosen]
+        g = graph_from_arrays([1.0] * n, [0], edges)
+        for got, want in zip(g.csr, reference_csr(g)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if n > 1 and not np.diff(g.csr[0]).all():  # an empty row: no BFS may read it
+            with pytest.raises(DisconnectedGraphError):
+                boundary_hops(g)
 
 
 class TestComponents:

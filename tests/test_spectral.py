@@ -330,7 +330,7 @@ class TestInteriorRoutes:
         monkeypatch.setattr(spectral, "LEVEL_INTERIOR_MIN", level_interior_min)
         monkeypatch.setattr(spectral, "LEVEL_BLOCK_MIN", 16)
         blocks = spectral.interior_blocks(g)
-        schur, _ = spectral.eliminate_interior(blocks)
+        schur = spectral.schur_complement(blocks, spectral.eliminate_interior(blocks)[0])
         schur, eig, _ = spectral.steklov_operator(schur, g.measures[list(g.boundary)])
         return blocks, schur, eig
 
@@ -480,7 +480,7 @@ class TestEliminationAgainstDenseOracle:
     def test_schur_and_harmonic_extension(self, build, blocks_min):
         g = build()
         assert len(g.analysis.blocks.cuts) - 1 >= blocks_min
-        schur = g.analysis.elimination[0]
+        schur = spectral.schur_complement(g.analysis.blocks, g.analysis.elimination[0])
         oracle = dense_schur(g)
         b = np.asarray(g.boundary, dtype=np.intp)
         scale = max(np.abs(oracle).max(), np.abs(dense_laplacian(g)[np.ix_(b, b)]).max())
@@ -490,6 +490,19 @@ class TestEliminationAgainstDenseOracle:
         f = np.random.default_rng(1).standard_normal(len(b))
         u = harmonic_extension(g, f)
         assert np.abs(u - dense_harmonic(g, f)).max() <= 1e-12 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: weighted_grid(30, np.random.default_rng(30)),
+    lambda: random_comb(40, 1.0, 1.5, seed=3),
+    _empty_interior_graph,
+], ids=["level_blocks", "one_block", "empty_interior"])
+def test_harmonic_extension_forms_no_operator(build):
+    """A harmonic extension takes one solve with D_1 and the transfers below
+    it, so the analysis never forms S, its spectrum or its checks."""
+    g = build()
+    harmonic_extension(g, np.linspace(-1.0, 1.0, len(g.boundary)))
+    assert "elimination" in vars(g.analysis) and "operator" not in vars(g.analysis)
 
 
 def spread_weight_pairs(spread: float, count: int = 100, seed: int = 7):
